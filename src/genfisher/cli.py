@@ -17,8 +17,9 @@ Exit codes: 0 success, 1 check failure (or non-converged sweep rows),
 
 A flat ``key = value`` config file can supply any flag (keys are the flag
 names with ``-`` replaced by ``_``); explicit flags override the file.
-Floats are always written in scientific notation with 12 significant
-digits, so identical inputs produce byte-identical output files.
+Report and CSV floats are written in scientific notation with 12
+significant digits, and the simulate JSON writes ``repr`` floats with sorted
+keys, so identical inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -32,13 +33,7 @@ from pathlib import Path
 
 from . import measures
 from .estimation import TrialPlan, run_trials
-from .numerics import (
-    ConvergenceError,
-    DomainError,
-    IntegrandError,
-    QuadratureSpec,
-    log_gamma,
-)
+from .numerics import ConvergenceError, DomainError, IntegrandError, QuadratureSpec
 from .probe import ProbeDistribution
 
 __all__ = [
@@ -54,8 +49,28 @@ __all__ = [
     "entrypoint",
 ]
 
-QUANTITIES = ("eps_min", "posterior_width", "mean_error", "fisher")
-_LN2 = math.log(2.0)
+# Closed form and quadrature route of each sweep quantity at (dist, q).  The
+# lambdas look the functions up in `measures` at call time, so wrappers
+# installed on that module see every call.
+_ROUTES = {
+    "eps_min": (
+        lambda d, q: measures.sensitivity_closed(d, q),
+        lambda d, q: measures.sensitivity_quadrature(d, q),
+    ),
+    "posterior_width": (
+        lambda d, q: measures.posterior_width_closed(d, q),
+        lambda d, q: measures.posterior_width_quadrature(d, q),
+    ),
+    "mean_error": (
+        lambda d, q: measures.mean_error_closed(d, q),
+        lambda d, q: measures.mean_error_quadrature(d, 0.0, q),
+    ),
+    "fisher": (
+        lambda d, q: measures.fisher_closed(d, q),
+        lambda d, q: measures.fisher_quadrature(d, q),
+    ),
+}
+QUANTITIES = tuple(_ROUTES)
 
 # fixed check sets for `verify`
 _LAW_ALPHAS = (0.6, 1.0, 2.0, 7.0, 50.0)
@@ -85,8 +100,8 @@ class AlphaGrid:
     def __post_init__(self):
         if not (self.min > 0.0):
             raise ConfigError(f"alpha grid minimum must be positive, got {self.min}")
-        if not (self.max > self.min):
-            raise ConfigError("alpha grid maximum must exceed the minimum")
+        if not (self.min < self.max < math.inf):
+            raise ConfigError("alpha grid maximum must be finite and exceed the minimum")
         if self.count < 2:
             raise ConfigError(f"alpha grid needs at least 2 points, got {self.count}")
         if self.spacing not in ("log", "linear"):
@@ -122,10 +137,10 @@ class SweepConfig:
             )
         if not self.q_list:
             raise ConfigError("at least one order q is required")
-        if any(not (q > 0.0) for q in self.q_list):
-            raise ConfigError("every order q must be positive")
-        if not (self.energy > 0.0):
-            raise ConfigError(f"energy must be positive, got {self.energy}")
+        if any(not (0.0 < q < math.inf) for q in self.q_list):
+            raise ConfigError("every order q must be positive and finite")
+        if not (0.0 < self.energy < math.inf):
+            raise ConfigError(f"energy must be positive and finite, got {self.energy}")
 
 
 @dataclass(frozen=True)
@@ -148,58 +163,47 @@ def _closed_and_quadrature(
     Raises DomainError outside the closed form's validity; a non-converged
     quadrature returns its best estimate with the flag lowered.
     """
-    if quantity == "fisher":
-        closed = measures.fisher_closed(dist, q).value
-        route = lambda: measures.fisher_quadrature(dist, q).value
-        rescale = lambda raw: 2.0 * raw
-    elif quantity == "eps_min":
-        closed = measures.sensitivity_closed(dist, q).value
-        route = lambda: measures.sensitivity_quadrature(dist, q).value
-        rescale = lambda raw: (2.0 * raw) ** (-q) if raw > 0.0 else float("nan")
-    elif quantity == "posterior_width":
-        closed = measures.posterior_width_closed(dist, q).value
-        route = lambda: measures.posterior_width_quadrature(dist, q).value
-        rescale = lambda raw: raw ** (1.0 / (1.0 - q)) if raw > 0.0 else float("nan")
-    elif quantity == "mean_error":
-        closed = measures.mean_error_closed(dist, q).value
-        route = lambda: measures.mean_error_quadrature(dist, 0.0, q).value
-        rescale = lambda raw: raw**q if raw > 0.0 else float("nan")
-    else:
-        raise ConfigError(f"unknown quantity {quantity!r}")
+    closed_form, quadrature = _ROUTES[quantity]
+    closed = closed_form(dist, q).value
     try:
-        return closed, route(), True
+        return closed, quadrature(dist, q).value, True
     except ConvergenceError as exc:
-        return closed, rescale(exc.result.value), False
+        return closed, exc.value, False
     except IntegrandError:
         return closed, float("nan"), False
+
+
+def _parity_rows(quantity: str, alphas, q_list, energy: float, parity_tol: float) -> list[SweepRow]:
+    """``run_sweep`` over an explicit list of shapes."""
+    rows = []
+    for alpha in alphas:
+        try:
+            dist = ProbeDistribution.from_shape_energy(alpha, energy)
+        except DomainError:
+            dist = None
+        for q in q_list:
+            if dist is None:
+                rows.append(SweepRow(alpha, q, energy, None, None, None, None, "out_of_domain"))
+                continue
+            try:
+                closed, quad, converged = _closed_and_quadrature(quantity, dist, q)
+            except DomainError:
+                rows.append(
+                    SweepRow(alpha, q, energy, dist.gamma_scale, None, None, None, "out_of_domain")
+                )
+                continue
+            rel = abs(closed - quad) / abs(closed)
+            status = "ok" if converged and rel <= parity_tol else "no_converge"
+            rows.append(SweepRow(alpha, q, energy, dist.gamma_scale, closed, quad, rel, status))
+    return rows
 
 
 def run_sweep(config: SweepConfig, parity_tol: float = 1e-6) -> list[SweepRow]:
     """One row per (alpha, q), alpha-major; out-of-domain points are explicit
     rows, never skipped."""
-    rows = []
-    for alpha in config.alpha_grid.points():
-        try:
-            dist = ProbeDistribution.from_shape_energy(alpha, config.energy)
-        except DomainError:
-            dist = None
-        for q in config.q_list:
-            if dist is None:
-                rows.append(SweepRow(alpha, q, config.energy, None, None, None, None, "out_of_domain"))
-                continue
-            try:
-                closed, quad, converged = _closed_and_quadrature(config.quantity, dist, q)
-            except DomainError:
-                rows.append(
-                    SweepRow(alpha, q, config.energy, dist.gamma_scale, None, None, None, "out_of_domain")
-                )
-                continue
-            rel = abs(closed - quad) / abs(closed)
-            status = "ok" if converged and rel <= parity_tol else "no_converge"
-            rows.append(
-                SweepRow(alpha, q, config.energy, dist.gamma_scale, closed, quad, rel, status)
-            )
-    return rows
+    return _parity_rows(
+        config.quantity, config.alpha_grid.points(), config.q_list, config.energy, parity_tol
+    )
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
@@ -235,14 +239,6 @@ def surface_to_csv(
     return "\n".join(lines) + "\n"
 
 
-def _fisher_closed_rejected_argument(dist: ProbeDistribution, q: float) -> float:
-    """Closed Fisher candidate with gamma argument (alpha+q-1)/alpha, kept
-    only so the verify report can show the quadrature ruling it out."""
-    a = dist.alpha
-    ln_scale = math.log(a) + _LN2 / a - math.log(dist.gamma_scale)
-    return math.exp(ln_scale / q + log_gamma((a + q - 1.0) / a) - log_gamma(1.0 / a))
-
-
 def verify_report(
     alphas=(0.8, 1.0, 2.0, 5.0, 20.0),
     qs=(0.25, 0.5, 1.0, 2.0, 4.0),
@@ -263,7 +259,9 @@ def verify_report(
     anchor = ProbeDistribution.from_shape_scale(2.0, 1.0)
     quad = measures.fisher_quadrature(anchor, 0.5).value
     confirmed = measures.fisher_closed(anchor, 0.5).value
-    rejected = _fisher_closed_rejected_argument(anchor, 0.5)
+    # the candidate gamma argument (alpha+q-1)/alpha, which the quadrature rules out
+    a = anchor.alpha
+    rejected = math.exp(measures._log_fisher_closed(anchor, 0.5, (a + 0.5 - 1.0) / a))
     anchor_ok = (
         abs(quad - 4.0) <= 1e-6 * 4.0
         and abs(confirmed - quad) <= tolerance * abs(quad)
@@ -286,25 +284,16 @@ def verify_report(
 
     # Closed-form / quadrature parity over the grid.
     for quantity in QUANTITIES:
-        for alpha in alphas:
-            try:
-                dist = ProbeDistribution.from_shape_energy(alpha, energy)
-            except DomainError:
-                for q in qs:
-                    lines.append(f"parity {quantity} alpha={alpha:g} q={q:g}: out_of_domain")
+        for row in _parity_rows(quantity, alphas, qs, energy, tolerance):
+            head = f"parity {quantity} alpha={row.alpha:g} q={row.q:g}:"
+            if row.status == "out_of_domain":
+                lines.append(f"{head} out_of_domain")
                 continue
-            for q in qs:
-                try:
-                    closed, qval, converged = _closed_and_quadrature(quantity, dist, q)
-                except DomainError:
-                    lines.append(f"parity {quantity} alpha={alpha:g} q={q:g}: out_of_domain")
-                    continue
-                rel = abs(closed - qval) / abs(closed)
-                check(
-                    converged and rel <= tolerance,
-                    f"parity {quantity} alpha={alpha:g} q={q:g}: closed={_fmt(closed)} "
-                    f"quadrature={_fmt(qval)} rel_dev={rel:.3e}",
-                )
+            check(
+                row.status == "ok",
+                f"{head} closed={_fmt(row.closed_value)} quadrature="
+                f"{_fmt(row.quadrature_value)} rel_dev={row.relative_deviation:.3e}",
+            )
 
     # q = 1/2 sensitivity law: eps_min = 1 / (2 sqrt(E)) for every shape.
     for alpha in _LAW_ALPHAS:
@@ -655,3 +644,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

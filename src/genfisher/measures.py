@@ -32,16 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .numerics import (
-    ConvergenceError,
+    LN2,
     DomainError,
     QuadratureResult,
     QuadratureSpec,
-    integrate_half_line,
-    integrate_real_line,
+    integrate_measure,
     log_gamma,
+    safe_exp,
 )
 from .probe import ProbeDistribution
 
@@ -63,10 +63,6 @@ __all__ = [
     "mean_error_quadrature",
     "triangle_probe",
 ]
-
-_LN2 = math.log(2.0)
-_EXP_MAX = 709.0
-_EXP_MIN = -745.0
 
 
 class Quantity(str, Enum):
@@ -127,19 +123,22 @@ def fisher_gamma_argument(alpha: float, q: float) -> float:
     return (alpha + q - 1.0) / (alpha * q)
 
 
-def _require_fisher_closed_domain(dist: ProbeDistribution, q: float) -> None:
+def _log_fisher_closed(
+    dist: ProbeDistribution, q: float, gamma_argument: float | None = None
+) -> float:
+    """Log of the closed Fisher form, valid for alpha > max(1 - q, 1/2);
+    ``gamma_argument`` replaces ``fisher_gamma_argument(alpha, q)`` to
+    evaluate a rejected candidate."""
     bound = max(1.0 - q, 0.5)
     if dist.alpha <= bound:
         raise DomainError(
             f"closed Fisher form needs alpha > max(1 - q, 1/2) = {bound}; "
             f"got alpha = {dist.alpha}, q = {q}"
         )
-
-
-def _log_fisher_closed(dist: ProbeDistribution, q: float) -> float:
-    ln_scale = math.log(dist.alpha) + _LN2 / dist.alpha - math.log(dist.gamma_scale)
-    arg = fisher_gamma_argument(dist.alpha, q)
-    return ln_scale / q + log_gamma(arg) - log_gamma(1.0 / dist.alpha)
+    ln_scale = math.log(dist.alpha) + LN2 / dist.alpha - math.log(dist.gamma_scale)
+    if gamma_argument is None:
+        gamma_argument = fisher_gamma_argument(dist.alpha, q)
+    return ln_scale / q + log_gamma(gamma_argument) - log_gamma(1.0 / dist.alpha)
 
 
 def hellinger_distance(
@@ -169,23 +168,11 @@ def hellinger_distance(
         diff = -abs(a - b)
         if diff == 0.0:
             return 0.0
-        val = (hi + math.log(-math.expm1(diff))) / q
-        if val <= _EXP_MIN:
-            return 0.0
-        if val >= _EXP_MAX:
-            return float("inf")
-        return math.exp(val)
+        return safe_exp((hi + math.log(-math.expm1(diff))) / q)
 
-    result = integrate_real_line(integrand, spec)
-    if not result.converged:
-        raise ConvergenceError(
-            f"distance quadrature did not converge (alpha={dist.alpha}, q={q}, eps={eps})",
-            result,
-        )
-    half = QuadratureResult(
-        0.5 * result.value, 0.5 * result.abs_error_estimate, True, result.evaluations
-    )
-    return MeasureValue(Quantity.DISTANCE, half.value, Method.QUADRATURE, half)
+    label = f"distance quadrature (alpha={dist.alpha}, q={q}, eps={eps})"
+    value, half = integrate_measure(integrand, spec, label, fold=0.5)
+    return MeasureValue(Quantity.DISTANCE, value, Method.QUADRATURE, half)
 
 
 def hellinger_linearized(
@@ -200,17 +187,19 @@ def hellinger_linearized(
     (``alpha > 1 - q``)."""
     q = _require_order(q)
     fisher = fisher_quadrature(dist, q, spec)
-    prefactor = math.exp(math.log(q) / q - _LN2)
+    prefactor = math.exp(math.log(q) / q - LN2)
     value = prefactor * abs(eps) ** (1.0 / q) * fisher.value
     return MeasureValue(Quantity.DISTANCE, value, Method.QUADRATURE, fisher.quad_detail)
 
 
-def fisher_quadrature(
+def _fisher_route(
     dist: ProbeDistribution,
     q: float,
-    spec: QuadratureSpec | None = None,
+    spec: QuadratureSpec | None,
+    quantity: Quantity,
+    transform: Callable[[float], float] | None = None,
 ) -> MeasureValue:
-    """Order-q Fisher information by quadrature of P * |score|**(1/q).
+    """Quadrature of P * |score|**(1/q), reported as ``transform(F_q)``.
 
     The integrand is even, so it is folded onto [0, inf); the origin --
     where the factor |x|**((alpha-1)/q) is singular for alpha < 1 -- then
@@ -228,22 +217,23 @@ def fisher_quadrature(
     def integrand(u: float) -> float:
         if u == 0.0:
             return 0.0
-        arg = dist.log_pdf(u) + dist.log_score_magnitude(u) / q
-        if arg <= _EXP_MIN:
-            return 0.0
-        if arg >= _EXP_MAX:
-            return float("inf")
-        return math.exp(arg)
+        return safe_exp(dist.log_pdf(u) + dist.log_score_magnitude(u) / q)
 
-    result = integrate_half_line(integrand, spec)
-    if not result.converged:
-        raise ConvergenceError(
-            f"Fisher quadrature did not converge (alpha={dist.alpha}, q={q})", result
-        )
-    full = QuadratureResult(
-        2.0 * result.value, 2.0 * result.abs_error_estimate, True, result.evaluations
+    label = f"Fisher quadrature (alpha={dist.alpha}, q={q})"
+    value, full = integrate_measure(
+        integrand, spec, label, half_line=True, fold=2.0, transform=transform
     )
-    return MeasureValue(Quantity.FISHER, full.value, Method.QUADRATURE, full)
+    return MeasureValue(quantity, value, Method.QUADRATURE, full)
+
+
+def fisher_quadrature(
+    dist: ProbeDistribution,
+    q: float,
+    spec: QuadratureSpec | None = None,
+) -> MeasureValue:
+    """Order-q Fisher information by quadrature of P * |score|**(1/q),
+    folded onto [0, inf); needs ``alpha > 1 - q`` for integrability."""
+    return _fisher_route(dist, q, spec, Quantity.FISHER)
 
 
 def fisher_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
@@ -254,7 +244,6 @@ def fisher_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
 
     valid for alpha > max(1 - q, 1/2)."""
     q = _require_order(q)
-    _require_fisher_closed_domain(dist, q)
     return MeasureValue(
         Quantity.FISHER, math.exp(_log_fisher_closed(dist, q)), Method.CLOSED_FORM
     )
@@ -263,7 +252,6 @@ def fisher_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
 def sensitivity_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
     """Minimum detectable shift eps_min = F_q**(-q), closed form."""
     q = _require_order(q)
-    _require_fisher_closed_domain(dist, q)
     return MeasureValue(
         Quantity.EPS_MIN, math.exp(-q * _log_fisher_closed(dist, q)), Method.CLOSED_FORM
     )
@@ -274,11 +262,11 @@ def sensitivity_quadrature(
     q: float,
     spec: QuadratureSpec | None = None,
 ) -> MeasureValue:
-    """Minimum detectable shift through the quadrature Fisher route."""
-    q = _require_order(q)
-    fisher = fisher_quadrature(dist, q, spec)
-    value = math.exp(-q * math.log(fisher.value))
-    return MeasureValue(Quantity.EPS_MIN, value, Method.QUADRATURE, fisher.quad_detail)
+    """Minimum detectable shift F_q**(-q) through the quadrature Fisher
+    route; ``quad_detail`` holds the Fisher integral."""
+    return _fisher_route(
+        dist, q, spec, Quantity.EPS_MIN, lambda fisher: math.exp(-q * math.log(fisher))
+    )
 
 
 def posterior_width_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
@@ -293,11 +281,11 @@ def posterior_width_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
     a, g = dist.alpha, dist.gamma_scale
     log_w = (
         -math.log(q) / (a * (1.0 - q))
-        + _LN2
+        + LN2
         + log_gamma(1.0 / a)
         + math.log(g)
         - math.log(a)
-        - _LN2 / a
+        - LN2 / a
     )
     return MeasureValue(Quantity.POSTERIOR_WIDTH, math.exp(log_w), Method.CLOSED_FORM)
 
@@ -317,20 +305,14 @@ def posterior_width_quadrature(
     g = dist.gamma_scale
     spec = (spec or QuadratureSpec()).with_splits((g, 4.0 * g))
 
-    def integrand(u: float) -> float:
-        arg = q * dist.log_pdf(u)
-        return math.exp(arg) if arg > _EXP_MIN else 0.0
-
-    result = integrate_half_line(integrand, spec)
-    if not result.converged:
-        raise ConvergenceError(
-            f"posterior width quadrature did not converge (alpha={dist.alpha}, q={q})",
-            result,
-        )
-    raw = QuadratureResult(
-        2.0 * result.value, 2.0 * result.abs_error_estimate, True, result.evaluations
+    value, raw = integrate_measure(
+        lambda u: safe_exp(q * dist.log_pdf(u)),
+        spec,
+        f"posterior width quadrature (alpha={dist.alpha}, q={q})",
+        half_line=True,
+        fold=2.0,
+        transform=lambda integral: math.exp(math.log(integral) / (1.0 - q)),
     )
-    value = math.exp(math.log(raw.value) / (1.0 - q))
     return MeasureValue(Quantity.POSTERIOR_WIDTH, value, Method.QUADRATURE, raw)
 
 
@@ -343,7 +325,7 @@ def mean_error_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
     q = _require_order(q)
     a, g = dist.alpha, dist.gamma_scale
     log_e = (
-        -_LN2 / a
+        -LN2 / a
         + q * (log_gamma((1.0 + q) / (a * q)) - log_gamma(1.0 / a))
         + math.log(g)
     )
@@ -374,21 +356,15 @@ def mean_error_quadrature(
         au = abs(u)
         if au == 0.0:
             return 0.0
-        arg = dist.log_pdf(u) + math.log(au) / q
-        if arg <= _EXP_MIN:
-            return 0.0
-        if arg >= _EXP_MAX:
-            return float("inf")
-        return math.exp(arg)
+        return safe_exp(dist.log_pdf(u) + math.log(au) / q)
 
-    result = integrate_real_line(integrand, spec)
-    if not result.converged:
-        raise ConvergenceError(
-            f"mean error quadrature did not converge (alpha={dist.alpha}, q={q}, eps={eps})",
-            result,
-        )
-    value = math.exp(q * math.log(result.value))
-    return MeasureValue(Quantity.MEAN_ERROR, value, Method.QUADRATURE, result)
+    value, moment = integrate_measure(
+        integrand,
+        spec,
+        f"mean error quadrature (alpha={dist.alpha}, q={q}, eps={eps})",
+        transform=lambda integral: math.exp(q * math.log(integral)),
+    )
+    return MeasureValue(Quantity.MEAN_ERROR, value, Method.QUADRATURE, moment)
 
 
 def triangle_probe(

@@ -43,6 +43,8 @@ __all__ = [
     "log_gamma",
     "integrate_real_line",
     "integrate_half_line",
+    "integrate_measure",
+    "safe_exp",
 ]
 
 
@@ -57,12 +59,14 @@ class IntegrandError(ValueError):
 class ConvergenceError(RuntimeError):
     """A quadrature did not reach the requested tolerance.
 
-    The best available ``QuadratureResult`` is attached as ``result``.
+    The best available ``QuadratureResult`` is attached as ``result`` and
+    the best estimate of the measured quantity as ``value``.
     """
 
-    def __init__(self, message: str, result: "QuadratureResult"):
+    def __init__(self, message: str, result: "QuadratureResult", value: float | None = None):
         super().__init__(message)
         self.result = result
+        self.value = result.value if value is None else value
 
 
 # Embedded 7-point Gauss / 15-point Kronrod pair on [-1, 1]:
@@ -82,6 +86,11 @@ _KRONROD_CENTER_W = 0.209482141084728
 
 _EVALS_PER_PANEL = 15
 _MACHINE_EPS = 2.220446049250313e-16
+
+LN2 = math.log(2.0)
+#: exp() overflow / underflow thresholds for double precision.
+EXP_MAX = 709.0
+EXP_MIN = -745.0
 
 #: Uniform panels each piece is seeded with before adaptive refinement.
 INITIAL_PANELS = 8
@@ -132,6 +141,16 @@ def log_gamma(x: float) -> float:
     if not (x > 0.0):
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
+
+
+def safe_exp(x: float) -> float:
+    """``exp(x)``, clamped to 0 at or below ``EXP_MIN`` and to inf at or
+    above ``EXP_MAX``; integrands built in log space end with it."""
+    if x <= EXP_MIN:
+        return 0.0
+    if x >= EXP_MAX:
+        return math.inf
+    return math.exp(x)
 
 
 def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -274,3 +293,32 @@ def integrate_half_line(
         pieces.append((f, lo, hi))
     pieces.append((_right_tail(f, points[-1]), 0.0, 1.0))
     return _adaptive(pieces, spec)
+
+
+def integrate_measure(
+    f: Callable[[float], float],
+    spec: QuadratureSpec,
+    label: str,
+    *,
+    half_line: bool = False,
+    fold: float = 1.0,
+    transform: Callable[[float], float] | None = None,
+) -> tuple[float, QuadratureResult]:
+    """Integrate ``f`` over the real line (or [0, inf) when ``half_line``),
+    scale value and error by ``fold`` (2 for an even integrand folded onto
+    the half line) and map the folded integral through ``transform``, the
+    final power (``nan`` for a non-positive integral).  Returns the value and
+    the folded result; raises ``ConvergenceError`` carrying both, with
+    ``label`` naming the computation, when the quadrature did not converge.
+    """
+    # Looked up at call time so wrappers installed on this module see it.
+    raw = (integrate_half_line if half_line else integrate_real_line)(f, spec)
+    result = QuadratureResult(
+        fold * raw.value, fold * raw.abs_error_estimate, raw.converged, raw.evaluations
+    )
+    value = result.value
+    if transform is not None:
+        value = transform(value) if value > 0.0 else math.nan
+    if not result.converged:
+        raise ConvergenceError(f"{label} did not converge", result, value)
+    return value, result

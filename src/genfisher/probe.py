@@ -30,19 +30,16 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
-    ConvergenceError,
+    EXP_MAX,
+    LN2,
     DomainError,
     QuadratureSpec,
-    integrate_half_line,
+    integrate_measure,
     log_gamma,
+    safe_exp,
 )
 
 __all__ = ["ProbeDistribution"]
-
-_LN2 = math.log(2.0)
-# exp() overflow / underflow thresholds for double precision
-_EXP_MAX = 709.0
-_EXP_MIN = -745.0
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,6 @@ class ProbeDistribution:
 
     alpha: float
     gamma_scale: float
-    norm_const: float
 
     def __post_init__(self):
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
@@ -61,30 +57,16 @@ class ProbeDistribution:
 
     @classmethod
     def from_shape_scale(cls, alpha: float, gamma_scale: float) -> "ProbeDistribution":
-        """Build from shape and scale, caching the normalization prefactor."""
-        if not (alpha > 0.0) or not math.isfinite(alpha):
-            raise DomainError(f"shape alpha must be positive, got {alpha}")
-        if not (gamma_scale > 0.0) or not math.isfinite(gamma_scale):
-            raise DomainError(f"scale gamma must be positive, got {gamma_scale}")
-        log_norm = (
-            math.log(alpha)
-            + _LN2 / alpha
-            - math.log(2.0 * gamma_scale)
-            - log_gamma(1.0 / alpha)
-        )
-        return cls(float(alpha), float(gamma_scale), math.exp(log_norm))
+        """Build from shape and scale."""
+        return cls(float(alpha), float(gamma_scale))
 
     @classmethod
     def from_shape_energy(cls, alpha: float, mean_energy: float) -> "ProbeDistribution":
         """Build from shape and mean energy; requires ``alpha > 1/2``."""
-        if not (alpha > 0.0) or not math.isfinite(alpha):
-            raise DomainError(f"shape alpha must be positive, got {alpha}")
-        if alpha <= 0.5:
-            raise DomainError(
-                f"energy normalization needs alpha > 1/2 (mean energy diverges); got {alpha}"
-            )
-        if not (mean_energy > 0.0) or not math.isfinite(mean_energy):
-            raise DomainError(f"mean energy must be positive, got {mean_energy}")
+        if not (0.5 < alpha < math.inf):
+            raise DomainError(f"energy normalization needs a finite alpha > 1/2; got {alpha}")
+        if not (0.0 < mean_energy < math.inf):
+            raise DomainError(f"mean energy must be positive and finite, got {mean_energy}")
         gamma_scale = (
             alpha
             * 2.0 ** (1.0 / alpha)
@@ -97,10 +79,15 @@ class ProbeDistribution:
     def log_norm_const(self) -> float:
         return (
             math.log(self.alpha)
-            + _LN2 / self.alpha
+            + LN2 / self.alpha
             - math.log(2.0 * self.gamma_scale)
             - log_gamma(1.0 / self.alpha)
         )
+
+    @cached_property
+    def norm_const(self) -> float:
+        """The prefactor ``C`` of the density."""
+        return math.exp(self.log_norm_const)
 
     def log_pdf(self, x: float) -> float:
         """Log density, computed directly so large ``|x/gamma|`` cannot underflow.
@@ -111,13 +98,12 @@ class ProbeDistribution:
         if r == 0.0:
             return self.log_norm_const
         t = self.alpha * math.log(r)
-        if t >= _EXP_MAX:
+        if t >= EXP_MAX:
             return float("-inf")
         return self.log_norm_const - 2.0 * math.pow(r, self.alpha)
 
     def pdf(self, x: float) -> float:
-        lp = self.log_pdf(x)
-        return math.exp(lp) if lp > _EXP_MIN else 0.0
+        return safe_exp(self.log_pdf(x))
 
     def score(self, x: float) -> float:
         """Logarithmic derivative of the density,
@@ -133,10 +119,7 @@ class ProbeDistribution:
             raise DomainError(
                 f"score undefined at x = 0 for alpha = {self.alpha} <= 1 (cusp)"
             )
-        log_mag = self.log_score_magnitude(abs(x))
-        if log_mag >= _EXP_MAX:
-            return -math.copysign(float("inf"), x)
-        return -math.copysign(math.exp(log_mag), x)
+        return -math.copysign(safe_exp(self.log_score_magnitude(abs(x))), x)
 
     def log_score_magnitude(self, ax: float) -> float:
         """log |score| at ``|x| = ax > 0``; building block for moment integrands."""
@@ -163,21 +146,11 @@ class ProbeDistribution:
         def integrand(u: float) -> float:
             if u == 0.0:
                 return 0.0
-            arg = self.log_pdf(u) + 2.0 * self.log_score_magnitude(u)
-            if arg <= _EXP_MIN:
-                return 0.0
-            if arg >= _EXP_MAX:
-                return float("inf")
-            return math.exp(arg)
+            return safe_exp(self.log_pdf(u) + 2.0 * self.log_score_magnitude(u))
 
-        result = integrate_half_line(integrand, spec)
-        if not result.converged:
-            raise ConvergenceError(
-                f"mean energy quadrature did not converge for alpha={self.alpha}, "
-                f"gamma={self.gamma_scale}",
-                result,
-            )
-        return 0.5 * result.value
+        label = f"mean energy quadrature (alpha={self.alpha}, gamma={self.gamma_scale})"
+        energy, _ = integrate_measure(integrand, spec, label, half_line=True, fold=0.5)
+        return energy
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values.

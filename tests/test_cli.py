@@ -2,10 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genfisher
+from genfisher import measures
 from genfisher.cli import AlphaGrid, ConfigError, SweepConfig, main, run_sweep, sweep_to_csv
+from genfisher.numerics import QuadratureSpec
 
 SWEEP_HEADER = "alpha,q,energy,gamma,closed,quadrature,rel_dev,status"
 
@@ -118,6 +125,14 @@ class TestSweepCommand:
         rc = main(["sweep", "--quantity", "nonsense", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--energy", "inf"], ["--alpha-max", "inf"], ["--q", "0.5,inf"]]
+    )
+    def test_non_finite_config_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--quantity", "fisher", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_default_grid_reproduces_sensitivity_shapes(self, tmp_path):
         # defaults: q = (0.25, 0.5, 2), 60 log-spaced alphas on [0.76, 100]
         out = tmp_path / "sweep.csv"
@@ -143,6 +158,17 @@ class TestSweepCommand:
         for r in rows:
             if r[-1] == "ok":
                 assert float(r[6]) <= 1e-6
+
+    @pytest.mark.parametrize("quantity", ["eps_min", "posterior_width", "mean_error", "fisher"])
+    def test_no_converge_row_records_best_estimate(self, monkeypatch, quantity):
+        # a starved default spec makes every quadrature stop short; the row
+        # still carries the correctly folded and powered best estimate
+        starved = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
+        monkeypatch.setattr(measures, "QuadratureSpec", lambda: starved)
+        config = SweepConfig(quantity, (0.25, 2.0), 1.0, AlphaGrid(1.0, 2.0, 2), "unused.csv")
+        rows = run_sweep(config)
+        assert [r.status for r in rows] == ["no_converge"] * 4
+        assert all(r.relative_deviation < 1e-2 for r in rows)
 
     def test_infeasible_singularity_flags_no_converge(self, tmp_path):
         # at alpha - 1 + q ~ 1e-3 the score-moment singular mass falls below
@@ -261,3 +287,16 @@ class TestSurfaceCommand:
     def test_narrow_shapes_rejected(self, tmp_path):
         rc = main(["surface", "--alpha-min", "0.4", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
+
+
+def test_runs_as_module(tmp_path):
+    out = tmp_path / "surface.csv"
+    src = str(Path(genfisher.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "genfisher.cli", "surface", "--alpha-count", "2",
+         "--x-count", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(read(out).splitlines()) == 1 + 2 * 3

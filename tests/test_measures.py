@@ -21,7 +21,12 @@ from genfisher.measures import (
     sensitivity_quadrature,
     triangle_probe,
 )
-from genfisher.numerics import DomainError, QuadratureSpec, integrate_real_line
+from genfisher.numerics import (
+    ConvergenceError,
+    DomainError,
+    QuadratureSpec,
+    integrate_real_line,
+)
 from genfisher.probe import ProbeDistribution
 
 
@@ -232,6 +237,35 @@ class TestParityGrid:
         ]
         for closed, quad in pairs:
             assert abs(closed - quad) / closed <= 1e-6
+
+
+class TestNonConvergedEstimate:
+    """A starved quadrature still reports a correctly scaled best estimate."""
+
+    STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
+
+    @pytest.mark.parametrize(
+        "quadrature,closed,q",
+        [
+            (fisher_quadrature, fisher_closed, 0.5),
+            (sensitivity_quadrature, sensitivity_closed, 2.0),
+            (posterior_width_quadrature, posterior_width_closed, 2.0),
+            (posterior_width_quadrature, posterior_width_closed, 0.25),
+            (lambda d, q, spec: mean_error_quadrature(d, 0.3, q, spec), mean_error_closed, 2.0),
+        ],
+    )
+    def test_best_estimate_is_near_closed_form(self, quadrature, closed, q):
+        d = energy_probe(2.0)
+        with pytest.raises(ConvergenceError) as info:
+            quadrature(d, q, self.STARVED)
+        assert not info.value.result.converged
+        assert info.value.value == pytest.approx(closed(d, q).value, rel=1e-2)
+
+    def test_error_carries_folded_result(self):
+        with pytest.raises(ConvergenceError) as info:
+            fisher_quadrature(GAUSS, 0.5, self.STARVED)
+        assert info.value.value == info.value.result.value
+        assert info.value.value == pytest.approx(4.0, rel=1e-2)
 
 
 class TestCramerRao:

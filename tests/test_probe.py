@@ -29,6 +29,22 @@ class TestConstruction:
         assert d.norm_const == pytest.approx(1.0, rel=1e-12)
         assert d.pdf(0.0) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ProbeDistribution(0.8, 1.7),
+            lambda: ProbeDistribution.from_shape_scale(0.8, 1.7),
+            lambda: ProbeDistribution.from_shape_energy(3.0, 2.5),
+        ],
+    )
+    def test_norm_const_follows_log_norm_const(self, make):
+        d = make()
+        assert d.norm_const == math.exp(d.log_norm_const)
+
+    def test_norm_const_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            ProbeDistribution(2.0, 1.0, 123.0)
+
     @pytest.mark.parametrize("alpha,gamma", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
     def test_rejects_nonpositive_parameters(self, alpha, gamma):
         with pytest.raises(DomainError):

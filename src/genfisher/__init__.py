@@ -7,7 +7,14 @@ single-shot estimation, and the quadrature engine that cross-checks every
 closed form.
 """
 
-from .estimation import TrialPlan, TrialReport, UnbiasednessReport, run_trials, unbiasedness_report
+from .estimation import (
+    TrialPlan,
+    TrialReport,
+    UnbiasednessReport,
+    run_trials,
+    three_sigma_check,
+    unbiasedness_report,
+)
 from .measures import (
     MeasureValue,
     Method,
@@ -70,5 +77,6 @@ __all__ = [
     "TrialReport",
     "UnbiasednessReport",
     "run_trials",
+    "three_sigma_check",
     "unbiasedness_report",
 ]

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import measures
-from .estimation import TrialPlan, run_trials
+from .estimation import TrialPlan, run_trials, three_sigma_check
 from .numerics import ConvergenceError, DomainError, IntegrandError, QuadratureSpec
 from .probe import ProbeDistribution
 
@@ -239,6 +239,59 @@ def surface_to_csv(
     return "\n".join(lines) + "\n"
 
 
+# Numeric failures inside a verify check; each becomes that check's FAIL
+# line.  DomainError (also a ValueError) is re-raised: an argument outside
+# the family is a usage error, not a failed check.
+_CHECK_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
+
+
+def _sensitivity_law(alpha: float, energy: float) -> tuple[bool, str]:
+    dist = ProbeDistribution.from_shape_energy(alpha, energy)
+    got = measures.sensitivity_closed(dist, 0.5).value
+    expect = 0.5 / math.sqrt(energy)
+    return abs(got - expect) <= 1e-9 * expect, f"got={_fmt(got)} expected={_fmt(expect)}"
+
+
+def _cr_product(alpha: float, energy: float) -> tuple[bool, str]:
+    dist = ProbeDistribution.from_shape_energy(alpha, energy)
+    p = measures.mean_error_closed(dist, 0.5).value * math.sqrt(
+        measures.fisher_closed(dist, 0.5).value
+    )
+    expected_saturation = abs(alpha - 2.0) < 1e-12
+    ok = (abs(p - 1.0) <= 1e-9) == expected_saturation and p >= 1.0 - 1e-9
+    return ok, f"product={_fmt(p)}"
+
+
+def _distance_invariants(alpha: float, q: float, eps: float, energy: float) -> tuple[bool, str]:
+    dist = ProbeDistribution.from_shape_energy(alpha, energy)
+    at_zero = measures.hellinger_distance(dist, 0.0, q).value
+    plus = measures.hellinger_distance(dist, eps, q)
+    minus = measures.hellinger_distance(dist, -eps, q)
+    gap = abs(plus.value - minus.value)
+    gap_tol = plus.quad_detail.abs_error_estimate + minus.quad_detail.abs_error_estimate + 1e-12
+    ok = at_zero == 0.0 and plus.value >= 0.0 and gap <= gap_tol
+    return ok, f"zero_shift={_fmt(at_zero)} value={_fmt(plus.value)} sign_gap={gap:.3e}"
+
+
+def _translation_invariance(energy: float) -> tuple[bool, str]:
+    # The quadrature route must agree across shifts without being told so.
+    probe = ProbeDistribution.from_shape_energy(1.5, energy)
+    shifted = [measures.mean_error_quadrature(probe, eps, 0.25).value for eps in (-2.0, 0.0, 0.7)]
+    spread = max(shifted) - min(shifted)
+    return spread <= 1e-8 * shifted[1], f"spread={spread:.3e}"
+
+
+def _linearization(alpha: float, q: float) -> tuple[bool, str]:
+    # Pure relative tolerance so the tiny q = 1/4 distance is still resolved.
+    tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-7)
+    dist = ProbeDistribution.from_shape_scale(alpha, 1.0)
+    ratio = (
+        measures.hellinger_distance(dist, 1e-3, q, tight).value
+        / measures.hellinger_linearized(dist, 1e-3, q).value
+    )
+    return 0.99 <= ratio <= 1.01, f"ratio={ratio:.6f}"
+
+
 def verify_report(
     alphas=(0.8, 1.0, 2.0, 5.0, 20.0),
     qs=(0.25, 0.5, 1.0, 2.0, 4.0),
@@ -249,10 +302,28 @@ def verify_report(
     lines: list[str] = []
     all_ok = True
 
-    def check(ok: bool, line: str) -> None:
+    def record(ok: bool, line: str) -> None:
         nonlocal all_ok
         all_ok = all_ok and ok
         lines.append(f"{line} {'PASS' if ok else 'FAIL'}")
+
+    def attempt(label: str, evaluate, *args):
+        """``evaluate(*args)``, or None once a numeric failure inside it is
+        recorded as ``label``'s FAIL line, carrying the exception text."""
+        try:
+            return evaluate(*args)
+        except DomainError:
+            raise
+        except _CHECK_ERRORS as exc:
+            record(False, f"{label}: error={type(exc).__name__}: {exc}")
+            return None
+
+    def check(label: str, evaluate, *args) -> None:
+        """One check; ``evaluate(*args)`` gives (ok, detail)."""
+        outcome = attempt(label, evaluate, *args)
+        if outcome is not None:
+            ok, detail = outcome
+            record(ok, f"{label}: {detail}")
 
     # Gamma-argument resolution at the Gaussian anchor (classical Fisher
     # information of a Gaussian is 4 / gamma**2).
@@ -289,7 +360,7 @@ def verify_report(
             if row.status == "out_of_domain":
                 lines.append(f"{head} out_of_domain")
                 continue
-            check(
+            record(
                 row.status == "ok",
                 f"{head} closed={_fmt(row.closed_value)} quadrature="
                 f"{_fmt(row.quadrature_value)} rel_dev={row.relative_deviation:.3e}",
@@ -298,26 +369,13 @@ def verify_report(
     # q = 1/2 sensitivity law: eps_min = 1 / (2 sqrt(E)) for every shape.
     for alpha in _LAW_ALPHAS:
         for e in _LAW_ENERGIES:
-            dist = ProbeDistribution.from_shape_energy(alpha, e)
-            got = measures.sensitivity_closed(dist, 0.5).value
-            expect = 0.5 / math.sqrt(e)
-            check(
-                abs(got - expect) <= 1e-9 * expect,
-                f"sensitivity_q_half alpha={alpha:g} energy={e:g}: got={_fmt(got)} "
-                f"expected={_fmt(expect)}",
-            )
+            check(f"sensitivity_q_half alpha={alpha:g} energy={e:g}", _sensitivity_law, alpha, e)
 
     # Cramer-Rao products; the classical bound is asserted at q = 1/2
     # (saturated only by the Gaussian shape), other orders are reported
     # without assertion.
     for alpha in alphas:
-        dist = ProbeDistribution.from_shape_energy(alpha, energy)
-        p = measures.mean_error_closed(dist, 0.5).value * math.sqrt(
-            measures.fisher_closed(dist, 0.5).value
-        )
-        expected_saturation = abs(alpha - 2.0) < 1e-12
-        ok = (abs(p - 1.0) <= 1e-9) == expected_saturation and p >= 1.0 - 1e-9
-        check(ok, f"cr_product alpha={alpha:g} q=0.5: product={_fmt(p)}")
+        check(f"cr_product alpha={alpha:g} q=0.5", _cr_product, alpha, energy)
     for alpha in alphas:
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
         for q in qs:
@@ -331,67 +389,36 @@ def verify_report(
 
     # Distance invariants: D(0) = 0, D(eps) = D(-eps), D >= 0.
     for alpha, q, eps in ((1.0, 2.0, 0.3), (2.0, 0.5, 0.1), (0.8, 0.25, 0.7)):
-        dist = ProbeDistribution.from_shape_energy(alpha, energy)
-        at_zero = measures.hellinger_distance(dist, 0.0, q).value
-        plus = measures.hellinger_distance(dist, eps, q)
-        minus = measures.hellinger_distance(dist, -eps, q)
-        gap_tol = (
-            plus.quad_detail.abs_error_estimate
-            + minus.quad_detail.abs_error_estimate
-            + 1e-12
-        )
         check(
-            at_zero == 0.0
-            and plus.value >= 0.0
-            and abs(plus.value - minus.value) <= gap_tol,
-            f"distance_invariants alpha={alpha:g} q={q:g} eps={eps:g}: "
-            f"zero_shift={_fmt(at_zero)} value={_fmt(plus.value)} "
-            f"sign_gap={abs(plus.value - minus.value):.3e}",
+            f"distance_invariants alpha={alpha:g} q={q:g} eps={eps:g}",
+            _distance_invariants, alpha, q, eps, energy,
         )
 
-    # Mean error is shift-independent; the quadrature route must agree
-    # across shifts without being told so.
-    shift_probe = ProbeDistribution.from_shape_energy(1.5, energy)
-    shifted = [
-        measures.mean_error_quadrature(shift_probe, eps, 0.25).value
-        for eps in (-2.0, 0.0, 0.7)
-    ]
-    spread = max(shifted) - min(shifted)
+    # Mean error is shift-independent.
     check(
-        spread <= 1e-8 * shifted[1],
-        f"translation_invariance mean_error alpha=1.5 q=0.25 eps=(-2,0,0.7): "
-        f"spread={spread:.3e}",
+        "translation_invariance mean_error alpha=1.5 q=0.25 eps=(-2,0,0.7)",
+        _translation_invariance, energy,
     )
 
-    # Weak-signal linearization at eps = 1e-3 (pure relative tolerance so
-    # the tiny q = 1/4 distance is still resolved).
-    tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-7)
+    # Weak-signal linearization at eps = 1e-3.
     for alpha, q in _LINEARIZATION_PAIRS:
-        dist = ProbeDistribution.from_shape_scale(alpha, 1.0)
-        ratio = (
-            measures.hellinger_distance(dist, 1e-3, q, tight).value
-            / measures.hellinger_linearized(dist, 1e-3, q).value
-        )
-        check(
-            0.99 <= ratio <= 1.01,
-            f"linearization alpha={alpha:g} q={q:g} eps=0.001: ratio={ratio:.6f}",
-        )
+        check(f"linearization alpha={alpha:g} q={q:g} eps=0.001", _linearization, alpha, q)
 
     # Triangle-inequality scan on D_q**q (informational: violations are a
-    # finding, not a failure).
+    # finding, not a failure; a triangle that cannot be computed is one).
     n_violations = 0
     for q in _TRIANGLE_QS:
         for alpha in _TRIANGLE_ALPHAS:
             dist = ProbeDistribution.from_shape_energy(alpha, energy)
             for triple in _TRIANGLE_TRIPLES:
-                rep = measures.triangle_probe(dist, q, triple)
+                label = f"triangle q={q:g} alpha={alpha:g} shifts={triple}"
+                rep = attempt(label, measures.triangle_probe, dist, q, triple)
+                if rep is None:
+                    continue
                 tag = "VIOLATED" if rep.violated else "held"
                 if rep.violated:
                     n_violations += 1
-                lines.append(
-                    f"triangle q={q:g} alpha={alpha:g} shifts={triple}: "
-                    f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)} {tag}"
-                )
+                lines.append(f"{label}: lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)} {tag}")
     lines.append(f"triangle_scan_summary: {n_violations} violation(s) found")
 
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
@@ -456,6 +483,11 @@ def _alpha_grid_from(args, cfg, default: AlphaGrid) -> AlphaGrid:
     )
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ConfigError(f"parity tolerance must be positive and finite, got {tol}")
+
+
 def _probe_from_flags(alpha: float, energy, gamma) -> ProbeDistribution:
     if energy is not None and gamma is not None:
         raise ConfigError("--energy and --gamma are mutually exclusive")
@@ -474,8 +506,9 @@ def _cmd_verify(args, cfg) -> int:
     qs = _pick(args.qs, cfg, "qs", _parse_q_list, (0.25, 0.5, 1.0, 2.0, 4.0))
     energy = _pick(args.energy, cfg, "energy", float, 1.0)
     tol = _pick(args.tol, cfg, "tol", float, 1e-6)
-    if tol <= 0.0 or energy <= 0.0:
-        raise ConfigError("tolerance and energy must be positive")
+    _check_tolerance(tol)
+    if energy <= 0.0:
+        raise ConfigError("energy must be positive")
     report, ok = verify_report(alphas, qs, energy, tol)
     out = _pick(args.out, cfg, "out", str, "verify_report.txt")
     Path(out).write_text(report, encoding="utf-8")
@@ -498,8 +531,7 @@ def _cmd_sweep(args, cfg) -> int:
         output_path=_pick(args.out, cfg, "out", str, "sweep.csv"),
     )
     tol = _pick(args.tol, cfg, "tol", float, 1e-6)
-    if tol <= 0.0:
-        raise ConfigError("parity tolerance must be positive")
+    _check_tolerance(tol)
     rows = run_sweep(config, tol)
     Path(config.output_path).write_text(sweep_to_csv(rows), encoding="utf-8")
     n_bad = sum(1 for r in rows if r.status == "no_converge")
@@ -523,26 +555,29 @@ def _cmd_simulate(args, cfg) -> int:
         _pick(args.energy, cfg, "energy", float, None),
         _pick(args.gamma, cfg, "gamma", float, None),
     )
+    bootstrap = _pick(args.bootstrap, cfg, "bootstrap", int, 500)
+    if args.bootstrap is not None or "bootstrap" in cfg:
+        print("note: --bootstrap is deprecated and ignored (analytic interval)", file=sys.stderr)
     plan = TrialPlan(
         distribution=dist,
         true_shift=_pick(args.eps, cfg, "eps", float, 0.0),
         q=_pick(args.q, cfg, "q", float, 0.5),
         trials=_pick(args.trials, cfg, "trials", int, 100_000),
         master_seed=_pick(args.seed, cfg, "seed", int, 0),
-        bootstrap_resamples=_pick(args.bootstrap, cfg, "bootstrap", int, 500),
+        bootstrap_resamples=bootstrap,
     )
     report = run_trials(plan)
     payload = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
     out = _pick(args.out, cfg, "out", str, "trial_report.json")
     Path(out).write_text(payload, encoding="utf-8")
     sys.stdout.write(payload)
-    unbiased = abs(report.empirical_mean - plan.true_shift) <= 3.0 * report.mean_std_error
+    unbiased = three_sigma_check(report.empirical_mean, report.mean_std_error, plan.true_shift)
     ci_ok = (
         report.generalized_error_ci_low
         <= report.predicted_mean_error
         <= report.generalized_error_ci_high
     )
-    return 0 if (unbiased and ci_ok) else 1
+    return 0 if (unbiased.passed and ci_ok) else 1
 
 
 def _cmd_surface(args, cfg) -> int:
@@ -604,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, help="true shift")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--bootstrap", type=int, help="bootstrap resamples (>= 100)")
+    p.add_argument("--bootstrap", type=int, help="deprecated, ignored (still must be >= 100)")
 
     p = sub.add_parser("surface", help="density surface over (ln alpha, x)")
     add_common(p)

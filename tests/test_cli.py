@@ -42,6 +42,27 @@ class TestVerifyCommand:
         cfg.write_text("this line has no equals sign\n", encoding="utf-8")
         assert main(["verify", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--tol", tol, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_numeric_failure_is_a_fail_line(self, tmp_path):
+        # at E = 1e-300 the shift-invariance quadrature meets a non-finite
+        # integrand; the report says so instead of stopping with a traceback
+        out = tmp_path / "report.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "genfisher.cli", "verify", "--alphas", "0.8", "--qs", "0.5",
+             "--energy", "1e-300", "--out", str(out)],
+            env=_module_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        failed = [l for l in read(out).splitlines() if "error=IntegrandError" in l]
+        assert failed and all(l.endswith(" FAIL") for l in failed)
+        assert read(out).endswith("overall: FAIL\n")
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_key = 3\n", encoding="utf-8")
@@ -126,7 +147,8 @@ class TestSweepCommand:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "flags", [["--energy", "inf"], ["--alpha-max", "inf"], ["--q", "0.5,inf"]]
+        "flags",
+        [["--energy", "inf"], ["--alpha-max", "inf"], ["--q", "0.5,inf"], ["--tol", "nan"]],
     )
     def test_non_finite_config_is_usage_error(self, tmp_path, flags):
         out = tmp_path / "sweep.csv"
@@ -265,6 +287,18 @@ class TestSimulateCommand:
     def test_missing_alpha_is_usage_error(self, tmp_path):
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_bootstrap_flag_is_deprecated_and_ignored(self, tmp_path, capsys):
+        args = ["simulate", "--alpha", "2", "--trials", "2000", "--seed", "3"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--out", str(a)]) == 0
+        assert "deprecated" not in capsys.readouterr().err
+        assert main(args + ["--bootstrap", "100", "--out", str(b)]) == 0
+        captured = capsys.readouterr()
+        assert "deprecated" in captured.err
+        assert json.loads(captured.out) == json.loads(read(a))
+        assert a.read_bytes() == b.read_bytes()
+        assert main(args + ["--bootstrap", "50", "--out", str(b)]) == 2
+
 
 class TestSurfaceCommand:
     def test_density_values_on_known_grid(self, tmp_path):
@@ -289,14 +323,17 @@ class TestSurfaceCommand:
         assert rc == 2
 
 
+def _module_env():
+    src = str(Path(genfisher.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_runs_as_module(tmp_path):
     out = tmp_path / "surface.csv"
-    src = str(Path(genfisher.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "genfisher.cli", "surface", "--alpha-count", "2",
          "--x-count", "3", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_module_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert len(read(out).splitlines()) == 1 + 2 * 3

@@ -2,11 +2,26 @@
 
 import dataclasses
 import math
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from genfisher.estimation import TrialPlan, TrialReport, run_trials, unbiasedness_report
+import genfisher
+from genfisher.estimation import (
+    CI_COVERAGE,
+    CI_Z,
+    TrialPlan,
+    TrialReport,
+    _draw_outcomes,
+    run_trials,
+    three_sigma_check,
+    unbiasedness_report,
+)
 from genfisher.measures import mean_error_closed
 from genfisher.numerics import DomainError
 from genfisher.probe import ProbeDistribution
@@ -21,6 +36,22 @@ def plan(alpha=2.0, energy=1.0, shift=0.3, q=0.5, trials=1_000_000, seed=42, boo
         master_seed=seed,
         bootstrap_resamples=boots,
     )
+
+
+def percentile_bootstrap(plan, resamples, seed):
+    """Reference oracle: the percentile-bootstrap interval that ``run_trials``
+    once computed, resampling ``|x - shift|**(1/q)`` from its own generator."""
+    y = np.abs(_draw_outcomes(plan) - plan.true_shift) ** (1.0 / plan.q)
+    n = y.size
+    rng = np.random.default_rng(seed)
+    boot = np.empty(resamples)
+    for b in range(resamples):
+        boot[b] = np.mean(y[rng.integers(0, n, size=n)])
+    boot **= plan.q
+    tail = 100.0 * (1.0 - CI_COVERAGE) / 2.0
+    low, high = np.percentile(boot, [tail, 100.0 - tail])
+    estimate = float(np.mean(y)) ** plan.q
+    return min(float(low), estimate), max(float(high), estimate)
 
 
 class TestValidation:
@@ -99,7 +130,120 @@ class TestRunTrials:
         assert a == b
 
 
+class TestSampleBits:
+    # Recorded before the bootstrap was replaced: the interval is the only
+    # part of a report that changed, so every other field keeps its bits.
+    @pytest.mark.parametrize(
+        "alpha, q, shift, trials, seed, expected",
+        [
+            (2.0, 0.5, 0.3, 300_000, 314, {
+                "empirical_mean": "0x1.3566c73ba6f93p-2",
+                "mean_std_error": "0x1.de0752702a5bep-11",
+                "empirical_generalized_error": "0x1.ff6284df1dd42p-2",
+                "predicted_mean_error": "0x1.ffffffffffffbp-2",
+                "max_abs_deviation": "0x1.46da32ffb1229p+1",
+            }),
+            (1.5, 0.25, -0.2, 1_000, 5, {
+                "empirical_mean": "-0x1.ee75a9cb43d52p-3",
+                "mean_std_error": "0x1.0f0048aa5e3ebp-6",
+                "empirical_generalized_error": "0x1.7675567efbb4ap-1",
+                "predicted_mean_error": "0x1.7534c9eb800fap-1",
+                "max_abs_deviation": "0x1.224d44a0d565ep+1",
+            }),
+        ],
+    )
+    def test_point_estimates_keep_their_bits(self, alpha, q, shift, trials, seed, expected):
+        report = run_trials(plan(alpha=alpha, q=q, shift=shift, trials=trials, seed=seed))
+        got = {name: getattr(report, name).hex() for name in expected}
+        assert got == expected
+        assert report.trials == trials and report.seed == seed
+
+
+class TestInterval:
+    def test_z_is_the_normal_quantile(self):
+        assert CI_Z == pytest.approx(
+            statistics.NormalDist().inv_cdf(0.5 + CI_COVERAGE / 2.0), rel=1e-15, abs=0.0
+        )
+
+    def test_bootstrap_resamples_are_ignored(self):
+        a = run_trials(plan(trials=5_000, seed=8, boots=100))
+        b = run_trials(plan(trials=5_000, seed=8, boots=5_000))
+        assert a == b
+
+    # (alpha, q, sample seed); the q = 1/4 and alpha = 0.8 points have a
+    # strongly skewed |x - shift|**(1/q), where the skewness term matters.
+    ORACLE_POINTS = ((2.0, 0.5, 11), (1.0, 1.0, 12), (1.5, 0.25, 13), (0.8, 0.5, 14))
+
+    @pytest.mark.parametrize("alpha, q, seed", ORACLE_POINTS)
+    def test_matches_percentile_bootstrap(self, alpha, q, seed):
+        # 4000 resamples put the bootstrap's own 0.5% quantile noise near 1.5%
+        # of the interval width; agreement is asserted to 8%.
+        p = plan(alpha=alpha, q=q, shift=0.1, trials=1_000, seed=seed)
+        report = run_trials(p)
+        low, high = percentile_bootstrap(p, 4_000, seed=1_000 + seed)
+        width = high - low
+        assert abs(report.generalized_error_ci_low - low) <= 0.08 * width
+        assert abs(report.generalized_error_ci_high - high) <= 0.08 * width
+
+    def test_skewness_term_moves_toward_bootstrap(self):
+        # At q = 1/4 the plain normal interval misses the bootstrap by more
+        # than the skew-corrected one does.
+        p = plan(alpha=1.5, q=0.25, shift=0.1, trials=1_000, seed=13)
+        report = run_trials(p)
+        low, high = percentile_bootstrap(p, 4_000, seed=1_013)
+        y = np.abs(_draw_outcomes(p) - p.true_shift) ** (1.0 / p.q)
+        half = CI_Z * np.std(y, ddof=1) / math.sqrt(y.size)
+        normal = (max(y.mean() - half, 0.0) ** p.q, (y.mean() + half) ** p.q)
+        corrected = (report.generalized_error_ci_low, report.generalized_error_ci_high)
+
+        def miss(interval):
+            return max(abs(interval[0] - low), abs(interval[1] - high))
+
+        assert miss(corrected) < miss(normal)
+
+    @pytest.mark.parametrize(
+        "alpha, q, shift", [(2.0, 0.5, 0.3), (1.0, 1.0, 0.0), (1.5, 0.25, -0.2)]
+    )
+    def test_coverage_calibration(self, alpha, q, shift):
+        # 1000 fixed seeds of 2000 trials each: the 99% interval must cover
+        # the closed mean error on at least 95% of them (a 300-resample
+        # percentile bootstrap scores 0.96-0.98 here) and must not be so wide
+        # that it covers nearly always.
+        dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
+        covered = 0
+        for seed in range(1000):
+            r = run_trials(TrialPlan(dist, shift, q, 2_000, seed, 100))
+            covered += (
+                r.generalized_error_ci_low <= r.predicted_mean_error <= r.generalized_error_ci_high
+            )
+        assert 0.95 <= covered / 1000 <= 0.998
+
+
+def test_import_path_stays_light():
+    # the interval's z is a constant, so no statistics package is imported
+    src = str(Path(genfisher.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, genfisher.cli; print(sorted({'scipy', 'statistics'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestUnbiasedness:
+    def test_report_and_cli_share_the_rule(self):
+        p = plan(shift=-0.4, trials=20_000, seed=23)
+        report = run_trials(p)
+        assert unbiasedness_report(p) == three_sigma_check(
+            report.empirical_mean, report.mean_std_error, p.true_shift
+        )
+
+    def test_three_sigma_edge(self):
+        assert three_sigma_check(1.75, 0.25, 1.0).passed  # exactly 3 sigma
+        assert not three_sigma_check(1.875, 0.25, 1.0).passed
+
     def test_gaussian_probe(self):
         rep = unbiasedness_report(plan(shift=1.5, seed=21))
         assert rep.passed

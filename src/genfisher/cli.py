@@ -15,8 +15,12 @@ surface   tabulate the probe density over (ln alpha, x) at fixed energy (CSV).
 Exit codes: 0 success, 1 check failure (or non-converged sweep rows),
 2 usage or configuration error.
 
-A flat ``key = value`` config file can supply any flag (keys are the flag
-names with ``-`` replaced by ``_``); explicit flags override the file.
+A flat ``key = value`` config file can supply any flag of its command (keys
+are the flag names with ``-`` replaced by ``_``); explicit flags override the
+file.  The file's values become the command parser's defaults, so they go
+through the same conversion as the flags, and a bad value is reported as the
+flag it stands for (exit 2).  Shape and order lists must hold positive, finite
+numbers only.
 Report and CSV floats are written in scientific notation with 12
 significant digits, and the simulate JSON writes ``repr`` floats with sorted
 keys, so identical inputs produce byte-identical output files.
@@ -28,7 +32,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import measures
@@ -72,7 +76,11 @@ _ROUTES = {
 }
 QUANTITIES = tuple(_ROUTES)
 
-# fixed check sets for `verify`
+# defaults of `verify` (the parity tolerance is also `sweep`'s) and its fixed
+# check sets
+_PARITY_TOL = 1e-6
+_VERIFY_ALPHAS = (0.8, 1.0, 2.0, 5.0, 20.0)
+_VERIFY_QS = (0.25, 0.5, 1.0, 2.0, 4.0)
 _LAW_ALPHAS = (0.6, 1.0, 2.0, 7.0, 50.0)
 _LAW_ENERGIES = (0.25, 1.0, 9.0)
 _LINEARIZATION_PAIRS = ((1.0, 0.5), (2.0, 0.5), (2.0, 2.0), (1.5, 0.25))
@@ -81,8 +89,11 @@ _TRIANGLE_TRIPLES = ((0.0, 0.5, 1.0), (0.0, 0.2, 2.0))
 _TRIANGLE_ALPHAS = (1.0, 5.0)
 
 
-class ConfigError(ValueError):
-    """Bad config file or inconsistent option values."""
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Bad config file or inconsistent option values.
+
+    Raised by a flag's ``type``, argparse reports it with its own text under
+    that flag's name."""
 
 
 def _fmt(x: float) -> str:
@@ -198,7 +209,7 @@ def _parity_rows(quantity: str, alphas, q_list, energy: float, parity_tol: float
     return rows
 
 
-def run_sweep(config: SweepConfig, parity_tol: float = 1e-6) -> list[SweepRow]:
+def run_sweep(config: SweepConfig, parity_tol: float = _PARITY_TOL) -> list[SweepRow]:
     """One row per (alpha, q), alpha-major; out-of-domain points are explicit
     rows, never skipped."""
     return _parity_rows(
@@ -240,8 +251,8 @@ def surface_to_csv(
 
 
 # Numeric failures inside a verify check; each becomes that check's FAIL
-# line.  DomainError (also a ValueError) is re-raised: an argument outside
-# the family is a usage error, not a failed check.
+# line.  A DomainError (also a ValueError) is caught before them: a point
+# outside the family reads out_of_domain, as in the parity rows.
 _CHECK_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
 
 
@@ -260,6 +271,11 @@ def _cr_product(alpha: float, energy: float) -> tuple[bool, str]:
     expected_saturation = abs(alpha - 2.0) < 1e-12
     ok = (abs(p - 1.0) <= 1e-9) == expected_saturation and p >= 1.0 - 1e-9
     return ok, f"product={_fmt(p)}"
+
+
+def _generalized_cr_product(alpha: float, q: float, energy: float) -> float:
+    dist = ProbeDistribution.from_shape_energy(alpha, energy)
+    return measures.mean_error_closed(dist, q).value * measures.fisher_closed(dist, q).value ** q
 
 
 def _distance_invariants(alpha: float, q: float, eps: float, energy: float) -> tuple[bool, str]:
@@ -293,10 +309,10 @@ def _linearization(alpha: float, q: float) -> tuple[bool, str]:
 
 
 def verify_report(
-    alphas=(0.8, 1.0, 2.0, 5.0, 20.0),
-    qs=(0.25, 0.5, 1.0, 2.0, 4.0),
+    alphas=_VERIFY_ALPHAS,
+    qs=_VERIFY_QS,
     energy: float = 1.0,
-    tolerance: float = 1e-6,
+    tolerance: float = _PARITY_TOL,
 ) -> tuple[str, bool]:
     """Full cross-validation report; returns (text, all_checks_passed)."""
     lines: list[str] = []
@@ -308,15 +324,16 @@ def verify_report(
         lines.append(f"{line} {'PASS' if ok else 'FAIL'}")
 
     def attempt(label: str, evaluate, *args):
-        """``evaluate(*args)``, or None once a numeric failure inside it is
-        recorded as ``label``'s FAIL line, carrying the exception text."""
+        """``evaluate(*args)``, or None once a failure inside it is recorded
+        as ``label``'s line: out_of_domain for a DomainError, else a FAIL
+        line carrying the exception text."""
         try:
             return evaluate(*args)
         except DomainError:
-            raise
+            lines.append(f"{label}: out_of_domain")
         except _CHECK_ERRORS as exc:
             record(False, f"{label}: error={type(exc).__name__}: {exc}")
-            return None
+        return None
 
     def check(label: str, evaluate, *args) -> None:
         """One check; ``evaluate(*args)`` gives (ok, detail)."""
@@ -377,15 +394,11 @@ def verify_report(
     for alpha in alphas:
         check(f"cr_product alpha={alpha:g} q=0.5", _cr_product, alpha, energy)
     for alpha in alphas:
-        dist = ProbeDistribution.from_shape_energy(alpha, energy)
         for q in qs:
-            try:
-                p = measures.mean_error_closed(dist, q).value * measures.fisher_closed(
-                    dist, q
-                ).value ** q
-            except DomainError:
-                continue
-            lines.append(f"generalized_cr_product alpha={alpha:g} q={q:g}: {_fmt(p)}")
+            label = f"generalized_cr_product alpha={alpha:g} q={q:g}"
+            p = attempt(label, _generalized_cr_product, alpha, q, energy)
+            if p is not None:
+                lines.append(f"{label}: {_fmt(p)}")
 
     # Distance invariants: D(0) = 0, D(eps) = D(-eps), D >= 0.
     for alpha, q, eps in ((1.0, 2.0, 0.3), (2.0, 0.5, 0.1), (0.8, 0.25, 0.7)):
@@ -446,41 +459,32 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Make the ``--config`` file's values the defaults of ``args.command``.
+
+    Parsed again, a flag beats the file and the file beats the built-in
+    default; argparse converts a string default with its flag's type, so a
+    bad value exits 2 under that flag's name.
+    """
+    command = parser._subparsers._group_actions[0].choices[args.command]
+    cfg = _load_config(args.config)
+    unknown = set(cfg) - ({a.dest for a in command._actions} - {"help", "config"})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
+    command.set_defaults(**cfg)
+
+
 def _parse_q_list(text: str) -> tuple[float, ...]:
+    """A comma-separated list of positive, finite shapes or orders."""
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ConfigError(f"cannot parse order list {text!r}") from exc
+        raise ConfigError(f"cannot parse list {text!r}") from exc
     if not values:
-        raise ConfigError("order list is empty")
+        raise ConfigError("list is empty")
+    if not all(0.0 < v < math.inf for v in values):
+        raise ConfigError(f"every entry must be positive and finite, got {text!r}")
     return values
-
-
-def _pick(args_value, cfg: dict[str, str], key: str, cast, default):
-    """Flag beats config beats default."""
-    if args_value is not None:
-        return args_value
-    if key in cfg:
-        try:
-            return cast(cfg[key])
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    return default
-
-
-def _check_config_keys(cfg: dict[str, str], allowed: set[str]) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-
-
-def _alpha_grid_from(args, cfg, default: AlphaGrid) -> AlphaGrid:
-    return AlphaGrid(
-        min=_pick(args.alpha_min, cfg, "alpha_min", float, default.min),
-        max=_pick(args.alpha_max, cfg, "alpha_max", float, default.max),
-        count=_pick(args.alpha_count, cfg, "alpha_count", int, default.count),
-        spacing=_pick(args.alpha_spacing, cfg, "alpha_spacing", str, default.spacing),
-    )
 
 
 def _check_tolerance(tol: float) -> None:
@@ -500,39 +504,27 @@ def _probe_from_flags(alpha: float, energy, gamma) -> ProbeDistribution:
 # commands
 
 
-def _cmd_verify(args, cfg) -> int:
-    _check_config_keys(cfg, {"alphas", "qs", "energy", "tol", "out"})
-    alphas = _pick(args.alphas, cfg, "alphas", _parse_q_list, (0.8, 1.0, 2.0, 5.0, 20.0))
-    qs = _pick(args.qs, cfg, "qs", _parse_q_list, (0.25, 0.5, 1.0, 2.0, 4.0))
-    energy = _pick(args.energy, cfg, "energy", float, 1.0)
-    tol = _pick(args.tol, cfg, "tol", float, 1e-6)
-    _check_tolerance(tol)
-    if energy <= 0.0:
-        raise ConfigError("energy must be positive")
-    report, ok = verify_report(alphas, qs, energy, tol)
-    out = _pick(args.out, cfg, "out", str, "verify_report.txt")
-    Path(out).write_text(report, encoding="utf-8")
+def _cmd_verify(args) -> int:
+    _check_tolerance(args.tol)
+    if not (0.0 < args.energy < math.inf):
+        raise ConfigError(f"energy must be positive and finite, got {args.energy}")
+    report, ok = verify_report(args.alphas, args.qs, args.energy, args.tol)
+    Path(args.out).write_text(report, encoding="utf-8")
     sys.stdout.write(report)
     return 0 if ok else 1
 
 
-def _cmd_sweep(args, cfg) -> int:
-    _check_config_keys(
-        cfg,
-        {"quantity", "q", "energy", "alpha_min", "alpha_max", "alpha_count", "alpha_spacing", "tol", "out"},
-    )
-    q_list = _pick(args.q, cfg, "q", _parse_q_list, (0.25, 0.5, 2.0))
-    grid = _alpha_grid_from(args, cfg, default_alpha_grid(q_list))
+def _cmd_sweep(args) -> int:
+    alpha_min = default_alpha_grid(args.q).min if args.alpha_min is None else args.alpha_min
     config = SweepConfig(
-        quantity=_pick(args.quantity, cfg, "quantity", str, "eps_min"),
-        q_list=tuple(q_list),
-        energy=_pick(args.energy, cfg, "energy", float, 1.0),
-        alpha_grid=grid,
-        output_path=_pick(args.out, cfg, "out", str, "sweep.csv"),
+        quantity=args.quantity,
+        q_list=args.q,
+        energy=args.energy,
+        alpha_grid=AlphaGrid(alpha_min, args.alpha_max, args.alpha_count, args.alpha_spacing),
+        output_path=args.out,
     )
-    tol = _pick(args.tol, cfg, "tol", float, 1e-6)
-    _check_tolerance(tol)
-    rows = run_sweep(config, tol)
+    _check_tolerance(args.tol)
+    rows = run_sweep(config, args.tol)
     Path(config.output_path).write_text(sweep_to_csv(rows), encoding="utf-8")
     n_bad = sum(1 for r in rows if r.status == "no_converge")
     n_ood = sum(1 for r in rows if r.status == "out_of_domain")
@@ -543,33 +535,22 @@ def _cmd_sweep(args, cfg) -> int:
     return 1 if n_bad else 0
 
 
-def _cmd_simulate(args, cfg) -> int:
-    _check_config_keys(
-        cfg, {"alpha", "energy", "gamma", "q", "eps", "trials", "seed", "bootstrap", "out"}
-    )
-    alpha = _pick(args.alpha, cfg, "alpha", float, None)
-    if alpha is None:
+def _cmd_simulate(args) -> int:
+    if args.alpha is None:
         raise ConfigError("simulate requires --alpha")
-    dist = _probe_from_flags(
-        alpha,
-        _pick(args.energy, cfg, "energy", float, None),
-        _pick(args.gamma, cfg, "gamma", float, None),
-    )
-    bootstrap = _pick(args.bootstrap, cfg, "bootstrap", int, 500)
-    if args.bootstrap is not None or "bootstrap" in cfg:
-        print("note: --bootstrap is deprecated and ignored (analytic interval)", file=sys.stderr)
     plan = TrialPlan(
-        distribution=dist,
-        true_shift=_pick(args.eps, cfg, "eps", float, 0.0),
-        q=_pick(args.q, cfg, "q", float, 0.5),
-        trials=_pick(args.trials, cfg, "trials", int, 100_000),
-        master_seed=_pick(args.seed, cfg, "seed", int, 0),
-        bootstrap_resamples=bootstrap,
+        distribution=_probe_from_flags(args.alpha, args.energy, args.gamma),
+        true_shift=args.eps,
+        q=args.q,
+        trials=args.trials,
+        master_seed=args.seed,
     )
+    if args.bootstrap is not None:
+        print("note: --bootstrap is deprecated and ignored (analytic interval)", file=sys.stderr)
+        plan = replace(plan, bootstrap_resamples=args.bootstrap)  # still validated
     report = run_trials(plan)
     payload = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
-    out = _pick(args.out, cfg, "out", str, "trial_report.json")
-    Path(out).write_text(payload, encoding="utf-8")
+    Path(args.out).write_text(payload, encoding="utf-8")
     sys.stdout.write(payload)
     unbiased = three_sigma_check(report.empirical_mean, report.mean_std_error, plan.true_shift)
     ci_ok = (
@@ -580,98 +561,90 @@ def _cmd_simulate(args, cfg) -> int:
     return 0 if (unbiased.passed and ci_ok) else 1
 
 
-def _cmd_surface(args, cfg) -> int:
-    _check_config_keys(
-        cfg,
-        {"energy", "alpha_min", "alpha_max", "alpha_count", "alpha_spacing", "x_min", "x_max", "x_count", "out"},
-    )
-    energy = _pick(args.energy, cfg, "energy", float, 1.0)
-    grid = _alpha_grid_from(args, cfg, AlphaGrid(0.6, 20.0, 40, "log"))
-    csv_text = surface_to_csv(
-        energy,
-        grid,
-        x_min=_pick(args.x_min, cfg, "x_min", float, -3.0),
-        x_max=_pick(args.x_max, cfg, "x_max", float, 3.0),
-        x_count=_pick(args.x_count, cfg, "x_count", int, 61),
-    )
-    out = _pick(args.out, cfg, "out", str, "surface.csv")
-    Path(out).write_text(csv_text, encoding="utf-8")
-    print(f"wrote {out}")
+def _cmd_surface(args) -> int:
+    grid = AlphaGrid(args.alpha_min, args.alpha_max, args.alpha_count, args.alpha_spacing)
+    csv_text = surface_to_csv(args.energy, grid, args.x_min, args.x_max, args.x_count)
+    Path(args.out).write_text(csv_text, encoding="utf-8")
+    print(f"wrote {args.out}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every flag with its type and default; ``run`` is the command's function."""
     parser = argparse.ArgumentParser(
         prog="genfisher",
         description="Order-q uncertainty measures for exponential power probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name: str, run, out: str, about: str):
+        p = sub.add_parser(name, help=about, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.set_defaults(run=run)
         p.add_argument("--config", help="flat key = value file; flags override it")
-        p.add_argument("--out", help="output file path")
+        p.add_argument("--out", default=out, help="output file path")
+        return p
 
-    p = sub.add_parser("verify", help="cross-validate closed forms against quadrature")
-    add_common(p)
-    p.add_argument("--alphas", type=_parse_q_list, help="comma-separated shape list")
-    p.add_argument("--qs", type=_parse_q_list, help="comma-separated order list")
-    p.add_argument("--energy", type=float)
-    p.add_argument("--tol", type=float, help="parity tolerance (default 1e-6)")
+    def add_alpha_grid(p, alpha_min, grid: AlphaGrid, min_help: str = "smallest shape"):
+        """--energy and the alpha grid flags of sweep and surface."""
+        p.add_argument("--energy", type=float, default=1.0, help="probe mean energy")
+        p.add_argument("--alpha-min", type=float, default=alpha_min, help=min_help)
+        p.add_argument("--alpha-max", type=float, default=grid.max, help="largest shape")
+        p.add_argument("--alpha-count", type=int, default=grid.count, help="number of shapes")
+        p.add_argument(
+            "--alpha-spacing", choices=("log", "linear"), default=grid.spacing, help="shape spacing"
+        )
 
-    p = sub.add_parser("sweep", help="tabulate a quantity over an alpha grid")
-    add_common(p)
-    p.add_argument("--quantity", choices=QUANTITIES)
-    p.add_argument("--q", type=_parse_q_list, help="comma-separated order list")
-    p.add_argument("--energy", type=float)
-    p.add_argument("--alpha-min", type=float)
-    p.add_argument("--alpha-max", type=float)
-    p.add_argument("--alpha-count", type=int)
-    p.add_argument("--alpha-spacing", choices=("log", "linear"))
-    p.add_argument("--tol", type=float, help="parity tolerance (default 1e-6)")
+    p = add_command(
+        "verify", _cmd_verify, "verify_report.txt", "cross-validate closed forms against quadrature"
+    )
+    p.add_argument(
+        "--alphas", type=_parse_q_list, default=_VERIFY_ALPHAS, help="comma-separated shapes"
+    )
+    p.add_argument("--qs", type=_parse_q_list, default=_VERIFY_QS, help="comma-separated orders")
+    p.add_argument("--energy", type=float, default=1.0, help="probe mean energy")
+    p.add_argument("--tol", type=float, default=_PARITY_TOL, help="parity tolerance")
 
-    p = sub.add_parser("simulate", help="Monte Carlo single-shot estimation")
-    add_common(p)
-    p.add_argument("--alpha", type=float)
+    p = add_command("sweep", _cmd_sweep, "sweep.csv", "tabulate a quantity over an alpha grid")
+    p.add_argument("--quantity", choices=QUANTITIES, default="eps_min", help="tabulated quantity")
+    sweep_qs = (0.25, 0.5, 2.0)
+    p.add_argument("--q", type=_parse_q_list, default=sweep_qs, help="comma-separated orders")
+    grid = default_alpha_grid(sweep_qs)
+    add_alpha_grid(p, None, grid, "smallest shape; unset: just inside the domain of every --q")
+    p.add_argument("--tol", type=float, default=_PARITY_TOL, help="parity tolerance")
+
+    p = add_command(
+        "simulate", _cmd_simulate, "trial_report.json", "Monte Carlo single-shot estimation"
+    )
+    p.add_argument("--alpha", type=float, help="probe shape (required)")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--energy", type=float)
-    group.add_argument("--gamma", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--eps", type=float, help="true shift")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    group.add_argument("--energy", type=float, help="probe mean energy; 1 without --gamma")
+    group.add_argument("--gamma", type=float, help="probe scale")
+    p.add_argument("--q", type=float, default=0.5, help="error order")
+    p.add_argument("--eps", type=float, default=0.0, help="true shift")
+    p.add_argument("--trials", type=int, default=100_000, help="number of trials")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--bootstrap", type=int, help="deprecated, ignored (still must be >= 100)")
 
-    p = sub.add_parser("surface", help="density surface over (ln alpha, x)")
-    add_common(p)
-    p.add_argument("--energy", type=float)
-    p.add_argument("--alpha-min", type=float)
-    p.add_argument("--alpha-max", type=float)
-    p.add_argument("--alpha-count", type=int)
-    p.add_argument("--alpha-spacing", choices=("log", "linear"))
-    p.add_argument("--x-min", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--x-count", type=int)
+    p = add_command("surface", _cmd_surface, "surface.csv", "density surface over (ln alpha, x)")
+    grid = AlphaGrid(0.6, 20.0, 40, "log")
+    add_alpha_grid(p, grid.min, grid)
+    p.add_argument("--x-min", type=float, default=-3.0, help="smallest x")
+    p.add_argument("--x-max", type=float, default=3.0, help="largest x")
+    p.add_argument("--x-count", type=int, default=61, help="number of x points")
 
     return parser
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "surface": _cmd_surface,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    try:
-        cfg = _load_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, cfg)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

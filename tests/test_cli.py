@@ -68,6 +68,17 @@ class TestVerifyCommand:
         cfg.write_text("no_such_key = 3\n", encoding="utf-8")
         assert main(["verify", "--config", str(cfg)]) == 2
 
+    def test_narrow_shape_reads_out_of_domain(self, tmp_path):
+        # alpha = 0.4 cannot be energy-normalized; its Cramer-Rao lines say
+        # so like its parity lines, and the alpha = 1 checks still run
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--alphas", "0.4,1", "--qs", "0.5", "--out", str(out)]) == 0
+        lines = read(out).splitlines()
+        assert "cr_product alpha=0.4 q=0.5: out_of_domain" in lines
+        assert "generalized_cr_product alpha=0.4 q=0.5: out_of_domain" in lines
+        assert "cr_product alpha=1 q=0.5: product=1.41421356237e+00 PASS" in lines
+        assert lines[-1] == "overall: PASS"
+
 
 class TestSweepCommand:
     def test_csv_schema_and_row_count(self, tmp_path):
@@ -321,6 +332,90 @@ class TestSurfaceCommand:
     def test_narrow_shapes_rejected(self, tmp_path):
         rc = main(["surface", "--alpha-min", "0.4", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
+
+
+def _as_config(flags):
+    """The config-file form of a ``--flag value`` list."""
+    return "".join(f"{k[2:].replace('-', '_')} = {v}\n" for k, v in zip(flags[::2], flags[1::2]))
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--alphas", "1,2", "--qs", "0.5,2"],
+            ["sweep", "--quantity", "mean_error", "--q", "0.25,2", "--energy", "1",
+             "--alpha-min", "0.8", "--alpha-max", "20", "--alpha-count", "6"],
+            TestSimulateCommand.ARGS + ["--bootstrap", "100"],
+            ["surface", "--energy", "1", "--alpha-min", "1", "--alpha-max", "2",
+             "--alpha-count", "2", "--alpha-spacing", "linear",
+             "--x-min", "-1", "--x-max", "1", "--x-count", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_file_gives_the_same_output_as_flags(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_as_config(argv[1:]), encoding="utf-8")
+        a, b = tmp_path / "flags.out", tmp_path / "file.out"
+        rc = main(argv + ["--out", str(a)])
+        by_flags = capsys.readouterr().err
+        assert main([argv[0], "--config", str(cfg), "--out", str(b)]) == rc == 0
+        assert capsys.readouterr().err == by_flags
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_bootstrap_key_is_deprecated_and_validated(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        out = ["--out", str(tmp_path / "x.json")]
+        cfg.write_text("alpha = 2\ntrials = 2000\nseed = 3\nbootstrap = 100\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), *out]) == 0
+        assert "deprecated" in capsys.readouterr().err
+        cfg.write_text("alpha = 2\ntrials = 2000\nseed = 3\nbootstrap = 50\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), *out]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "simulate", "surface"])
+    def test_malformed_value_names_its_flag(self, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("energy = abc\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "--energy" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("sweep", "alpha_spacing = cubic"), ("surface", "alpha_spacing = cubic"),
+         ("sweep", "quantity = nope"), ("sweep", "x_min = 0")],
+    )
+    def test_bad_choice_or_foreign_key_is_usage_error(self, tmp_path, command, text):
+        # argparse checks choices on flags only; the value objects reject
+        # the rest.  x_min belongs to surface, not sweep.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key", [("verify", "qs"), ("verify", "alphas"), ("sweep", "q")])
+@pytest.mark.parametrize("entry", ["nan", "inf", "0", "-1"])
+def test_list_entries_must_be_positive_and_finite(tmp_path, via, command, key, entry):
+    out = tmp_path / "out"
+    if via == "flag":
+        argv = [command, f"--{key}", f"2,{entry}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 2,{entry}\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_help_shows_defaults(capsys):
+    assert main(["sweep", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert "parity tolerance (default: 1e-06)" in help_text
+    assert "output file path (default: sweep.csv)" in help_text
 
 
 def _module_env():

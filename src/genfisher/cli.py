@@ -12,15 +12,18 @@ sweep     tabulate one quantity over an alpha grid for several orders q,
 simulate  Monte Carlo single-shot estimation run (JSON report).
 surface   tabulate the probe density over (ln alpha, x) at fixed energy (CSV).
 
-Exit codes: 0 success, 1 check failure (or non-converged sweep rows),
-2 usage or configuration error.
+Exit codes: 0 success, 1 check failure (a failed verify or simulate check, a
+non-converged sweep row, or no sweep row inside the domain), 2 usage or
+configuration error, an unwritable ``--out`` included.  ``main`` alone writes
+the output file and stdout, so a run that fails writes no file.
 
 A flat ``key = value`` config file can supply any flag of its command (keys
 are the flag names with ``-`` replaced by ``_``); explicit flags override the
 file.  The file's values become the command parser's defaults, so they go
 through the same conversion as the flags, and a bad value is reported as the
-flag it stands for (exit 2).  Shape and order lists must hold positive, finite
-numbers only.
+flag it stands for (exit 2).  ``--energy``, ``--tol`` and ``--gamma``, and
+every entry of a shape or order list, must be positive and finite; the surface
+x range must be finite.
 Report and CSV floats are written in scientific notation with 12
 significant digits, and the simulate JSON writes ``repr`` floats with sorted
 keys, so identical inputs produce byte-identical output files.
@@ -238,8 +241,8 @@ def surface_to_csv(
     """Density surface rows (ln alpha, x, pdf), alpha-major."""
     if alpha_grid.min <= 0.5:
         raise DomainError("surface needs alpha > 1/2 throughout (energy normalization)")
-    if x_count < 2 or not (x_max > x_min):
-        raise ConfigError("surface x range needs x_max > x_min and at least 2 points")
+    if x_count < 2 or not (-math.inf < x_min < x_max < math.inf):
+        raise ConfigError("surface x range needs finite x_min < x_max and at least 2 points")
     lines = ["ln_alpha,x,pdf"]
     for alpha in alpha_grid.points():
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
@@ -474,22 +477,23 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
     command.set_defaults(**cfg)
 
 
+def _positive(text: str) -> float:
+    """A positive, finite number."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"invalid float value: {text!r}") from exc
+    if not (0.0 < value < math.inf):
+        raise ConfigError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _parse_q_list(text: str) -> tuple[float, ...]:
     """A comma-separated list of positive, finite shapes or orders."""
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse list {text!r}") from exc
+    values = tuple(_positive(part) for part in text.split(",") if part.strip())
     if not values:
         raise ConfigError("list is empty")
-    if not all(0.0 < v < math.inf for v in values):
-        raise ConfigError(f"every entry must be positive and finite, got {text!r}")
     return values
-
-
-def _check_tolerance(tol: float) -> None:
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ConfigError(f"parity tolerance must be positive and finite, got {tol}")
 
 
 def _probe_from_flags(alpha: float, energy, gamma) -> ProbeDistribution:
@@ -501,20 +505,15 @@ def _probe_from_flags(alpha: float, energy, gamma) -> ProbeDistribution:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (output file text, stdout text, exit code)
 
 
-def _cmd_verify(args) -> int:
-    _check_tolerance(args.tol)
-    if not (0.0 < args.energy < math.inf):
-        raise ConfigError(f"energy must be positive and finite, got {args.energy}")
+def _cmd_verify(args) -> tuple[str, str, int]:
     report, ok = verify_report(args.alphas, args.qs, args.energy, args.tol)
-    Path(args.out).write_text(report, encoding="utf-8")
-    sys.stdout.write(report)
-    return 0 if ok else 1
+    return report, report, 0 if ok else 1
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[str, str, int]:
     alpha_min = default_alpha_grid(args.q).min if args.alpha_min is None else args.alpha_min
     config = SweepConfig(
         quantity=args.quantity,
@@ -523,19 +522,17 @@ def _cmd_sweep(args) -> int:
         alpha_grid=AlphaGrid(alpha_min, args.alpha_max, args.alpha_count, args.alpha_spacing),
         output_path=args.out,
     )
-    _check_tolerance(args.tol)
     rows = run_sweep(config, args.tol)
-    Path(config.output_path).write_text(sweep_to_csv(rows), encoding="utf-8")
     n_bad = sum(1 for r in rows if r.status == "no_converge")
     n_ood = sum(1 for r in rows if r.status == "out_of_domain")
-    print(
+    summary = (
         f"wrote {config.output_path}: {len(rows)} rows, "
-        f"{n_bad} no_converge, {n_ood} out_of_domain"
+        f"{n_bad} no_converge, {n_ood} out_of_domain\n"
     )
-    return 1 if n_bad else 0
+    return sweep_to_csv(rows), summary, 1 if n_bad or n_ood == len(rows) else 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[str, str, int]:
     if args.alpha is None:
         raise ConfigError("simulate requires --alpha")
     plan = TrialPlan(
@@ -548,25 +545,17 @@ def _cmd_simulate(args) -> int:
     if args.bootstrap is not None:
         print("note: --bootstrap is deprecated and ignored (analytic interval)", file=sys.stderr)
         plan = replace(plan, bootstrap_resamples=args.bootstrap)  # still validated
-    report = run_trials(plan)
-    payload = json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
-    Path(args.out).write_text(payload, encoding="utf-8")
-    sys.stdout.write(payload)
-    unbiased = three_sigma_check(report.empirical_mean, report.mean_std_error, plan.true_shift)
-    ci_ok = (
-        report.generalized_error_ci_low
-        <= report.predicted_mean_error
-        <= report.generalized_error_ci_high
-    )
-    return 0 if (unbiased.passed and ci_ok) else 1
+    r = run_trials(plan)
+    payload = json.dumps(asdict(r), sort_keys=True, indent=2) + "\n"
+    unbiased = three_sigma_check(r.empirical_mean, r.mean_std_error, plan.true_shift)
+    ci_ok = r.generalized_error_ci_low <= r.predicted_mean_error <= r.generalized_error_ci_high
+    return payload, payload, 0 if (unbiased.passed and ci_ok) else 1
 
 
-def _cmd_surface(args) -> int:
+def _cmd_surface(args) -> tuple[str, str, int]:
     grid = AlphaGrid(args.alpha_min, args.alpha_max, args.alpha_count, args.alpha_spacing)
     csv_text = surface_to_csv(args.energy, grid, args.x_min, args.x_max, args.x_count)
-    Path(args.out).write_text(csv_text, encoding="utf-8")
-    print(f"wrote {args.out}")
-    return 0
+    return csv_text, f"wrote {args.out}\n", 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_alpha_grid(p, alpha_min, grid: AlphaGrid, min_help: str = "smallest shape"):
         """--energy and the alpha grid flags of sweep and surface."""
-        p.add_argument("--energy", type=float, default=1.0, help="probe mean energy")
+        p.add_argument("--energy", type=_positive, default=1.0, help="probe mean energy")
         p.add_argument("--alpha-min", type=float, default=alpha_min, help=min_help)
         p.add_argument("--alpha-max", type=float, default=grid.max, help="largest shape")
         p.add_argument("--alpha-count", type=int, default=grid.count, help="number of shapes")
@@ -601,8 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--alphas", type=_parse_q_list, default=_VERIFY_ALPHAS, help="comma-separated shapes"
     )
     p.add_argument("--qs", type=_parse_q_list, default=_VERIFY_QS, help="comma-separated orders")
-    p.add_argument("--energy", type=float, default=1.0, help="probe mean energy")
-    p.add_argument("--tol", type=float, default=_PARITY_TOL, help="parity tolerance")
+    p.add_argument("--energy", type=_positive, default=1.0, help="probe mean energy")
+    p.add_argument("--tol", type=_positive, default=_PARITY_TOL, help="parity tolerance")
 
     p = add_command("sweep", _cmd_sweep, "sweep.csv", "tabulate a quantity over an alpha grid")
     p.add_argument("--quantity", choices=QUANTITIES, default="eps_min", help="tabulated quantity")
@@ -610,15 +599,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_q_list, default=sweep_qs, help="comma-separated orders")
     grid = default_alpha_grid(sweep_qs)
     add_alpha_grid(p, None, grid, "smallest shape; unset: just inside the domain of every --q")
-    p.add_argument("--tol", type=float, default=_PARITY_TOL, help="parity tolerance")
+    p.add_argument("--tol", type=_positive, default=_PARITY_TOL, help="parity tolerance")
 
     p = add_command(
         "simulate", _cmd_simulate, "trial_report.json", "Monte Carlo single-shot estimation"
     )
     p.add_argument("--alpha", type=float, help="probe shape (required)")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--energy", type=float, help="probe mean energy; 1 without --gamma")
-    group.add_argument("--gamma", type=float, help="probe scale")
+    group.add_argument("--energy", type=_positive, help="probe mean energy; 1 without --gamma")
+    group.add_argument("--gamma", type=_positive, help="probe scale")
     p.add_argument("--q", type=float, default=0.5, help="error order")
     p.add_argument("--eps", type=float, default=0.0, help="true shift")
     p.add_argument("--trials", type=int, default=100_000, help="number of trials")
@@ -636,16 +625,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse, compute, then write ``--out`` and stdout: the one place that
+    writes either and turns failures into exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             _apply_config(parser, args)
             args = parser.parse_args(argv)
-        return args.run(args)
+        text, stdout, code = args.run(args)
+        Path(args.out).write_text(text, encoding="utf-8")
+        sys.stdout.write(stdout)
+        return code
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

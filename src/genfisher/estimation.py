@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import mean_error_closed
-from .numerics import DomainError
+from .numerics import EXP_MAX, DomainError
 from .probe import ProbeDistribution
 
 __all__ = [
@@ -164,10 +164,15 @@ def run_trials(plan: TrialPlan) -> TrialReport:
     plug-in estimate.  ``plan.bootstrap_resamples`` is ignored.
     ``max_abs_deviation`` is the largest single deviation seen; for q < 1/2
     the statistic averages a high power of it, so a large value flags slow
-    convergence.
+    convergence.  Raises ``DomainError`` when q is so small that the sum of
+    cubes of |x - shift|**(1/q), which the interval needs, leaves double
+    range.
     """
     x = _draw_outcomes(plan)
     deviations = np.abs(x - plan.true_shift)
+    max_deviation = float(np.max(deviations))
+    if max_deviation > 0.0 and 3.0 * math.log(max_deviation) / plan.q + math.log(x.size) >= EXP_MAX:
+        raise DomainError(f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows")
     y = deviations ** (1.0 / plan.q)
 
     empirical_mean, mean_std_error = _mean_and_std_error(x)
@@ -185,7 +190,7 @@ def run_trials(plan: TrialPlan) -> TrialReport:
         generalized_error_ci_low=ci_low,
         generalized_error_ci_high=ci_high,
         predicted_mean_error=mean_error_closed(plan.distribution, plan.q).value,
-        max_abs_deviation=float(np.max(deviations)),
+        max_abs_deviation=max_deviation,
         seed=plan.master_seed,
     )
 

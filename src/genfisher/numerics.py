@@ -242,18 +242,12 @@ def _adaptive(pieces, spec: QuadratureSpec) -> QuadratureResult:
         counter += 1
 
 
-def _right_tail(f: Callable[[float], float], anchor: float) -> Callable[[float], float]:
+def _tail(f: Callable[[float], float], anchor: float, sign: float) -> Callable[[float], float]:
+    """``f`` on ``anchor + sign * [0, inf)``, mapped onto [0, 1)."""
+
     def transformed(t: float) -> float:
         u = 1.0 - t
-        return f(anchor + t / u) / (u * u)
-
-    return transformed
-
-
-def _left_tail(f: Callable[[float], float], anchor: float) -> Callable[[float], float]:
-    def transformed(t: float) -> float:
-        u = 1.0 - t
-        return f(anchor - t / u) / (u * u)
+        return f(anchor + sign * (t / u)) / (u * u)
 
     return transformed
 
@@ -269,10 +263,10 @@ def integrate_real_line(
     """
     spec = spec or QuadratureSpec()
     points = sorted(set(spec.split_points)) or [0.0]
-    pieces = [(_left_tail(f, points[0]), 0.0, 1.0)]
+    pieces = [(_tail(f, points[0], -1.0), 0.0, 1.0)]
     for lo, hi in zip(points, points[1:]):
         pieces.append((f, lo, hi))
-    pieces.append((_right_tail(f, points[-1]), 0.0, 1.0))
+    pieces.append((_tail(f, points[-1], 1.0), 0.0, 1.0))
     return _adaptive(pieces, spec)
 
 
@@ -291,7 +285,7 @@ def integrate_half_line(
     pieces = []
     for lo, hi in zip(points, points[1:]):
         pieces.append((f, lo, hi))
-    pieces.append((_right_tail(f, points[-1]), 0.0, 1.0))
+    pieces.append((_tail(f, points[-1], 1.0), 0.0, 1.0))
     return _adaptive(pieces, spec)
 
 

@@ -30,7 +30,6 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
-    EXP_MAX,
     LN2,
     DomainError,
     QuadratureSpec,
@@ -94,13 +93,10 @@ class ProbeDistribution:
 
         Returns ``-inf`` only when the true value lies below double range.
         """
-        r = abs(x) / self.gamma_scale
-        if r == 0.0:
-            return self.log_norm_const
-        t = self.alpha * math.log(r)
-        if t >= EXP_MAX:
-            return float("-inf")
-        return self.log_norm_const - 2.0 * math.pow(r, self.alpha)
+        try:
+            return self.log_norm_const - 2.0 * math.pow(abs(x) / self.gamma_scale, self.alpha)
+        except OverflowError:
+            return -math.inf
 
     def pdf(self, x: float) -> float:
         return safe_exp(self.log_pdf(x))

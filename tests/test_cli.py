@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -432,3 +433,79 @@ def test_runs_as_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(read(out).splitlines()) == 1 + 2 * 3
+
+
+# small, fast runs of each command
+QUICK = {
+    "verify": ["verify", "--alphas", "2", "--qs", "0.5"],
+    "sweep": ["sweep", "--q", "0.5", "--alpha-min", "1", "--alpha-max", "2", "--alpha-count", "2"],
+    "simulate": ["simulate", "--alpha", "2", "--trials", "1000"],
+    "surface": ["surface", "--alpha-count", "2", "--x-count", "3"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("command", list(QUICK))
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command, target):
+    out = tmp_path / "missing" / "out.txt" if target == "missing_dir" else tmp_path
+    assert main(QUICK[command] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("verify", "tol"), ("sweep", "tol"), ("simulate", "gamma"),
+     ("verify", "energy"), ("sweep", "energy"), ("simulate", "energy"), ("surface", "energy")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_scalars_must_be_positive_and_finite(tmp_path, capsys, via, command, key, value):
+    out = tmp_path / "out"
+    if via == "flag":
+        argv = QUICK[command] + [f"--{key}={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv = QUICK[command] + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"argument --{key}: must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("x_min", "-inf"), ("x_max", "inf"), ("x_min", "nan")])
+def test_surface_x_range_must_be_finite(tmp_path, via, key, value):
+    out = tmp_path / "surface.csv"
+    argv = QUICK["surface"]
+    if via == "flag":
+        argv = argv + [f"--{key.replace('_', '-')}={value}"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_overflowing_simulate_order_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--alpha", "2", "--q", "1e-9", "--trials", "100", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: order q = 1e-09 is too small")
+    assert not out.exists()
+
+
+def test_sweep_with_no_row_in_domain_fails(tmp_path):
+    # every shape is at or below 1/2, so no row can be energy-normalized; the
+    # CSV still says so row by row
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--alpha-min", "0.1", "--alpha-max", "0.4", "--alpha-count", "3",
+               "--out", str(out)])
+    assert rc == 1
+    rows = [r.split(",") for r in read(out).splitlines()[1:]]
+    assert len(rows) == 3 * 3 and all(r[-1] == "out_of_domain" for r in rows)

@@ -6,6 +6,7 @@ import os
 import statistics
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestValidation:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("q", [1e-9, 1e-3, 1.5e-3])
+    def test_overflowing_order_is_a_domain_error(self, q):
+        # |x - shift|**(1/q) (1e-9) or the sum of its squares (1e-3) or cubes
+        # (1.5e-3) leaves double range: a typed error, not Infinity or NaN in
+        # the report, and no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="too small"):
+                run_trials(plan(q=q, trials=1000, seed=0))
+
     def test_gaussian_half_order_megatrial(self):
         # predicted error is the standard deviation gamma / 2 = 1/2
         report = run_trials(plan())

@@ -13,9 +13,14 @@ simulate  Monte Carlo single-shot estimation run (JSON report).
 surface   tabulate the probe density over (ln alpha, x) at fixed energy (CSV).
 
 Exit codes: 0 success, 1 check failure (a failed verify or simulate check, a
-non-converged sweep row, or no sweep row inside the domain), 2 usage or
+non-converged sweep row, or no sweep row with a value), 2 usage or
 configuration error, an unwritable ``--out`` included.  ``main`` alone writes
 the output file and stdout, so a run that fails writes no file.
+
+Where no value can be given, a sweep row or verify line carries a status
+instead: ``out_of_domain`` when the point lies outside the probe family or the
+closed form's validity, ``out_of_range`` when the closed value overflows
+double range or underflows to 0 (its quadrature is then not run).
 
 A flat ``key = value`` config file can supply any flag of its command (keys
 are the flag names with ``-`` replaced by ``_``); explicit flags override the
@@ -166,19 +171,36 @@ class SweepRow:
     closed_value: float | None
     quadrature_value: float | None
     relative_deviation: float | None
-    status: str  # ok | out_of_domain | no_converge
+    # ok | no_converge | out_of_domain (outside the family or the closed
+    # form's validity) | out_of_range (the closed value overflows or
+    # underflows to 0; no quadrature runs).  Only ok and no_converge rows
+    # carry values.
+    status: str
+
+
+def _closed(closed_form, dist: ProbeDistribution, q: float) -> float:
+    """``closed_form(dist, q).value``; raises OverflowError when the value
+    leaves double range, by overflow or by underflow to 0."""
+    value = closed_form(dist, q).value
+    if value == 0.0:
+        raise OverflowError("closed value underflows to 0")
+    return value
 
 
 def _closed_and_quadrature(
     quantity: str, dist: ProbeDistribution, q: float
-) -> tuple[float, float, bool]:
-    """Closed and quadrature values for one grid point.
+) -> tuple[float, float, bool] | None:
+    """Closed and quadrature values for one grid point, or None without any
+    quadrature when the closed value leaves double range.
 
     Raises DomainError outside the closed form's validity; a non-converged
     quadrature returns its best estimate with the flag lowered.
     """
     closed_form, quadrature = _ROUTES[quantity]
-    closed = closed_form(dist, q).value
+    try:
+        closed = _closed(closed_form, dist, q)
+    except OverflowError:
+        return None
     try:
         return closed, quadrature(dist, q).value, True
     except ConvergenceError as exc:
@@ -196,16 +218,19 @@ def _parity_rows(quantity: str, alphas, q_list, energy: float, parity_tol: float
         except DomainError:
             dist = None
         for q in q_list:
-            if dist is None:
-                rows.append(SweepRow(alpha, q, energy, None, None, None, None, "out_of_domain"))
+            values, status = None, "out_of_domain"
+            if dist is not None:
+                try:
+                    values = _closed_and_quadrature(quantity, dist, q)
+                except DomainError:
+                    pass
+                else:
+                    status = "out_of_range"  # if values is None
+            if values is None:
+                gamma = None if dist is None else dist.gamma_scale
+                rows.append(SweepRow(alpha, q, energy, gamma, None, None, None, status))
                 continue
-            try:
-                closed, quad, converged = _closed_and_quadrature(quantity, dist, q)
-            except DomainError:
-                rows.append(
-                    SweepRow(alpha, q, energy, dist.gamma_scale, None, None, None, "out_of_domain")
-                )
-                continue
+            closed, quad, converged = values
             rel = abs(closed - quad) / abs(closed)
             status = "ok" if converged and rel <= parity_tol else "no_converge"
             rows.append(SweepRow(alpha, q, energy, dist.gamma_scale, closed, quad, rel, status))
@@ -269,7 +294,7 @@ def _sensitivity_law(alpha: float, energy: float) -> tuple[bool, str]:
 def _cr_product(alpha: float, energy: float) -> tuple[bool, str]:
     dist = ProbeDistribution.from_shape_energy(alpha, energy)
     p = measures.mean_error_closed(dist, 0.5).value * math.sqrt(
-        measures.fisher_closed(dist, 0.5).value
+        _closed(measures.fisher_closed, dist, 0.5)
     )
     expected_saturation = abs(alpha - 2.0) < 1e-12
     ok = (abs(p - 1.0) <= 1e-9) == expected_saturation and p >= 1.0 - 1e-9
@@ -278,7 +303,7 @@ def _cr_product(alpha: float, energy: float) -> tuple[bool, str]:
 
 def _generalized_cr_product(alpha: float, q: float, energy: float) -> float:
     dist = ProbeDistribution.from_shape_energy(alpha, energy)
-    return measures.mean_error_closed(dist, q).value * measures.fisher_closed(dist, q).value ** q
+    return measures.mean_error_closed(dist, q).value * _closed(measures.fisher_closed, dist, q) ** q
 
 
 def _distance_invariants(alpha: float, q: float, eps: float, energy: float) -> tuple[bool, str]:
@@ -328,12 +353,14 @@ def verify_report(
 
     def attempt(label: str, evaluate, *args):
         """``evaluate(*args)``, or None once a failure inside it is recorded
-        as ``label``'s line: out_of_domain for a DomainError, else a FAIL
-        line carrying the exception text."""
+        as ``label``'s line: out_of_domain for a DomainError, out_of_range
+        for an OverflowError, else a FAIL line carrying the exception text."""
         try:
             return evaluate(*args)
         except DomainError:
             lines.append(f"{label}: out_of_domain")
+        except OverflowError:
+            lines.append(f"{label}: out_of_range")
         except _CHECK_ERRORS as exc:
             record(False, f"{label}: error={type(exc).__name__}: {exc}")
         return None
@@ -377,8 +404,8 @@ def verify_report(
     for quantity in QUANTITIES:
         for row in _parity_rows(quantity, alphas, qs, energy, tolerance):
             head = f"parity {quantity} alpha={row.alpha:g} q={row.q:g}:"
-            if row.status == "out_of_domain":
-                lines.append(f"{head} out_of_domain")
+            if row.status in ("out_of_domain", "out_of_range"):
+                lines.append(f"{head} {row.status}")
                 continue
             record(
                 row.status == "ok",
@@ -525,11 +552,12 @@ def _cmd_sweep(args) -> tuple[str, str, int]:
     rows = run_sweep(config, args.tol)
     n_bad = sum(1 for r in rows if r.status == "no_converge")
     n_ood = sum(1 for r in rows if r.status == "out_of_domain")
+    n_empty = sum(1 for r in rows if r.status in ("out_of_domain", "out_of_range"))
     summary = (
         f"wrote {config.output_path}: {len(rows)} rows, "
         f"{n_bad} no_converge, {n_ood} out_of_domain\n"
     )
-    return sweep_to_csv(rows), summary, 1 if n_bad or n_ood == len(rows) else 0
+    return sweep_to_csv(rows), summary, 1 if n_bad or n_empty == len(rows) else 0
 
 
 def _cmd_simulate(args) -> tuple[str, str, int]:

@@ -141,6 +141,12 @@ def _log_fisher_closed(
     return ln_scale / q + log_gamma(gamma_argument) - log_gamma(1.0 / dist.alpha)
 
 
+# Each quadrature integrand reads its probe's constants into closure locals
+# once per integral and evaluates log P (and log |score|) in place, with the
+# operations of ProbeDistribution.log_pdf and log_score_magnitude in the same
+# order: calling those methods per evaluation cost more than the quadrature
+# engine itself, and inlining them keeps every result bit for bit
+# (tests/test_measures.py compares each integrand with the methods).
 def hellinger_distance(
     dist: ProbeDistribution,
     eps: float,
@@ -155,15 +161,21 @@ def hellinger_distance(
     """
     q = _require_order(q)
     eps = float(eps)
-    g = dist.gamma_scale
+    log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
     splits = {0.0, 0.5 * eps, eps, g, -g, 2.0 * g, -2.0 * g, eps + g, eps - g}
     spec = (spec or QuadratureSpec()).with_splits(splits)
 
     def integrand(x: float) -> float:
-        a = q * dist.log_pdf(x - eps)
-        b = q * dist.log_pdf(x)
+        try:
+            a = q * (log_c - 2.0 * math.pow(abs(x - eps) / g, alpha))
+        except OverflowError:
+            a = -math.inf
+        try:
+            b = q * (log_c - 2.0 * math.pow(abs(x) / g, alpha))
+        except OverflowError:
+            b = -math.inf
         hi = a if a >= b else b
-        if hi == float("-inf"):
+        if hi == -math.inf:
             return 0.0
         diff = -abs(a - b)
         if diff == 0.0:
@@ -211,13 +223,18 @@ def _fisher_route(
             f"Fisher integrand not integrable: needs alpha > 1 - q; "
             f"got alpha = {dist.alpha}, q = {q}"
         )
-    g = dist.gamma_scale
+    log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
+    log_2alpha, power, alpha_log_gamma = dist.score_terms
     spec = (spec or QuadratureSpec()).with_splits((g, 4.0 * g))
 
     def integrand(u: float) -> float:
         if u == 0.0:
             return 0.0
-        return safe_exp(dist.log_pdf(u) + dist.log_score_magnitude(u) / q)
+        try:
+            log_p = log_c - 2.0 * math.pow(abs(u) / g, alpha)
+        except OverflowError:
+            log_p = -math.inf
+        return safe_exp(log_p + (log_2alpha + power * math.log(u) - alpha_log_gamma) / q)
 
     label = f"Fisher quadrature (alpha={dist.alpha}, q={q})"
     value, full = integrate_measure(
@@ -302,11 +319,18 @@ def posterior_width_quadrature(
     q = _require_order(q)
     if q == 1.0:
         raise DomainError("posterior width is undefined at q = 1")
-    g = dist.gamma_scale
+    log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
     spec = (spec or QuadratureSpec()).with_splits((g, 4.0 * g))
 
+    def integrand(u: float) -> float:
+        try:
+            log_p = log_c - 2.0 * math.pow(abs(u) / g, alpha)
+        except OverflowError:
+            log_p = -math.inf
+        return safe_exp(q * log_p)
+
     value, raw = integrate_measure(
-        lambda u: safe_exp(q * dist.log_pdf(u)),
+        integrand,
         spec,
         f"posterior width quadrature (alpha={dist.alpha}, q={q})",
         half_line=True,
@@ -346,17 +370,20 @@ def mean_error_quadrature(
     moment integral; the error is its q-th power."""
     q = _require_order(q)
     eps = float(eps)
-    g = dist.gamma_scale
+    log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
     spec = (spec or QuadratureSpec()).with_splits(
         (eps, eps - g, eps + g, eps - 4.0 * g, eps + 4.0 * g)
     )
 
     def integrand(x: float) -> float:
-        u = x - eps
-        au = abs(u)
+        au = abs(x - eps)
         if au == 0.0:
             return 0.0
-        return safe_exp(dist.log_pdf(u) + math.log(au) / q)
+        try:
+            log_p = log_c - 2.0 * math.pow(au / g, alpha)
+        except OverflowError:
+            log_p = -math.inf
+        return safe_exp(log_p + math.log(au) / q)
 
     value, moment = integrate_measure(
         integrand,

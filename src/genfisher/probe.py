@@ -117,13 +117,20 @@ class ProbeDistribution:
             )
         return -math.copysign(safe_exp(self.log_score_magnitude(abs(x))), x)
 
+    @cached_property
+    def score_terms(self) -> tuple[float, float, float]:
+        """``(log(2 alpha), alpha - 1, alpha log(gamma))``: log |score| at
+        ``|x| = ax`` is ``terms[0] + terms[1] * log(ax) - terms[2]``."""
+        return (
+            math.log(2.0 * self.alpha),
+            self.alpha - 1.0,
+            self.alpha * math.log(self.gamma_scale),
+        )
+
     def log_score_magnitude(self, ax: float) -> float:
         """log |score| at ``|x| = ax > 0``; building block for moment integrands."""
-        return (
-            math.log(2.0 * self.alpha)
-            + (self.alpha - 1.0) * math.log(ax)
-            - self.alpha * math.log(self.gamma_scale)
-        )
+        log_2alpha, power, alpha_log_gamma = self.score_terms
+        return log_2alpha + power * math.log(ax) - alpha_log_gamma
 
     def mean_energy_quadrature(self, spec: QuadratureSpec | None = None) -> float:
         """Mean energy as the quadrature (1/4) * integral of P * score**2.
@@ -156,9 +163,23 @@ class ProbeDistribution:
         variables the gamma density maps exactly onto the probe density.
         The gamma draw happens before the sign draw; keep that order for
         stream-for-stream reproducibility.
+
+        At large ``alpha`` the shape ``1/alpha`` is so small that ``g`` often
+        falls below the smallest normal double and comes out 0 or subnormal.
+        Such entries are redrawn from their exact conditional law: for
+        ``g < tiny``, ``exp(-g)`` is 1 in double arithmetic, so ``g`` has the
+        CDF ``(g/tiny)**(1/alpha)`` there and ``(g/2)**(1/alpha)`` is
+        ``(tiny/2)**(1/alpha)`` times a uniform variate, drawn after the
+        signs.  Nothing extra is drawn when no entry falls that low.
         """
         if n < 1:
             raise DomainError(f"sample count must be at least 1, got {n}")
         g = rng.standard_gamma(1.0 / self.alpha, size=n)
         signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        return signs * self.gamma_scale * (0.5 * g) ** (1.0 / self.alpha)
+        x = signs * self.gamma_scale * (0.5 * g) ** (1.0 / self.alpha)
+        tiny = np.finfo(float).tiny
+        if g.min() < tiny:  # patch in place: the common path allocates nothing extra
+            low = g < tiny
+            uniform = rng.random(np.count_nonzero(low))
+            x[low] = signs[low] * self.gamma_scale * ((0.5 * tiny) ** (1.0 / self.alpha) * uniform)
+        return x

@@ -509,3 +509,59 @@ def test_sweep_with_no_row_in_domain_fails(tmp_path):
     assert rc == 1
     rows = [r.split(",") for r in read(out).splitlines()[1:]]
     assert len(rows) == 3 * 3 and all(r[-1] == "out_of_domain" for r in rows)
+
+
+# Closed values that leave double range: (argv, the out_of_range lines or
+# cells a run must show).  Fisher at q = 1e-3 is a 1000th power at E = 1; at
+# E = 1e-300 the q = 1/4 Fisher value underflows to 0, at 1e300 it overflows.
+OUT_OF_RANGE = {
+    "verify_tiny_q": ["verify", "--alphas", "2", "--qs", "1e-3"],
+    "verify_tiny_energy": ["verify", "--energy", "1e-300"],
+    "sweep_tiny_q": ["sweep", "--quantity", "fisher", "--q", "1e-3"],
+    "sweep_huge_energy": ["sweep", "--quantity", "fisher", "--energy", "1e300"],
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_closed_value_out_of_double_range_is_a_status(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    rc = main(OUT_OF_RANGE[case] + ["--out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert rc == 1
+    text = read(out)
+    if case.startswith("verify"):
+        lines = text.splitlines()
+        assert lines[-1] == "overall: FAIL"
+        fisher = [line for line in lines if line.startswith("parity fisher")]
+        q_low = "q=0.001" if case == "verify_tiny_q" else "q=0.25"
+        assert fisher and all(line.endswith(": out_of_range") for line in fisher if q_low in line)
+        generalized = [line for line in lines if line.startswith("generalized_cr_product")]
+        assert any(line.endswith(": out_of_range") for line in generalized)
+        # every line is a value, a verdict or a status; no silent 0 or nan product
+        for line in generalized:
+            assert line.endswith(": out_of_range") or float(line.rsplit(" ", 1)[1]) > 0.0
+        return
+    rows = [r.split(",") for r in text.splitlines()[1:]]
+    statuses = {r[-1] for r in rows}
+    assert "out_of_range" in statuses
+    assert statuses <= {"ok", "no_converge", "out_of_range"}
+    for r in rows:
+        gamma, values = r[3], r[4:7]
+        assert gamma != ""
+        if r[-1] == "out_of_range":
+            assert values == ["", "", ""]
+        else:
+            assert math.isfinite(float(values[0]))
+    if case == "sweep_tiny_q":
+        assert statuses == {"out_of_range"}
+
+
+def test_out_of_range_rows_run_no_quadrature(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature ran for an out_of_range row")
+
+    monkeypatch.setattr(measures, "fisher_quadrature", forbidden)
+    config = SweepConfig("fisher", (1e-3,), 1.0, AlphaGrid(1.5, 3.0, 2), "unused.csv")
+    rows = run_sweep(config)
+    assert [r.status for r in rows] == ["out_of_range", "out_of_range"]
+    assert all(r.gamma_scale is not None and r.closed_value is None for r in rows)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from genfisher import measures
 from genfisher.measures import (
     MeasureValue,
     Method,
@@ -24,8 +25,10 @@ from genfisher.measures import (
 from genfisher.numerics import (
     ConvergenceError,
     DomainError,
+    QuadratureResult,
     QuadratureSpec,
     integrate_real_line,
+    safe_exp,
 )
 from genfisher.probe import ProbeDistribution
 
@@ -309,3 +312,84 @@ class TestMeasureValue:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
             MeasureValue(Quantity.FISHER, -1.0, Method.CLOSED_FORM)
+
+
+def _reference_distance(dist, eps, q):
+    def f(x):
+        a = q * dist.log_pdf(x - eps)
+        b = q * dist.log_pdf(x)
+        hi = a if a >= b else b
+        if hi == -math.inf:
+            return 0.0
+        diff = -abs(a - b)
+        if diff == 0.0:
+            return 0.0
+        return safe_exp((hi + math.log(-math.expm1(diff))) / q)
+
+    return f
+
+
+def _reference_fisher(dist, eps, q):
+    return lambda u: 0.0 if u == 0.0 else safe_exp(
+        dist.log_pdf(u) + dist.log_score_magnitude(u) / q
+    )
+
+
+def _reference_mean_error(dist, eps, q):
+    def f(x):
+        au = abs(x - eps)
+        return 0.0 if au == 0.0 else safe_exp(dist.log_pdf(x - eps) + math.log(au) / q)
+
+    return f
+
+
+_SHIFT = 0.7
+
+
+class TestIntegrandBits:
+    """Each route's integrand equals, bit for bit, its composition of
+    ``ProbeDistribution.log_pdf`` and ``log_score_magnitude``."""
+
+    # (route, reference integrand, real line?)
+    ROUTES = {
+        "distance": (lambda d, q: hellinger_distance(d, _SHIFT, q), _reference_distance, True),
+        "fisher": (fisher_quadrature, _reference_fisher, False),
+        "eps_min": (sensitivity_quadrature, _reference_fisher, False),
+        "width": (
+            posterior_width_quadrature,
+            lambda d, eps, q: (lambda u: safe_exp(q * d.log_pdf(u))),
+            False,
+        ),
+        "mean_error": (
+            lambda d, q: mean_error_quadrature(d, _SHIFT, q), _reference_mean_error, True
+        ),
+    }
+    # 0, tiny and moderate arguments, the cusp at the shift 0.7, and far
+    # tails; for alpha = 100 the power in log_pdf overflows from |x| ~ 1.2e3 on
+    HALF_LINE = (0.0, 1e-300, 1e-12, 0.3, 0.7, 0.7 + 1e-12, 1.0, 2.5, 40.0, 1e4, 1e300)
+    REAL_LINE = HALF_LINE + tuple(-x for x in HALF_LINE) + (0.35, 0.7 - 1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.8, 2.0, 100.0])
+    @pytest.mark.parametrize("q", [0.25, 0.5, 2.0])
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_integrand_matches_reference(self, monkeypatch, route, alpha, q):
+        measure, reference, real_line = self.ROUTES[route]
+        captured = []
+
+        def capture(f, spec, label, **kwargs):
+            captured.append(f)
+            return 1.0, QuadratureResult(1.0, 0.0, True, 0)
+
+        monkeypatch.setattr(measures, "integrate_measure", capture)
+        dist = energy_probe(alpha)
+        measure(dist, q)
+        (integrand,) = captured
+        expected = reference(dist, _SHIFT, q)
+        for x in self.REAL_LINE if real_line else self.HALF_LINE:
+            assert integrand(x).hex() == expected(x).hex(), x
+
+    def test_grid_reaches_the_overflowing_power(self):
+        dist = energy_probe(100.0)
+        with pytest.raises(OverflowError):
+            math.pow(1e4 / dist.gamma_scale, dist.alpha)
+        assert dist.log_pdf(1e4) == -math.inf

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from genfisher.measures import mean_error_closed
 from genfisher.numerics import DomainError, QuadratureSpec, integrate_real_line
 from genfisher.probe import ProbeDistribution
 
@@ -208,6 +209,20 @@ class TestSampling:
         a = d.sample(np.random.default_rng(99), 1000)
         b = d.sample(np.random.default_rng(99), 1000)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("alpha", [1000.0, 1e5])
+    def test_large_shape_draws_do_not_collapse(self, alpha):
+        # standard_gamma(1/alpha) underflows to 0 for about half the draws at
+        # alpha = 1000 and nearly all at 1e5; the generalized error of order
+        # 1/2 must still match its closed form
+        d = ProbeDistribution.from_shape_energy(alpha, 1.0)
+        n, q = 200_000, 0.5
+        x = d.sample(np.random.default_rng(3), n)
+        assert np.count_nonzero(x == 0.0) == 0
+        y = np.abs(x) ** (1.0 / q)
+        y_mean = y.mean()
+        se = q * y_mean ** (q - 1.0) * y.std(ddof=1) / math.sqrt(n)
+        assert abs(y_mean**q - mean_error_closed(d, q).value) <= 5.0 * se
 
     def test_rejects_empty_draw(self):
         d = ProbeDistribution.from_shape_scale(1.0, 1.0)

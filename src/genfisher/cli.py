@@ -552,12 +552,12 @@ def _cmd_sweep(args) -> tuple[str, str, int]:
     rows = run_sweep(config, args.tol)
     n_bad = sum(1 for r in rows if r.status == "no_converge")
     n_ood = sum(1 for r in rows if r.status == "out_of_domain")
-    n_empty = sum(1 for r in rows if r.status in ("out_of_domain", "out_of_range"))
+    n_oor = sum(1 for r in rows if r.status == "out_of_range")
     summary = (
         f"wrote {config.output_path}: {len(rows)} rows, "
-        f"{n_bad} no_converge, {n_ood} out_of_domain\n"
+        f"{n_bad} no_converge, {n_ood} out_of_domain, {n_oor} out_of_range\n"
     )
-    return sweep_to_csv(rows), summary, 1 if n_bad or n_empty == len(rows) else 0
+    return sweep_to_csv(rows), summary, 1 if n_bad or n_ood + n_oor == len(rows) else 0
 
 
 def _cmd_simulate(args) -> tuple[str, str, int]:

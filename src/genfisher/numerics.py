@@ -83,6 +83,10 @@ _GK_NODES = (
 )
 _GAUSS_CENTER_W = 0.417959183673469
 _KRONROD_CENTER_W = 0.209482141084728
+# The same table by column, for the unrolled panel kernel.
+_GK_XI = tuple(xi for xi, _, _ in _GK_NODES)
+_GK_WG = tuple(wg for _, wg, _ in _GK_NODES if wg)
+_GK_WK = tuple(wk for _, _, wk in _GK_NODES)
 
 _EVALS_PER_PANEL = 15
 _MACHINE_EPS = 2.220446049250313e-16
@@ -159,32 +163,65 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
     The error estimate follows the usual practice of scaling the raw
     Gauss/Kronrod difference against the panel's variation, which sharpens
     it for smooth panels and keeps it honest next to singular endpoints.
+
+    Written out node by node: the integrand is called at the center, then
+    at ``center -+ half * xi`` for each abscissa in ``_GK_NODES`` order, and
+    every sum is a fixed left-to-right chain (never ``sum()``, whose
+    rounding changed in Python 3.12), so the bits do not depend on the
+    Python version.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    x0, x1, x2, x3, x4, x5, x6 = _GK_XI
+    g1, g3, g5 = _GK_WG
+    k0, k1, k2, k3, k4, k5, k6 = _GK_WK
+    kc = _KRONROD_CENTER_W
     fc = f(center)
-    gauss = _GAUSS_CENTER_W * fc
-    kron = _KRONROD_CENTER_W * fc
-    resabs = _KRONROD_CENTER_W * abs(fc)
-    pairs = [(fc, _KRONROD_CENTER_W)]
-    finite = math.isfinite(fc)
-    for xi, wg, wk in _GK_NODES:
-        f_lo = f(center - half * xi)
-        f_hi = f(center + half * xi)
-        finite = finite and math.isfinite(f_lo) and math.isfinite(f_hi)
-        if wg:
-            gauss += wg * (f_lo + f_hi)
-        kron += wk * (f_lo + f_hi)
-        resabs += wk * (abs(f_lo) + abs(f_hi))
-        pairs.append((f_lo, wk))
-        pairs.append((f_hi, wk))
-    if not finite:
+    l0 = f(center - half * x0)
+    h0 = f(center + half * x0)
+    l1 = f(center - half * x1)
+    h1 = f(center + half * x1)
+    l2 = f(center - half * x2)
+    h2 = f(center + half * x2)
+    l3 = f(center - half * x3)
+    h3 = f(center + half * x3)
+    l4 = f(center - half * x4)
+    h4 = f(center + half * x4)
+    l5 = f(center - half * x5)
+    h5 = f(center + half * x5)
+    l6 = f(center - half * x6)
+    h6 = f(center + half * x6)
+    s1 = l1 + h1
+    s3 = l3 + h3
+    s5 = l5 + h5
+    gauss = _GAUSS_CENTER_W * fc + g1 * s1 + g3 * s3 + g5 * s5
+    kron = (
+        kc * fc + k0 * (l0 + h0) + k1 * s1 + k2 * (l2 + h2) + k3 * s3
+        + k4 * (l4 + h4) + k5 * s5 + k6 * (l6 + h6)
+    )
+    resabs = (
+        kc * abs(fc) + k0 * (abs(l0) + abs(h0)) + k1 * (abs(l1) + abs(h1))
+        + k2 * (abs(l2) + abs(h2)) + k3 * (abs(l3) + abs(h3))
+        + k4 * (abs(l4) + abs(h4)) + k5 * (abs(l5) + abs(h5))
+        + k6 * (abs(l6) + abs(h6))
+    )
+    # A nan or inf node value makes resabs non-finite; finite values
+    # near the top of the double range can too, so only then look closer.
+    if not math.isfinite(resabs) and not all(
+        map(math.isfinite, (fc, l0, h0, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5, l6, h6))
+    ):
         raise IntegrandError(
             f"integrand returned a non-finite value inside panel [{a!r}, {b!r}]; "
             "declare the offending location as a split point or tighten the domain"
         )
     mean = 0.5 * kron
-    resasc = math.fsum(wk * abs(fv - mean) for fv, wk in pairs)
+    resasc = math.fsum((
+        kc * abs(fc - mean),
+        k0 * abs(l0 - mean), k0 * abs(h0 - mean), k1 * abs(l1 - mean), k1 * abs(h1 - mean),
+        k2 * abs(l2 - mean), k2 * abs(h2 - mean), k3 * abs(l3 - mean), k3 * abs(h3 - mean),
+        k4 * abs(l4 - mean), k4 * abs(h4 - mean), k5 * abs(l5 - mean), k5 * abs(h5 - mean),
+        k6 * abs(l6 - mean), k6 * abs(h6 - mean),
+    ))
     err = abs(kron - gauss) * half
     resabs *= half
     resasc *= half

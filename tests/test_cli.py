@@ -565,3 +565,14 @@ def test_out_of_range_rows_run_no_quadrature(monkeypatch):
     rows = run_sweep(config)
     assert [r.status for r in rows] == ["out_of_range", "out_of_range"]
     assert all(r.gamma_scale is not None and r.closed_value is None for r in rows)
+
+
+def test_sweep_summary_counts_out_of_range_rows(tmp_path, capsys):
+    # every Fisher value at q = 1e-3 leaves double range, so the summary
+    # must name that status to explain the exit 1
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--quantity", "fisher", "--q", "1e-3", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        f"wrote {out}: 60 rows, 0 no_converge, 0 out_of_domain, 60 out_of_range\n"
+    )

@@ -11,7 +11,6 @@ import hashlib
 
 import pytest
 
-from genfisher import numerics
 from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
@@ -26,21 +25,6 @@ DEFAULT_RUNS = [
     (["sweep", "--quantity", "fisher"],
      "8c0e1213f503b996b396554f7d5024394dc6fdc3e9ef04b56ccec7524c0df1cc", 180, 126_480),
 ]
-
-
-@pytest.fixture
-def evaluations(monkeypatch):
-    """Evaluation count of every adaptive integration run by the test."""
-    counts = []
-    adaptive = numerics._adaptive
-
-    def recording(pieces, spec):
-        result = adaptive(pieces, spec)
-        counts.append(result.evaluations)
-        return result
-
-    monkeypatch.setattr(numerics, "_adaptive", recording)
-    return counts
 
 
 @pytest.mark.parametrize(

@@ -1,19 +1,58 @@
 """Quadrature engine and log-gamma checks against hand-computable integrals."""
 
 import math
+import random
 
 import pytest
 
+from genfisher import measures, numerics
 from genfisher.numerics import (
     DomainError,
     IntegrandError,
+    QuadratureResult,
     QuadratureSpec,
     integrate_half_line,
     integrate_real_line,
     log_gamma,
 )
+from genfisher.probe import ProbeDistribution
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def reference_gk_panel(f, a, b):
+    """Reference oracle: the loop form of ``numerics._gk_panel`` that the
+    unrolled kernel replaced, kept to pin the kernel's bits."""
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = f(center)
+    gauss = numerics._GAUSS_CENTER_W * fc
+    kron = numerics._KRONROD_CENTER_W * fc
+    resabs = numerics._KRONROD_CENTER_W * abs(fc)
+    pairs = [(fc, numerics._KRONROD_CENTER_W)]
+    finite = math.isfinite(fc)
+    for xi, wg, wk in numerics._GK_NODES:
+        f_lo = f(center - half * xi)
+        f_hi = f(center + half * xi)
+        finite = finite and math.isfinite(f_lo) and math.isfinite(f_hi)
+        if wg:
+            gauss += wg * (f_lo + f_hi)
+        kron += wk * (f_lo + f_hi)
+        resabs += wk * (abs(f_lo) + abs(f_hi))
+        pairs.append((f_lo, wk))
+        pairs.append((f_hi, wk))
+    if not finite:
+        raise IntegrandError(f"non-finite value inside panel [{a!r}, {b!r}]")
+    mean = 0.5 * kron
+    resasc = math.fsum(wk * abs(fv - mean) for fv, wk in pairs)
+    err = abs(kron - gauss) * half
+    resabs *= half
+    resasc *= half
+    if resasc != 0.0 and err != 0.0:
+        ratio = 200.0 * err / resasc
+        err = resasc * ratio**1.5 if ratio < 1.0 else resasc
+    err = max(err, 50.0 * numerics._MACHINE_EPS * resabs)
+    return kron * half, err
 
 
 class TestLogGamma:
@@ -167,3 +206,132 @@ class TestQuadratureSpec:
         merged = spec.with_splits((0.0, 1.0))
         assert merged.split_points == (-2.0, 0.0, 1.0)
         assert merged.abs_tol == spec.abs_tol
+
+
+def _panels(seed, lo, hi, count):
+    """Seeded panels inside [lo, hi): log-uniform widths from 1e-12 of the
+    interval up to all of it, plus the panel ending at ``hi``."""
+    rng = random.Random(seed)
+    span = hi - lo
+    panels = [(lo, hi), (hi - span / 1024.0, hi)]
+    for _ in range(count):
+        width = span * 10.0 ** rng.uniform(-12.0, 0.0)
+        a = lo + rng.random() * (span - width)
+        panels.append((a, a + width))
+    return panels
+
+
+def _capture_integrand(route, alpha, q):
+    """The integrand a measure route hands to ``integrate_measure``."""
+    captured = []
+
+    def capture(f, spec, label, **kwargs):
+        captured.append(f)
+        return 1.0, QuadratureResult(1.0, 0.0, True, 0)
+
+    dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "integrate_measure", capture)
+        route(dist, q)
+    (integrand,) = captured
+    return integrand
+
+
+class TestPanelKernel:
+    """The unrolled ``_gk_panel`` returns the loop form's bits."""
+
+    # name -> (integrand, panels); the cusp sits at 0.37
+    PLAIN = {
+        "signed": (
+            lambda x: math.sin(3.0 * x) * math.exp(-0.25 * x * x), _panels(1, -6.0, 6.0, 40)
+        ),
+        "cubic": (lambda x: x**3 - 2.0 * x, _panels(2, -3.0, 3.0, 40)),
+        "zero": (lambda x: 0.0, _panels(3, -1.0, 1.0, 10)),
+        "negative_zero": (lambda x: -0.0, _panels(4, -1.0, 1.0, 10)),
+        "cusp": (
+            lambda x: abs(x - 0.37) ** 0.3, _panels(5, 0.0, 1.0, 40) + [(0.3, 0.37), (0.37, 0.5)]
+        ),
+        "endpoint_singular": (
+            lambda x: abs(x - 0.37) ** -0.5, [(0.37, 0.5), (0.2, 0.37), (0.37, 0.37 + 1e-9)]
+        ),
+        "tail": (
+            numerics._tail(lambda x: math.exp(-x * x), 0.3, -1.0), _panels(6, 0.0, 1.0, 40)
+        ),
+        "signed_tail": (
+            numerics._tail(lambda x: math.cos(x) / (1.0 + x * x), -1.0, 1.0),
+            _panels(7, 0.0, 1.0, 40),
+        ),
+    }
+    MEASURES = {
+        "distance": lambda d, q: measures.hellinger_distance(d, 0.7, q),
+        "fisher": measures.fisher_quadrature,
+        "width": measures.posterior_width_quadrature,
+        "mean_error": lambda d, q: measures.mean_error_quadrature(d, 0.7, q),
+    }
+
+    @staticmethod
+    def assert_same_bits(f, panels):
+        for a, b in panels:
+            got = numerics._gk_panel(f, a, b)
+            want = reference_gk_panel(f, a, b)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (a, b)
+
+    @pytest.mark.parametrize("name", list(PLAIN))
+    def test_matches_loop_form(self, name):
+        f, panels = self.PLAIN[name]
+        self.assert_same_bits(f, panels)
+
+    def test_calls_integrand_in_loop_order(self):
+        def recorder(calls):
+            def f(x):
+                calls.append(x.hex())
+                return math.exp(-x * x)
+
+            return f
+
+        for a, b in _panels(11, -2.0, 3.0, 10):
+            got, want = [], []
+            numerics._gk_panel(recorder(got), a, b)
+            reference_gk_panel(recorder(want), a, b)
+            assert got == want
+
+    @pytest.mark.parametrize("alpha, q", [(0.8, 0.25), (2.0, 0.5), (5.0, 2.0)])
+    @pytest.mark.parametrize("route", list(MEASURES))
+    def test_measure_integrands_match_loop_form(self, route, alpha, q):
+        f = _capture_integrand(self.MEASURES[route], alpha, q)
+        real_line = route in ("distance", "mean_error")
+        panels = _panels(8, -4.0 if real_line else 0.0, 4.0, 30)
+        panels += [(0.0, 0.7), (0.7, 1.4)]
+        self.assert_same_bits(f, panels)
+        self.assert_same_bits(numerics._tail(f, 4.0, 1.0), _panels(9, 0.0, 1.0, 20))
+        if real_line:
+            self.assert_same_bits(numerics._tail(f, -4.0, -1.0), _panels(10, 0.0, 1.0, 20))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("node", range(numerics._EVALS_PER_PANEL))
+    def test_non_finite_value_at_any_node_raises(self, node, bad):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return bad if len(calls) == node + 1 else 1.0
+
+        with pytest.raises(IntegrandError):
+            numerics._gk_panel(f, 0.0, 1.0)
+        assert len(calls) == numerics._EVALS_PER_PANEL
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: 1.7e308,
+            lambda x: -1.7e308,
+            lambda x: 1.7e308 * math.cos(x),
+            lambda x: 9e307 if x < 0.5 else 1.7e308,
+        ],
+        ids=["constant", "negative", "signed", "step"],
+    )
+    def test_finite_values_whose_sums_overflow_do_not_raise(self, f):
+        got = numerics._gk_panel(f, 0.0, 1.0)
+        want = reference_gk_panel(f, 0.0, 1.0)
+        assert not all(math.isfinite(v) for v in got)
+        assert [v.hex() for v in got] == [v.hex() for v in want]

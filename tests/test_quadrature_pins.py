@@ -10,7 +10,7 @@ energy-normalized at E = 1.
 
 import pytest
 
-from genfisher import measures, numerics
+from genfisher import measures
 from genfisher.probe import ProbeDistribution
 
 # (route, alpha, q, eps, value hex, quad_detail.value hex, evaluations)
@@ -41,21 +41,6 @@ ROUTES = {
     "width": lambda d, q, eps: measures.posterior_width_quadrature(d, q),
     "mean_error": lambda d, q, eps: measures.mean_error_quadrature(d, eps, q),
 }
-
-
-@pytest.fixture
-def evaluations(monkeypatch):
-    """Evaluation count of every adaptive integration run by the test."""
-    counts = []
-    adaptive = numerics._adaptive
-
-    def recording(pieces, spec):
-        result = adaptive(pieces, spec)
-        counts.append(result.evaluations)
-        return result
-
-    monkeypatch.setattr(numerics, "_adaptive", recording)
-    return counts
 
 
 @pytest.mark.parametrize("route,alpha,q,eps,value_hex,detail_hex,evals", PINS)

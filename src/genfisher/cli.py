@@ -40,6 +40,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -187,62 +188,45 @@ def _closed(closed_form, dist: ProbeDistribution, q: float) -> float:
     return value
 
 
-def _closed_and_quadrature(
-    quantity: str, dist: ProbeDistribution, q: float
-) -> tuple[float, float, bool] | None:
-    """Closed and quadrature values for one grid point, or None without any
-    quadrature when the closed value leaves double range.
+def _sweep_row(
+    quantity: str, alpha: float, q: float, energy: float, parity_tol: float
+) -> SweepRow:
+    """Closed and quadrature values of ``quantity`` at one (alpha, q) point.
 
-    Raises DomainError outside the closed form's validity; a non-converged
-    quadrature returns its best estimate with the flag lowered.
+    A DomainError from the probe or the closed form gives out_of_domain, an
+    OverflowError from the closed value out_of_range, and neither runs the
+    quadrature; a non-converged quadrature keeps its best estimate (``nan``
+    after a non-finite integrand) and reads no_converge.
     """
     closed_form, quadrature = _ROUTES[quantity]
+    gamma = None
     try:
+        dist = ProbeDistribution.from_shape_energy(alpha, energy)
+        gamma = dist.gamma_scale
         closed = _closed(closed_form, dist, q)
+    except DomainError:
+        return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_domain")
     except OverflowError:
-        return None
+        return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_range")
     try:
-        return closed, quadrature(dist, q).value, True
+        quad, converged = quadrature(dist, q).value, True
     except ConvergenceError as exc:
-        return closed, exc.value, False
+        quad, converged = exc.value, False
     except IntegrandError:
-        return closed, float("nan"), False
-
-
-def _parity_rows(quantity: str, alphas, q_list, energy: float, parity_tol: float) -> list[SweepRow]:
-    """``run_sweep`` over an explicit list of shapes."""
-    rows = []
-    for alpha in alphas:
-        try:
-            dist = ProbeDistribution.from_shape_energy(alpha, energy)
-        except DomainError:
-            dist = None
-        for q in q_list:
-            values, status = None, "out_of_domain"
-            if dist is not None:
-                try:
-                    values = _closed_and_quadrature(quantity, dist, q)
-                except DomainError:
-                    pass
-                else:
-                    status = "out_of_range"  # if values is None
-            if values is None:
-                gamma = None if dist is None else dist.gamma_scale
-                rows.append(SweepRow(alpha, q, energy, gamma, None, None, None, status))
-                continue
-            closed, quad, converged = values
-            rel = abs(closed - quad) / abs(closed)
-            status = "ok" if converged and rel <= parity_tol else "no_converge"
-            rows.append(SweepRow(alpha, q, energy, dist.gamma_scale, closed, quad, rel, status))
-    return rows
+        quad, converged = math.nan, False
+    rel = abs(closed - quad) / abs(closed)
+    status = "ok" if converged and rel <= parity_tol else "no_converge"
+    return SweepRow(alpha, q, energy, gamma, closed, quad, rel, status)
 
 
 def run_sweep(config: SweepConfig, parity_tol: float = _PARITY_TOL) -> list[SweepRow]:
     """One row per (alpha, q), alpha-major; out-of-domain points are explicit
     rows, never skipped."""
-    return _parity_rows(
-        config.quantity, config.alpha_grid.points(), config.q_list, config.energy, parity_tol
-    )
+    return [
+        _sweep_row(config.quantity, alpha, q, config.energy, parity_tol)
+        for alpha in config.alpha_grid.points()
+        for q in config.q_list
+    ]
 
 
 def sweep_to_csv(rows: list[SweepRow]) -> str:
@@ -279,9 +263,25 @@ def surface_to_csv(
 
 
 # Numeric failures inside a verify check; each becomes that check's FAIL
-# line.  A DomainError (also a ValueError) is caught before them: a point
-# outside the family reads out_of_domain, as in the parity rows.
+# line.  A DomainError (also a ValueError) and an OverflowError (also an
+# ArithmeticError) are caught before them and read out_of_domain and
+# out_of_range, as in the sweep rows.
 _CHECK_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
+
+# Each verify check returns (ok, detail); ok is None for a line without a
+# PASS/FAIL verdict.
+
+
+def _parity(
+    quantity: str, alpha: float, q: float, energy: float, tol: float
+) -> tuple[bool | None, str]:
+    row = _sweep_row(quantity, alpha, q, energy, tol)
+    if row.status in ("out_of_domain", "out_of_range"):
+        return None, row.status
+    return row.status == "ok", (
+        f"closed={_fmt(row.closed_value)} quadrature={_fmt(row.quadrature_value)} "
+        f"rel_dev={row.relative_deviation:.3e}"
+    )
 
 
 def _sensitivity_law(alpha: float, energy: float) -> tuple[bool, str]:
@@ -301,9 +301,10 @@ def _cr_product(alpha: float, energy: float) -> tuple[bool, str]:
     return ok, f"product={_fmt(p)}"
 
 
-def _generalized_cr_product(alpha: float, q: float, energy: float) -> float:
+def _generalized_cr_product(alpha: float, q: float, energy: float) -> tuple[None, str]:
     dist = ProbeDistribution.from_shape_energy(alpha, energy)
-    return measures.mean_error_closed(dist, q).value * _closed(measures.fisher_closed, dist, q) ** q
+    p = measures.mean_error_closed(dist, q).value * _closed(measures.fisher_closed, dist, q) ** q
+    return None, _fmt(p)
 
 
 def _distance_invariants(alpha: float, q: float, eps: float, energy: float) -> tuple[bool, str]:
@@ -336,41 +337,49 @@ def _linearization(alpha: float, q: float) -> tuple[bool, str]:
     return 0.99 <= ratio <= 1.01, f"ratio={ratio:.6f}"
 
 
+def _triangle(alpha: float, q: float, triple, energy: float) -> tuple[None, str]:
+    rep = measures.triangle_probe(ProbeDistribution.from_shape_energy(alpha, energy), q, triple)
+    tag = "VIOLATED" if rep.violated else "held"
+    return None, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)} {tag}"
+
+
 def verify_report(
     alphas=_VERIFY_ALPHAS,
     qs=_VERIFY_QS,
     energy: float = 1.0,
     tolerance: float = _PARITY_TOL,
 ) -> tuple[str, bool]:
-    """Full cross-validation report; returns (text, all_checks_passed)."""
+    """Full cross-validation report; returns (text, all_checks_passed).
+
+    Raises ConfigError, before any quadrature runs, for an energy or
+    tolerance that is not positive and finite."""
+    if not (0.0 < energy < math.inf and 0.0 < tolerance < math.inf):
+        raise ConfigError(
+            f"energy and tolerance must be positive and finite, got {energy}, {tolerance}"
+        )
     lines: list[str] = []
     all_ok = True
 
-    def record(ok: bool, line: str) -> None:
+    def check(label: str, evaluate, *args) -> str:
+        """Writes ``label``'s line from ``evaluate(*args)``'s (ok, detail) and
+        returns the detail.  A DomainError reads out_of_domain, an
+        OverflowError out_of_range, another numeric failure is a FAIL line
+        carrying the exception text."""
         nonlocal all_ok
-        all_ok = all_ok and ok
-        lines.append(f"{line} {'PASS' if ok else 'FAIL'}")
-
-    def attempt(label: str, evaluate, *args):
-        """``evaluate(*args)``, or None once a failure inside it is recorded
-        as ``label``'s line: out_of_domain for a DomainError, out_of_range
-        for an OverflowError, else a FAIL line carrying the exception text."""
         try:
-            return evaluate(*args)
+            ok, detail = evaluate(*args)
         except DomainError:
-            lines.append(f"{label}: out_of_domain")
+            ok, detail = None, "out_of_domain"
         except OverflowError:
-            lines.append(f"{label}: out_of_range")
+            ok, detail = None, "out_of_range"
         except _CHECK_ERRORS as exc:
-            record(False, f"{label}: error={type(exc).__name__}: {exc}")
-        return None
-
-    def check(label: str, evaluate, *args) -> None:
-        """One check; ``evaluate(*args)`` gives (ok, detail)."""
-        outcome = attempt(label, evaluate, *args)
-        if outcome is not None:
-            ok, detail = outcome
-            record(ok, f"{label}: {detail}")
+            ok, detail = False, f"error={type(exc).__name__}: {exc}"
+        if ok is None:
+            lines.append(f"{label}: {detail}")
+        else:
+            all_ok = all_ok and ok
+            lines.append(f"{label}: {detail} {'PASS' if ok else 'FAIL'}")
+        return detail
 
     # Gamma-argument resolution at the Gaussian anchor (classical Fisher
     # information of a Gaussian is 4 / gamma**2).
@@ -402,16 +411,10 @@ def verify_report(
 
     # Closed-form / quadrature parity over the grid.
     for quantity in QUANTITIES:
-        for row in _parity_rows(quantity, alphas, qs, energy, tolerance):
-            head = f"parity {quantity} alpha={row.alpha:g} q={row.q:g}:"
-            if row.status in ("out_of_domain", "out_of_range"):
-                lines.append(f"{head} {row.status}")
-                continue
-            record(
-                row.status == "ok",
-                f"{head} closed={_fmt(row.closed_value)} quadrature="
-                f"{_fmt(row.quadrature_value)} rel_dev={row.relative_deviation:.3e}",
-            )
+        for alpha in alphas:
+            for q in qs:
+                label = f"parity {quantity} alpha={alpha:g} q={q:g}"
+                check(label, _parity, quantity, alpha, q, energy, tolerance)
 
     # q = 1/2 sensitivity law: eps_min = 1 / (2 sqrt(E)) for every shape.
     for alpha in _LAW_ALPHAS:
@@ -426,9 +429,7 @@ def verify_report(
     for alpha in alphas:
         for q in qs:
             label = f"generalized_cr_product alpha={alpha:g} q={q:g}"
-            p = attempt(label, _generalized_cr_product, alpha, q, energy)
-            if p is not None:
-                lines.append(f"{label}: {_fmt(p)}")
+            check(label, _generalized_cr_product, alpha, q, energy)
 
     # Distance invariants: D(0) = 0, D(eps) = D(-eps), D >= 0.
     for alpha, q, eps in ((1.0, 2.0, 0.3), (2.0, 0.5, 0.1), (0.8, 0.25, 0.7)):
@@ -449,19 +450,13 @@ def verify_report(
 
     # Triangle-inequality scan on D_q**q (informational: violations are a
     # finding, not a failure; a triangle that cannot be computed is one).
-    n_violations = 0
-    for q in _TRIANGLE_QS:
-        for alpha in _TRIANGLE_ALPHAS:
-            dist = ProbeDistribution.from_shape_energy(alpha, energy)
-            for triple in _TRIANGLE_TRIPLES:
-                label = f"triangle q={q:g} alpha={alpha:g} shifts={triple}"
-                rep = attempt(label, measures.triangle_probe, dist, q, triple)
-                if rep is None:
-                    continue
-                tag = "VIOLATED" if rep.violated else "held"
-                if rep.violated:
-                    n_violations += 1
-                lines.append(f"{label}: lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)} {tag}")
+    triangles = [
+        check(f"triangle q={q:g} alpha={a:g} shifts={triple}", _triangle, a, q, triple, energy)
+        for q in _TRIANGLE_QS
+        for a in _TRIANGLE_ALPHAS
+        for triple in _TRIANGLE_TRIPLES
+    ]
+    n_violations = sum(detail.endswith(" VIOLATED") for detail in triangles)
     lines.append(f"triangle_scan_summary: {n_violations} violation(s) found")
 
     lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
@@ -550,14 +545,12 @@ def _cmd_sweep(args) -> tuple[str, str, int]:
         output_path=args.out,
     )
     rows = run_sweep(config, args.tol)
-    n_bad = sum(1 for r in rows if r.status == "no_converge")
-    n_ood = sum(1 for r in rows if r.status == "out_of_domain")
-    n_oor = sum(1 for r in rows if r.status == "out_of_range")
+    n = Counter(r.status for r in rows)
     summary = (
-        f"wrote {config.output_path}: {len(rows)} rows, "
-        f"{n_bad} no_converge, {n_ood} out_of_domain, {n_oor} out_of_range\n"
+        f"wrote {config.output_path}: {len(rows)} rows, {n['no_converge']} no_converge, "
+        f"{n['out_of_domain']} out_of_domain, {n['out_of_range']} out_of_range\n"
     )
-    return sweep_to_csv(rows), summary, 1 if n_bad or n_ood + n_oor == len(rows) else 0
+    return sweep_to_csv(rows), summary, 1 if n["no_converge"] or not n["ok"] else 0
 
 
 def _cmd_simulate(args) -> tuple[str, str, int]:

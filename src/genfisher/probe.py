@@ -31,9 +31,9 @@ import numpy as np
 
 from .numerics import (
     LN2,
+    ConvergenceError,
     DomainError,
     QuadratureSpec,
-    integrate_measure,
     log_gamma,
     safe_exp,
 )
@@ -133,27 +133,23 @@ class ProbeDistribution:
         return log_2alpha + power * math.log(ax) - alpha_log_gamma
 
     def mean_energy_quadrature(self, spec: QuadratureSpec | None = None) -> float:
-        """Mean energy as the quadrature (1/4) * integral of P * score**2.
+        """Mean energy by quadrature: one quarter of the classical Fisher
+        information, ``fisher_quadrature(self, 0.5, spec)``.
 
-        Folded onto [0, inf) -- the integrand is even -- so the origin,
-        where the score diverges for ``alpha < 1``, is a panel endpoint.
+        A non-converged quadrature raises ``ConvergenceError`` whose
+        ``value`` is the best estimate of the energy.
         """
+        from .measures import fisher_quadrature  # measures imports this module
+
         if self.alpha <= 0.5:
             raise DomainError(
                 f"mean energy diverges for alpha = {self.alpha} <= 1/2"
             )
-        spec = (spec or QuadratureSpec()).with_splits(
-            (self.gamma_scale, 4.0 * self.gamma_scale)
-        )
-
-        def integrand(u: float) -> float:
-            if u == 0.0:
-                return 0.0
-            return safe_exp(self.log_pdf(u) + 2.0 * self.log_score_magnitude(u))
-
-        label = f"mean energy quadrature (alpha={self.alpha}, gamma={self.gamma_scale})"
-        energy, _ = integrate_measure(integrand, spec, label, half_line=True, fold=0.5)
-        return energy
+        try:
+            return fisher_quadrature(self, 0.5, spec).value / 4.0
+        except ConvergenceError as exc:
+            exc.value /= 4.0
+            raise
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values.

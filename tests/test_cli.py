@@ -12,7 +12,15 @@ import pytest
 
 import genfisher
 from genfisher import measures
-from genfisher.cli import AlphaGrid, ConfigError, SweepConfig, main, run_sweep, sweep_to_csv
+from genfisher.cli import (
+    AlphaGrid,
+    ConfigError,
+    SweepConfig,
+    main,
+    run_sweep,
+    sweep_to_csv,
+    verify_report,
+)
 from genfisher.numerics import QuadratureSpec
 
 SWEEP_HEADER = "alpha,q,energy,gamma,closed,quadrature,rel_dev,status"
@@ -79,6 +87,14 @@ class TestVerifyCommand:
         assert "generalized_cr_product alpha=0.4 q=0.5: out_of_domain" in lines
         assert "cr_product alpha=1 q=0.5: product=1.41421356237e+00 PASS" in lines
         assert lines[-1] == "overall: PASS"
+
+
+    @pytest.mark.parametrize("key", ["energy", "tolerance"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_library_rejects_bad_scalars_before_any_quadrature(self, evaluations, key, value):
+        with pytest.raises(ConfigError):
+            verify_report(**{key: value})
+        assert evaluations == []
 
 
 class TestSweepCommand:

@@ -1,0 +1,54 @@
+"""Open defects at the edges of double range, as strict xfails.
+
+Each test asserts the correct behaviour and names the one exception the
+defect raises today, so an unrelated error still fails the test.  Computing
+the measures on the unit-scale probe (ROADMAP item 3) is expected to flip
+them; an unexpected pass fails the suite (``xfail_strict``).
+"""
+
+import pytest
+
+from genfisher.cli import main
+from genfisher.measures import fisher_closed, fisher_quadrature
+from genfisher.numerics import IntegrandError
+from genfisher.probe import ProbeDistribution
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="the Fisher integrand underflows to 0")
+def test_fisher_quadrature_at_tiny_energy():
+    dist = ProbeDistribution.from_shape_energy(1.5, 1e-300)
+    closed = fisher_closed(dist, 0.5).value
+    assert closed == pytest.approx(4e-300, rel=1e-9, abs=0.0)
+    assert fisher_quadrature(dist, 0.5).value == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.xfail(raises=IntegrandError, reason="the Fisher integrand overflows to inf")
+def test_fisher_quadrature_at_huge_energy():
+    dist = ProbeDistribution.from_shape_energy(1.5, 1e300)
+    closed = fisher_closed(dist, 0.5).value
+    assert fisher_quadrature(dist, 0.5).value == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="the raw integral leaves double range")
+def test_verify_tiny_order_parity_has_finite_quadrature(tmp_path, capsys):
+    # F^-q and M^q are finite at q = 1e-3, but F and M themselves are not
+    out = tmp_path / "report.txt"
+    main(["verify", "--alphas", "2", "--qs", "1e-3", "--out", str(out)])
+    capsys.readouterr()
+    lines = out.read_text(encoding="utf-8").splitlines()
+    for quantity in ("eps_min", "mean_error"):
+        (line,) = [l for l in lines if l.startswith(f"parity {quantity} alpha=2 q=0.001:")]
+        assert "nan" not in line and line.endswith(" PASS"), line
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="quadrature loses the scale at E = 1e300")
+@pytest.mark.parametrize("quantity", ["eps_min", "posterior_width", "mean_error"])
+def test_sweep_at_huge_energy_converges(tmp_path, capsys, quantity):
+    # the default 60-point grid, three orders: 180 rows
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--quantity", quantity, "--energy", "1e300", "--out", str(out)])
+    capsys.readouterr()
+    rows = [r.split(",") for r in out.read_text(encoding="utf-8").splitlines()[1:]]
+    assert len(rows) == 180
+    assert [r for r in rows if r[-1] == "no_converge"] == []
+    assert rc == 0

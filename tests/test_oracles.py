@@ -1,15 +1,21 @@
-"""Closed forms against mpmath quadrature at 30 digits.
+"""Closed forms and the quadrature distance against mpmath at 30 digits.
 
 These oracles share no code with the in-house Gauss-Kronrod engine: each
-integral is taken by ``mpmath.quad`` (tanh-sinh) on the substituted variable
-``u = x / gamma``, and the density's normalization is itself integrated, not
-taken from the gamma-function constant.  Only ``alpha`` and ``gamma`` come
-from the probe.
+integral is taken by ``mpmath.quad`` (tanh-sinh), the moments on the
+substituted variable ``u = x / gamma`` and the distance on ``x`` itself, and
+the density's normalization is itself integrated, not taken from the
+gamma-function constant.  Only ``alpha`` and ``gamma`` come from the probe.
 """
 
 import pytest
 
-from genfisher.measures import fisher_closed, mean_error_closed, posterior_width_closed
+from genfisher.measures import (
+    fisher_closed,
+    hellinger_distance,
+    mean_error_closed,
+    posterior_width_closed,
+    sensitivity_closed,
+)
 from genfisher.probe import ProbeDistribution
 
 mpmath = pytest.importorskip("mpmath")
@@ -50,11 +56,45 @@ def test_closed_forms_match_mpmath(alpha, q):
     dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
     with mp.workdps(30):
         fisher, width, error = _oracles(alpha, q, dist.gamma_scale)
+        oracle = {
+            "fisher": fisher,
+            "eps_min": fisher ** -mp.mpf(q),
+            "posterior_width": width,
+            "mean_error": error,
+        }
     closed = {
         "fisher": fisher_closed(dist, q).value,
+        "eps_min": sensitivity_closed(dist, q).value,
         "posterior_width": posterior_width_closed(dist, q).value,
         "mean_error": mean_error_closed(dist, q).value,
     }
-    oracle = {"fisher": fisher, "posterior_width": width, "mean_error": error}
     for name, value in closed.items():
         assert abs(value / float(oracle[name]) - 1.0) <= REL, name
+
+
+# (alpha, q, eps) for the distance, either sign of the shift
+DISTANCE_POINTS = [(2.0, 0.5, 0.1), (0.8, 0.25, 0.7), (5.0, 2.0, 0.5), (1.0, 4.0, -0.3)]
+DISTANCE_REL = 1e-9
+
+
+def _distance_oracle(alpha, q, eps, gamma):
+    """D_q = (1/2) int |P^q(x - eps) - P^q(x)|**(1/q) dx on the real line."""
+    a, q, e, g = mp.mpf(alpha), mp.mpf(q), mp.mpf(eps), mp.mpf(gamma)
+    norm = 1 / (2 * g * _half_line(lambda u: mp.exp(-2 * u**a)))
+
+    def p_q(x):
+        return norm**q * mp.exp(-2 * q * abs(x / g) ** a)
+
+    # cusps at 0 and eps, the crossing at eps/2, and the bulk 2 gamma beyond
+    lo, hi = min(0, e), max(0, e)
+    points = [-mp.inf, lo - 2 * g, lo, e / 2, hi, hi + 2 * g, mp.inf]
+    return mp.quad(lambda x: abs(p_q(x - e) - p_q(x)) ** (1 / q), points) / 2
+
+
+@pytest.mark.parametrize("alpha, q, eps", DISTANCE_POINTS)
+def test_distance_matches_mpmath(alpha, q, eps):
+    dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
+    with mp.workdps(30):
+        oracle = _distance_oracle(alpha, q, eps, dist.gamma_scale)
+    value = hellinger_distance(dist, eps, q).value
+    assert abs(value / float(oracle) - 1.0) <= DISTANCE_REL

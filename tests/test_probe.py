@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from genfisher.measures import mean_error_closed
-from genfisher.numerics import DomainError, QuadratureSpec, integrate_real_line
+from genfisher.numerics import ConvergenceError, DomainError, QuadratureSpec, integrate_real_line
 from genfisher.probe import ProbeDistribution
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -163,6 +163,12 @@ class TestMeanEnergy:
         d = ProbeDistribution.from_shape_scale(0.5, 1.0)
         with pytest.raises(DomainError):
             d.mean_energy_quadrature()
+
+    def test_non_converged_estimate_is_an_energy(self):
+        starved = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
+        with pytest.raises(ConvergenceError) as info:
+            ProbeDistribution.from_shape_energy(2.0, 3.0).mean_energy_quadrature(starved)
+        assert info.value.value == pytest.approx(3.0, rel=1e-2)
 
     @pytest.mark.parametrize("alpha,gamma", [(0.8, 1.0), (2.0, 0.7), (5.0, 2.0)])
     def test_quarter_of_classical_fisher(self, alpha, gamma):

@@ -13,7 +13,8 @@ simulate  Monte Carlo single-shot estimation run (JSON report).
 surface   tabulate the probe density over (ln alpha, x) at fixed energy (CSV).
 
 Exit codes: 0 success, 1 check failure (a failed verify or simulate check, a
-non-converged sweep row, or no sweep row with a value), 2 usage or
+verify grid with no parity verdict, a non-converged sweep row, or no sweep row
+with a value), 2 usage or
 configuration error, an unwritable ``--out`` included.  ``main`` alone writes
 the output file and stdout, so a run that fails writes no file.
 
@@ -188,17 +189,33 @@ def _closed(closed_form, dist: ProbeDistribution, q: float) -> float:
     return value
 
 
+def _quadrature(quantity: str, dist: ProbeDistribution, q: float) -> tuple[float, bool]:
+    """(value, converged) of ``quantity``'s quadrature route: a non-converged
+    quadrature keeps its best estimate, ``nan`` after a non-finite integrand."""
+    try:
+        return _ROUTES[quantity][1](dist, q).value, True
+    except ConvergenceError as exc:
+        return exc.value, False
+    except IntegrandError:
+        return math.nan, False
+
+
 def _sweep_row(
-    quantity: str, alpha: float, q: float, energy: float, parity_tol: float
+    quantity: str,
+    alpha: float,
+    q: float,
+    energy: float,
+    parity_tol: float,
+    quadrature=_quadrature,
 ) -> SweepRow:
     """Closed and quadrature values of ``quantity`` at one (alpha, q) point.
 
     A DomainError from the probe or the closed form gives out_of_domain, an
-    OverflowError from the closed value out_of_range, and neither runs the
-    quadrature; a non-converged quadrature keeps its best estimate (``nan``
-    after a non-finite integrand) and reads no_converge.
+    OverflowError from the closed value out_of_range, and neither runs
+    ``quadrature(quantity, dist, q)``; a non-converged quadrature reads
+    no_converge.
     """
-    closed_form, quadrature = _ROUTES[quantity]
+    closed_form = _ROUTES[quantity][0]
     gamma = None
     try:
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
@@ -208,12 +225,7 @@ def _sweep_row(
         return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_domain")
     except OverflowError:
         return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_range")
-    try:
-        quad, converged = quadrature(dist, q).value, True
-    except ConvergenceError as exc:
-        quad, converged = exc.value, False
-    except IntegrandError:
-        quad, converged = math.nan, False
+    quad, converged = quadrature(quantity, dist, q)
     rel = abs(closed - quad) / abs(closed)
     status = "ok" if converged and rel <= parity_tol else "no_converge"
     return SweepRow(alpha, q, energy, gamma, closed, quad, rel, status)
@@ -273,9 +285,9 @@ _CHECK_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
 
 
 def _parity(
-    quantity: str, alpha: float, q: float, energy: float, tol: float
+    quantity: str, alpha: float, q: float, energy: float, tol: float, quadrature
 ) -> tuple[bool | None, str]:
-    row = _sweep_row(quantity, alpha, q, energy, tol)
+    row = _sweep_row(quantity, alpha, q, energy, tol, quadrature)
     if row.status in ("out_of_domain", "out_of_range"):
         return None, row.status
     return row.status == "ok", (
@@ -360,9 +372,9 @@ def verify_report(
     lines: list[str] = []
     all_ok = True
 
-    def check(label: str, evaluate, *args) -> str:
+    def check(label: str, evaluate, *args) -> tuple[bool | None, str]:
         """Writes ``label``'s line from ``evaluate(*args)``'s (ok, detail) and
-        returns the detail.  A DomainError reads out_of_domain, an
+        returns them.  A DomainError reads out_of_domain, an
         OverflowError out_of_range, another numeric failure is a FAIL line
         carrying the exception text."""
         nonlocal all_ok
@@ -379,7 +391,22 @@ def verify_report(
         else:
             all_ok = all_ok and ok
             lines.append(f"{label}: {detail} {'PASS' if ok else 'FAIL'}")
-        return detail
+        return ok, detail
+
+    # eps_min = F_q**(-q) is read from the same Fisher quadrature as the
+    # fisher line at its (probe, q), so that quadrature runs once for both,
+    # whichever line needs it first.
+    fisher_outcomes: dict[tuple[ProbeDistribution, float], tuple[float, bool]] = {}
+
+    def quadrature(quantity: str, dist: ProbeDistribution, q: float) -> tuple[float, bool]:
+        if quantity not in ("eps_min", "fisher"):
+            return _quadrature(quantity, dist, q)
+        if (dist, q) not in fisher_outcomes:
+            fisher_outcomes[dist, q] = _quadrature("fisher", dist, q)
+        fisher, converged = fisher_outcomes[dist, q]
+        if quantity == "eps_min":
+            return measures._sensitivity_from_fisher(fisher, q), converged
+        return fisher, converged
 
     # Gamma-argument resolution at the Gaussian anchor (classical Fisher
     # information of a Gaussian is 4 / gamma**2).
@@ -409,12 +436,21 @@ def verify_report(
         f"vs quadrature {_fmt(quad)} REJECTED"
     )
 
-    # Closed-form / quadrature parity over the grid.
-    for quantity in QUANTITIES:
-        for alpha in alphas:
-            for q in qs:
-                label = f"parity {quantity} alpha={alpha:g} q={q:g}"
-                check(label, _parity, quantity, alpha, q, energy, tolerance)
+    # Closed-form / quadrature parity over the grid.  A grid where no line
+    # has a verdict checked no closed form and fails, as a sweep with no
+    # value does.
+    parity = [
+        check(
+            f"parity {quantity} alpha={alpha:g} q={q:g}",
+            _parity, quantity, alpha, q, energy, tolerance, quadrature,
+        )[0]
+        for quantity in QUANTITIES
+        for alpha in alphas
+        for q in qs
+    ]
+    if all(ok is None for ok in parity):
+        lines.append("parity_grid: no point has a closed and a quadrature value FAIL")
+        all_ok = False
 
     # q = 1/2 sensitivity law: eps_min = 1 / (2 sqrt(E)) for every shape.
     for alpha in _LAW_ALPHAS:
@@ -451,7 +487,7 @@ def verify_report(
     # Triangle-inequality scan on D_q**q (informational: violations are a
     # finding, not a failure; a triangle that cannot be computed is one).
     triangles = [
-        check(f"triangle q={q:g} alpha={a:g} shifts={triple}", _triangle, a, q, triple, energy)
+        check(f"triangle q={q:g} alpha={a:g} shifts={triple}", _triangle, a, q, triple, energy)[1]
         for q in _TRIANGLE_QS
         for a in _TRIANGLE_ALPHAS
         for triple in _TRIANGLE_TRIPLES

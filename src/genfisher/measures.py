@@ -274,6 +274,12 @@ def sensitivity_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
     )
 
 
+def _sensitivity_from_fisher(fisher: float, q: float) -> float:
+    """eps_min = F_q**(-q) from a quadrature Fisher value; ``nan`` when that
+    value is not positive (or is itself ``nan``)."""
+    return math.exp(-q * math.log(fisher)) if fisher > 0.0 else math.nan
+
+
 def sensitivity_quadrature(
     dist: ProbeDistribution,
     q: float,
@@ -282,7 +288,7 @@ def sensitivity_quadrature(
     """Minimum detectable shift F_q**(-q) through the quadrature Fisher
     route; ``quad_detail`` holds the Fisher integral."""
     return _fisher_route(
-        dist, q, spec, Quantity.EPS_MIN, lambda fisher: math.exp(-q * math.log(fisher))
+        dist, q, spec, Quantity.EPS_MIN, lambda fisher: _sensitivity_from_fisher(fisher, q)
     )
 
 
@@ -402,10 +408,11 @@ def triangle_probe(
 ) -> TriangleReport:
     """Test the triangle inequality for T = D_q**q on three shifted copies.
 
-    The three shifts are sorted; coincident shifts give a zero-length leg.
-    A violation is reported only when the long leg exceeds the sum of the
-    short legs by more than the propagated quadrature error, so the probe
-    never flags numerical noise.  T is a true metric at q = 1/2; elsewhere
+    The three shifts are sorted; coincident shifts give a zero-length leg,
+    and each distinct separation is integrated once.  A violation is
+    reported only when the long leg exceeds the sum of the short legs by
+    more than the propagated quadrature error, so the probe never flags
+    numerical noise.  T is a true metric at q = 1/2; elsewhere
     violations do occur (the scan in the verification report finds them).
     """
     q = _require_order(q)
@@ -421,9 +428,9 @@ def triangle_probe(
         t_hi = (d.value + err) ** q
         return t, t_lo, t_hi
 
-    t12, _, t12_hi = leg(s2 - s1)
-    t23, _, t23_hi = leg(s3 - s2)
-    t13, t13_lo, _ = leg(s3 - s1)
+    seps = (s2 - s1, s3 - s2, s3 - s1)
+    legs = {sep: leg(sep) for sep in dict.fromkeys(seps)}
+    (t12, _, t12_hi), (t23, _, t23_hi), (t13, t13_lo, _) = (legs[sep] for sep in seps)
     return TriangleReport(
         lhs=t13,
         rhs=t12 + t23,

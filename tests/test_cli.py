@@ -22,12 +22,27 @@ from genfisher.cli import (
     verify_report,
 )
 from genfisher.numerics import QuadratureSpec
+from genfisher.probe import ProbeDistribution
 
 SWEEP_HEADER = "alpha,q,energy,gamma,closed,quadrature,rel_dev,status"
 
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+@pytest.fixture
+def fisher_routes(monkeypatch):
+    """(probe, q) of every Fisher-route quadrature run by the test."""
+    calls = []
+    route = measures._fisher_route
+
+    def recording(dist, q, *args, **kwargs):
+        calls.append((dist, q))
+        return route(dist, q, *args, **kwargs)
+
+    monkeypatch.setattr(measures, "_fisher_route", recording)
+    return calls
 
 
 class TestVerifyCommand:
@@ -88,6 +103,37 @@ class TestVerifyCommand:
         assert "cr_product alpha=1 q=0.5: product=1.41421356237e+00 PASS" in lines
         assert lines[-1] == "overall: PASS"
 
+
+    @pytest.mark.parametrize("alphas, rc", [("0.4", 1), ("0.4,1", 0)])
+    def test_grid_without_a_parity_verdict_fails(self, tmp_path, alphas, rc):
+        # at alpha = 0.4 every parity line is out_of_domain: that grid
+        # checked no closed form, like a sweep with no value
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--alphas", alphas, "--qs", "0.5", "--out", str(out)]) == rc
+        lines = read(out).splitlines()
+        grid_line = "parity_grid: no point has a closed and a quadrature value FAIL"
+        assert (grid_line in lines) == (rc == 1)
+        assert lines[-1] == ("overall: FAIL" if rc else "overall: PASS")
+
+    def test_eps_min_and_fisher_lines_share_one_fisher_quadrature(self, fisher_routes):
+        # E = 2 keeps the grid probe apart from the gamma = 1 probes of the
+        # eq6 anchor and the linearization checks
+        report, ok = verify_report(alphas=(2.0,), qs=(0.5,), energy=2.0)
+        assert ok
+        assert fisher_routes.count((ProbeDistribution.from_shape_energy(2.0, 2.0), 0.5)) == 1
+        parity = [l for l in report.splitlines() if l.startswith("parity ")]
+        assert len(parity) == 4 and all(l.endswith(" PASS") for l in parity)
+
+    def test_eps_min_runs_the_fisher_quadrature_of_an_out_of_range_fisher_line(
+        self, fisher_routes
+    ):
+        # F_q leaves double range at q = 1e-3, F_q**(-q) does not
+        report, _ = verify_report(alphas=(2.0,), qs=(1e-3,))
+        lines = report.splitlines()
+        assert "parity fisher alpha=2 q=0.001: out_of_range" in lines
+        (eps_min,) = [l for l in lines if l.startswith("parity eps_min alpha=2 q=0.001: ")]
+        assert "closed=" in eps_min and "quadrature=" in eps_min
+        assert fisher_routes.count((ProbeDistribution.from_shape_energy(2.0, 1.0), 1e-3)) == 1
 
     @pytest.mark.parametrize("key", ["energy", "tolerance"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])

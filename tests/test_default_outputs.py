@@ -15,7 +15,7 @@ from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "7d2522f9959e0888c9c2cc9fc6df5ca7ba93ff3b0eff17eee50656e25f7757dd", 164, 173_460),
+    (["verify"], "7d2522f9959e0888c9c2cc9fc6df5ca7ba93ff3b0eff17eee50656e25f7757dd", 131, 141_300),
     (["sweep", "--quantity", "eps_min"],
      "fb9e5ed84e513645dce706878411c4fe948c3526c4849c14933589b09ed18b11", 180, 126_480),
     (["sweep", "--quantity", "posterior_width"],

@@ -13,7 +13,6 @@ from .estimation import (
     UnbiasednessReport,
     run_trials,
     three_sigma_check,
-    unbiasedness_report,
 )
 from .measures import (
     MeasureValue,
@@ -78,5 +77,4 @@ __all__ = [
     "UnbiasednessReport",
     "run_trials",
     "three_sigma_check",
-    "unbiasedness_report",
 ]

@@ -18,6 +18,11 @@ with a value), 2 usage or
 configuration error, an unwritable ``--out`` included.  ``main`` alone writes
 the output file and stdout, so a run that fails writes no file.
 
+Each sweep quantity has one closed form and one quadrature route; ``eps_min``
+maps the Fisher route's value to F_q**(-q), in ``sweep`` and ``verify``
+alike, and ``verify``'s parity lines run each distinct (route, probe, q)
+integral once.
+
 Where no value can be given, a sweep row or verify line carries a status
 instead: ``out_of_domain`` when the point lies outside the probe family or the
 closed form's validity, ``out_of_range`` when the closed value overflows
@@ -38,6 +43,7 @@ keys, so identical inputs produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -63,26 +69,29 @@ __all__ = [
     "entrypoint",
 ]
 
-# Closed form and quadrature route of each sweep quantity at (dist, q).  The
-# lambdas look the functions up in `measures` at call time, so wrappers
-# installed on that module see every call.
+# Closed form, quadrature route and the map from the route's value to the
+# quantity (None: the value itself) of each sweep quantity at (dist, q).
+# eps_min = F_q**(-q) maps the Fisher route, the same route object as the
+# fisher row's.  The lambdas look the functions up in `measures` at call
+# time, so wrappers installed on that module see every call.
+_FISHER_ROUTE = lambda d, q: measures.fisher_quadrature(d, q)  # noqa: E731
 _ROUTES = {
     "eps_min": (
         lambda d, q: measures.sensitivity_closed(d, q),
-        lambda d, q: measures.sensitivity_quadrature(d, q),
+        _FISHER_ROUTE,
+        measures._sensitivity_from_fisher,
     ),
     "posterior_width": (
         lambda d, q: measures.posterior_width_closed(d, q),
         lambda d, q: measures.posterior_width_quadrature(d, q),
+        None,
     ),
     "mean_error": (
         lambda d, q: measures.mean_error_closed(d, q),
         lambda d, q: measures.mean_error_quadrature(d, 0.0, q),
+        None,
     ),
-    "fisher": (
-        lambda d, q: measures.fisher_closed(d, q),
-        lambda d, q: measures.fisher_quadrature(d, q),
-    ),
+    "fisher": (lambda d, q: measures.fisher_closed(d, q), _FISHER_ROUTE, None),
 }
 QUANTITIES = tuple(_ROUTES)
 
@@ -189,11 +198,12 @@ def _closed(closed_form, dist: ProbeDistribution, q: float) -> float:
     return value
 
 
-def _quadrature(quantity: str, dist: ProbeDistribution, q: float) -> tuple[float, bool]:
-    """(value, converged) of ``quantity``'s quadrature route: a non-converged
-    quadrature keeps its best estimate, ``nan`` after a non-finite integrand."""
+def _integral(route, dist: ProbeDistribution, q: float) -> tuple[float, bool]:
+    """(value, converged) of the quadrature ``route`` at (dist, q): a
+    non-converged quadrature keeps its best estimate, ``nan`` after a
+    non-finite integrand."""
     try:
-        return _ROUTES[quantity][1](dist, q).value, True
+        return route(dist, q).value, True
     except ConvergenceError as exc:
         return exc.value, False
     except IntegrandError:
@@ -206,16 +216,16 @@ def _sweep_row(
     q: float,
     energy: float,
     parity_tol: float,
-    quadrature=_quadrature,
+    integral=_integral,
 ) -> SweepRow:
     """Closed and quadrature values of ``quantity`` at one (alpha, q) point.
 
     A DomainError from the probe or the closed form gives out_of_domain, an
     OverflowError from the closed value out_of_range, and neither runs
-    ``quadrature(quantity, dist, q)``; a non-converged quadrature reads
-    no_converge.
+    ``integral(route, dist, q)``; the route's value is mapped to the
+    quantity, and a non-converged quadrature reads no_converge.
     """
-    closed_form = _ROUTES[quantity][0]
+    closed_form, route, to_quantity = _ROUTES[quantity]
     gamma = None
     try:
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
@@ -225,7 +235,9 @@ def _sweep_row(
         return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_domain")
     except OverflowError:
         return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_range")
-    quad, converged = quadrature(quantity, dist, q)
+    quad, converged = integral(route, dist, q)
+    if to_quantity is not None:
+        quad = to_quantity(quad, q)
     rel = abs(closed - quad) / abs(closed)
     status = "ok" if converged and rel <= parity_tol else "no_converge"
     return SweepRow(alpha, q, energy, gamma, closed, quad, rel, status)
@@ -285,9 +297,9 @@ _CHECK_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
 
 
 def _parity(
-    quantity: str, alpha: float, q: float, energy: float, tol: float, quadrature
+    quantity: str, alpha: float, q: float, energy: float, tol: float, integral
 ) -> tuple[bool | None, str]:
-    row = _sweep_row(quantity, alpha, q, energy, tol, quadrature)
+    row = _sweep_row(quantity, alpha, q, energy, tol, integral)
     if row.status in ("out_of_domain", "out_of_range"):
         return None, row.status
     return row.status == "ok", (
@@ -393,20 +405,10 @@ def verify_report(
             lines.append(f"{label}: {detail} {'PASS' if ok else 'FAIL'}")
         return ok, detail
 
-    # eps_min = F_q**(-q) is read from the same Fisher quadrature as the
-    # fisher line at its (probe, q), so that quadrature runs once for both,
-    # whichever line needs it first.
-    fisher_outcomes: dict[tuple[ProbeDistribution, float], tuple[float, bool]] = {}
-
-    def quadrature(quantity: str, dist: ProbeDistribution, q: float) -> tuple[float, bool]:
-        if quantity not in ("eps_min", "fisher"):
-            return _quadrature(quantity, dist, q)
-        if (dist, q) not in fisher_outcomes:
-            fisher_outcomes[dist, q] = _quadrature("fisher", dist, q)
-        fisher, converged = fisher_outcomes[dist, q]
-        if quantity == "eps_min":
-            return measures._sensitivity_from_fisher(fisher, q), converged
-        return fisher, converged
+    # One outcome per (route, probe, q) for this call: the eps_min and
+    # fisher lines at a point share one Fisher quadrature, whichever runs
+    # it first.
+    integral = functools.cache(_integral)
 
     # Gamma-argument resolution at the Gaussian anchor (classical Fisher
     # information of a Gaussian is 4 / gamma**2).
@@ -442,7 +444,7 @@ def verify_report(
     parity = [
         check(
             f"parity {quantity} alpha={alpha:g} q={q:g}",
-            _parity, quantity, alpha, q, energy, tolerance, quadrature,
+            _parity, quantity, alpha, q, energy, tolerance, integral,
         )[0]
         for quantity in QUANTITIES
         for alpha in alphas

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import genfisher
-from genfisher import measures
+from genfisher import cli, measures
 from genfisher.cli import (
     AlphaGrid,
     ConfigError,
@@ -21,7 +21,7 @@ from genfisher.cli import (
     sweep_to_csv,
     verify_report,
 )
-from genfisher.numerics import QuadratureSpec
+from genfisher.numerics import ConvergenceError, QuadratureSpec
 from genfisher.probe import ProbeDistribution
 
 SWEEP_HEADER = "alpha,q,energy,gamma,closed,quadrature,rel_dev,status"
@@ -297,6 +297,22 @@ class TestRunSweepLibrary:
         csv_text = sweep_to_csv(rows)
         assert csv_text.startswith(SWEEP_HEADER + "\n")
         assert csv_text.endswith("\n")
+
+    @pytest.mark.parametrize("alpha, q", [(2.0, 0.5), (0.8, 0.25), (20.0, 2.0), (0.751, 0.25)])
+    def test_eps_min_row_has_the_bits_of_sensitivity_quadrature(self, alpha, q):
+        # the eps_min row maps the Fisher route's value to F_q**(-q); that is
+        # bit for bit sensitivity_quadrature, converged or not (the Fisher
+        # hot point alpha = 0.751, q = 1/4 does not converge)
+        row = cli._sweep_row("eps_min", alpha, q, 1.0, cli._PARITY_TOL)
+        dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
+        try:
+            expected, status = measures.sensitivity_quadrature(dist, q).value, "ok"
+        except ConvergenceError as exc:
+            expected, status = exc.value, "no_converge"
+        assert row.quadrature_value.hex() == expected.hex()
+        assert row.status == status
+        if alpha == 0.751:
+            assert (status, expected.hex()) == ("no_converge", "0x1.504e4f42219bfp-3")
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ConfigError):

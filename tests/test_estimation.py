@@ -21,7 +21,6 @@ from genfisher.estimation import (
     _draw_outcomes,
     run_trials,
     three_sigma_check,
-    unbiasedness_report,
 )
 from genfisher.measures import mean_error_closed
 from genfisher.numerics import DomainError
@@ -53,6 +52,17 @@ def percentile_bootstrap(plan, resamples, seed):
     low, high = np.percentile(boot, [tail, 100.0 - tail])
     estimate = float(np.mean(y)) ** plan.q
     return min(float(low), estimate), max(float(high), estimate)
+
+
+def coverage(alpha, q, shift):
+    """Share of seeds 0-999 (2000 trials each) whose 99% interval covers the
+    closed mean error."""
+    dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
+    covered = 0
+    for seed in range(1000):
+        r = run_trials(TrialPlan(dist, shift, q, 2_000, seed, 100))
+        covered += r.generalized_error_ci_low <= r.predicted_mean_error <= r.generalized_error_ci_high
+    return covered / 1000
 
 
 class TestValidation:
@@ -220,14 +230,16 @@ class TestInterval:
         # the closed mean error on at least 95% of them (a 300-resample
         # percentile bootstrap scores 0.96-0.98 here) and must not be so wide
         # that it covers nearly always.
-        dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
-        covered = 0
-        for seed in range(1000):
-            r = run_trials(TrialPlan(dist, shift, q, 2_000, seed, 100))
-            covered += (
-                r.generalized_error_ci_low <= r.predicted_mean_error <= r.generalized_error_ci_high
-            )
-        assert 0.95 <= covered / 1000 <= 0.998
+        assert 0.95 <= coverage(alpha, q, shift) <= 0.998
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        reason="q = 1/4: the Cornish-Fisher interval covers on 96.9% of seeds; "
+        "Hall's transformation should lift it above 98%",
+    )
+    def test_coverage_at_quarter_order_reaches_the_three_sigma_floor(self):
+        # 0.98 is three binomial sigmas below 0.99 over 1000 seeds
+        assert coverage(1.5, 0.25, -0.2) >= 0.98
 
 
 def test_import_path_stays_light():
@@ -244,24 +256,23 @@ def test_import_path_stays_light():
 
 
 class TestUnbiasedness:
-    def test_report_and_cli_share_the_rule(self):
-        p = plan(shift=-0.4, trials=20_000, seed=23)
+    @staticmethod
+    def verdict(p):
+        """The 3-sigma rule on one run's report, as ``simulate`` applies it."""
         report = run_trials(p)
-        assert unbiasedness_report(p) == three_sigma_check(
-            report.empirical_mean, report.mean_std_error, p.true_shift
-        )
+        return three_sigma_check(report.empirical_mean, report.mean_std_error, p.true_shift)
 
     def test_three_sigma_edge(self):
         assert three_sigma_check(1.75, 0.25, 1.0).passed  # exactly 3 sigma
         assert not three_sigma_check(1.875, 0.25, 1.0).passed
 
     def test_gaussian_probe(self):
-        rep = unbiasedness_report(plan(shift=1.5, seed=21))
+        rep = self.verdict(plan(shift=1.5, seed=21))
         assert rep.passed
         assert abs(rep.bias) <= 3.0 * rep.std_error
 
     def test_heavy_tailed_probe(self):
-        rep = unbiasedness_report(
+        rep = self.verdict(
             TrialPlan(
                 distribution=ProbeDistribution.from_shape_scale(0.8, 1.0),
                 true_shift=-0.2,
@@ -278,7 +289,7 @@ class TestUnbiasedness:
         # nearly every seed (t_9 tails put ~1.5% outside)
         passes = 0
         for seed in range(200):
-            rep = unbiasedness_report(plan(trials=10, seed=seed, boots=100))
+            rep = self.verdict(plan(trials=10, seed=seed, boots=100))
             passes += rep.passed
         assert passes / 200 >= 0.97
 

@@ -80,6 +80,8 @@ class TrialPlan:
             raise DomainError(f"order q must be positive, got {self.q}")
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.bootstrap_resamples < 100:
             raise DomainError(
                 f"bootstrap_resamples must be at least 100, got {self.bootstrap_resamples}"
@@ -161,15 +163,20 @@ def run_trials(plan: TrialPlan) -> TrialReport:
     plug-in estimate.  ``plan.bootstrap_resamples`` is ignored.
     ``max_abs_deviation`` is the largest single deviation seen; for q < 1/2
     the statistic averages a high power of it, so a large value flags slow
-    convergence.  Raises ``DomainError`` when q is so small that the sum of
-    cubes of |x - shift|**(1/q), which the interval needs, leaves double
-    range.
+    convergence.  Raises ``DomainError`` when, judged from that largest
+    deviation, the sum of cubes of |x - shift|**(1/q), which the interval
+    needs, overflows double range, or when those cubes or the squares that
+    the standard error sums underflow it.
     """
     x = _draw_outcomes(plan)
     deviations = np.abs(x - plan.true_shift)
     max_deviation = float(np.max(deviations))
-    if max_deviation > 0.0 and 3.0 * math.log(max_deviation) / plan.q + math.log(x.size) >= EXP_MAX:
+    log_max = math.log(max_deviation) if max_deviation > 0.0 else -math.inf
+    if 3.0 * log_max / plan.q + math.log(x.size) >= EXP_MAX:
         raise DomainError(f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows")
+    p = max(2.0, 3.0 / plan.q)
+    if p * log_max - math.log(x.size) <= -EXP_MAX:
+        raise DomainError(f"|x - shift| <= {max_deviation:.3g}: |x - shift|**{p:g} underflows")
     y = deviations ** (1.0 / plan.q)
 
     empirical_mean = float(np.mean(x))

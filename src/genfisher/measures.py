@@ -32,14 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .numerics import (
     LN2,
+    ConvergenceError,
     DomainError,
     QuadratureResult,
     QuadratureSpec,
-    integrate_measure,
+    integrate_half_line,
+    integrate_real_line,
     log_gamma,
     safe_exp,
 )
@@ -83,9 +85,9 @@ class MeasureValue:
     """One evaluated measure.
 
     ``quad_detail`` carries the underlying quadrature for quadrature-backed
-    values.  For the distance and Fisher quantities it is on the same scale
-    as ``value``; for sensitivity, posterior width, and mean error it holds
-    the raw integral before the final power is applied.
+    values.  For the distance and Fisher quadratures it is on the same scale
+    as ``value``; for the linearized distance, sensitivity, posterior width
+    and mean error it holds the integral that ``value`` is a map of.
     """
 
     quantity: Quantity
@@ -141,6 +143,35 @@ def _log_fisher_closed(
     return ln_scale / q + log_gamma(gamma_argument) - log_gamma(1.0 / dist.alpha)
 
 
+def _quadrature(
+    quantity: Quantity,
+    integrand: Callable[[float], float],
+    spec: QuadratureSpec | None,
+    splits: Iterable[float],
+    label: str,
+    *,
+    half_line: bool = False,
+    fold: float = 1.0,
+    transform: Callable[[float], float] | None = None,
+) -> MeasureValue:
+    """Integrate over the real line, or [0, inf) when ``half_line``, with
+    ``splits`` merged into ``spec``; scale value and error by ``fold`` and
+    report ``transform`` (which guards its own domain) of the folded integral.
+    Raises ``ConvergenceError`` with the folded result and the mapped best
+    estimate when the quadrature did not converge.  The engine is looked up
+    in this module per call, so wrappers installed on it see every integral.
+    """
+    spec = (spec or QuadratureSpec()).with_splits(splits)
+    raw = (integrate_half_line if half_line else integrate_real_line)(integrand, spec)
+    result = QuadratureResult(
+        fold * raw.value, fold * raw.abs_error_estimate, raw.converged, raw.evaluations
+    )
+    value = result.value if transform is None else transform(result.value)
+    if not result.converged:
+        raise ConvergenceError(f"{label} did not converge", result, value)
+    return MeasureValue(quantity, value, Method.QUADRATURE, result)
+
+
 # Each quadrature integrand reads its probe's constants into closure locals
 # once per integral and evaluates log P (and log |score|) in place, with the
 # operations of ProbeDistribution.log_pdf and log_score_magnitude in the same
@@ -163,7 +194,6 @@ def hellinger_distance(
     eps = float(eps)
     log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
     splits = {0.0, 0.5 * eps, eps, g, -g, 2.0 * g, -2.0 * g, eps + g, eps - g}
-    spec = (spec or QuadratureSpec()).with_splits(splits)
 
     def integrand(x: float) -> float:
         try:
@@ -183,8 +213,7 @@ def hellinger_distance(
         return safe_exp((hi + math.log(-math.expm1(diff))) / q)
 
     label = f"distance quadrature (alpha={dist.alpha}, q={q}, eps={eps})"
-    value, half = integrate_measure(integrand, spec, label, fold=0.5)
-    return MeasureValue(Quantity.DISTANCE, value, Method.QUADRATURE, half)
+    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, fold=0.5)
 
 
 def hellinger_linearized(
@@ -195,13 +224,13 @@ def hellinger_linearized(
 ) -> MeasureValue:
     """First-order weak-signal approximation (q**(1/q) / 2) |eps|**(1/q) F_q.
 
-    Uses the quadrature Fisher value, so it inherits that domain
-    (``alpha > 1 - q``)."""
+    A linear map of the Fisher route, so it inherits that domain
+    (``alpha > 1 - q``); ``quad_detail`` holds the Fisher integral."""
     q = _require_order(q)
-    fisher = fisher_quadrature(dist, q, spec)
     prefactor = math.exp(math.log(q) / q - LN2)
-    value = prefactor * abs(eps) ** (1.0 / q) * fisher.value
-    return MeasureValue(Quantity.DISTANCE, value, Method.QUADRATURE, fisher.quad_detail)
+    return _fisher_route(
+        dist, q, spec, Quantity.DISTANCE, lambda fisher: prefactor * abs(eps) ** (1.0 / q) * fisher
+    )
 
 
 def _fisher_route(
@@ -225,7 +254,7 @@ def _fisher_route(
         )
     log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
     log_2alpha, power, alpha_log_gamma = dist.score_terms
-    spec = (spec or QuadratureSpec()).with_splits((g, 4.0 * g))
+    splits = (g, 4.0 * g)
 
     def integrand(u: float) -> float:
         if u == 0.0:
@@ -237,10 +266,9 @@ def _fisher_route(
         return safe_exp(log_p + (log_2alpha + power * math.log(u) - alpha_log_gamma) / q)
 
     label = f"Fisher quadrature (alpha={dist.alpha}, q={q})"
-    value, full = integrate_measure(
-        integrand, spec, label, half_line=True, fold=2.0, transform=transform
+    return _quadrature(
+        quantity, integrand, spec, splits, label, half_line=True, fold=2.0, transform=transform
     )
-    return MeasureValue(quantity, value, Method.QUADRATURE, full)
 
 
 def fisher_quadrature(
@@ -326,7 +354,6 @@ def posterior_width_quadrature(
     if q == 1.0:
         raise DomainError("posterior width is undefined at q = 1")
     log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
-    spec = (spec or QuadratureSpec()).with_splits((g, 4.0 * g))
 
     def integrand(u: float) -> float:
         try:
@@ -335,15 +362,20 @@ def posterior_width_quadrature(
             log_p = -math.inf
         return safe_exp(q * log_p)
 
-    value, raw = integrate_measure(
+    def width(integral: float) -> float:
+        return math.exp(math.log(integral) / (1.0 - q)) if integral > 0.0 else math.nan
+
+    label = f"posterior width quadrature (alpha={dist.alpha}, q={q})"
+    return _quadrature(
+        Quantity.POSTERIOR_WIDTH,
         integrand,
         spec,
-        f"posterior width quadrature (alpha={dist.alpha}, q={q})",
+        (g, 4.0 * g),
+        label,
         half_line=True,
         fold=2.0,
-        transform=lambda integral: math.exp(math.log(integral) / (1.0 - q)),
+        transform=width,
     )
-    return MeasureValue(Quantity.POSTERIOR_WIDTH, value, Method.QUADRATURE, raw)
 
 
 def mean_error_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
@@ -377,9 +409,7 @@ def mean_error_quadrature(
     q = _require_order(q)
     eps = float(eps)
     log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
-    spec = (spec or QuadratureSpec()).with_splits(
-        (eps, eps - g, eps + g, eps - 4.0 * g, eps + 4.0 * g)
-    )
+    splits = (eps, eps - g, eps + g, eps - 4.0 * g, eps + 4.0 * g)
 
     def integrand(x: float) -> float:
         au = abs(x - eps)
@@ -391,13 +421,11 @@ def mean_error_quadrature(
             log_p = -math.inf
         return safe_exp(log_p + math.log(au) / q)
 
-    value, moment = integrate_measure(
-        integrand,
-        spec,
-        f"mean error quadrature (alpha={dist.alpha}, q={q}, eps={eps})",
-        transform=lambda integral: math.exp(q * math.log(integral)),
-    )
-    return MeasureValue(Quantity.MEAN_ERROR, value, Method.QUADRATURE, moment)
+    def error(moment: float) -> float:
+        return math.exp(q * math.log(moment)) if moment > 0.0 else math.nan
+
+    label = f"mean error quadrature (alpha={dist.alpha}, q={q}, eps={eps})"
+    return _quadrature(Quantity.MEAN_ERROR, integrand, spec, splits, label, transform=error)
 
 
 def triangle_probe(

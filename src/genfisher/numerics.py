@@ -43,7 +43,6 @@ __all__ = [
     "log_gamma",
     "integrate_real_line",
     "integrate_half_line",
-    "integrate_measure",
     "safe_exp",
 ]
 
@@ -325,31 +324,3 @@ def integrate_half_line(
     pieces.append((_tail(f, points[-1], 1.0), 0.0, 1.0))
     return _adaptive(pieces, spec)
 
-
-def integrate_measure(
-    f: Callable[[float], float],
-    spec: QuadratureSpec,
-    label: str,
-    *,
-    half_line: bool = False,
-    fold: float = 1.0,
-    transform: Callable[[float], float] | None = None,
-) -> tuple[float, QuadratureResult]:
-    """Integrate ``f`` over the real line (or [0, inf) when ``half_line``),
-    scale value and error by ``fold`` (2 for an even integrand folded onto
-    the half line) and map the folded integral through ``transform``, the
-    final power (``nan`` for a non-positive integral).  Returns the value and
-    the folded result; raises ``ConvergenceError`` carrying both, with
-    ``label`` naming the computation, when the quadrature did not converge.
-    """
-    # Looked up at call time so wrappers installed on this module see it.
-    raw = (integrate_half_line if half_line else integrate_real_line)(f, spec)
-    result = QuadratureResult(
-        fold * raw.value, fold * raw.abs_error_estimate, raw.converged, raw.evaluations
-    )
-    value = result.value
-    if transform is not None:
-        value = transform(value) if value > 0.0 else math.nan
-    if not result.converged:
-        raise ConvergenceError(f"{label} did not converge", result, value)
-    return value, result

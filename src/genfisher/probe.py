@@ -31,7 +31,6 @@ import numpy as np
 
 from .numerics import (
     LN2,
-    ConvergenceError,
     DomainError,
     QuadratureSpec,
     log_gamma,
@@ -134,22 +133,16 @@ class ProbeDistribution:
 
     def mean_energy_quadrature(self, spec: QuadratureSpec | None = None) -> float:
         """Mean energy by quadrature: one quarter of the classical Fisher
-        information, ``fisher_quadrature(self, 0.5, spec)``.
+        information, the q = 1/2 Fisher route mapped by ``F / 4``.
 
-        A non-converged quadrature raises ``ConvergenceError`` whose
-        ``value`` is the best estimate of the energy.
+        The energy diverges for ``alpha <= 1/2``, where that route raises
+        ``DomainError``.  A non-converged quadrature raises
+        ``ConvergenceError`` whose ``value`` is the best estimate of the
+        energy.
         """
-        from .measures import fisher_quadrature  # measures imports this module
+        from .measures import Quantity, _fisher_route  # measures imports this module
 
-        if self.alpha <= 0.5:
-            raise DomainError(
-                f"mean energy diverges for alpha = {self.alpha} <= 1/2"
-            )
-        try:
-            return fisher_quadrature(self, 0.5, spec).value / 4.0
-        except ConvergenceError as exc:
-            exc.value /= 4.0
-            raise
+        return _fisher_route(self, 0.5, spec, Quantity.FISHER, lambda fisher: fisher / 4.0).value
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values.

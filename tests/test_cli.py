@@ -377,6 +377,21 @@ class TestSimulateCommand:
     def test_missing_alpha_is_usage_error(self, tmp_path):
         assert main(["simulate", "--trials", "10", "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--alpha", "2", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: master_seed must be nonnegative")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--gamma", "1e-300"], ["--gamma", "1e-100", "--q", "0.25"]])
+    def test_underflowing_deviation_is_usage_error(self, tmp_path, capsys, extra):
+        # the report would read a generalized error of 0.0
+        out = tmp_path / "x.json"
+        rc = main(["simulate", "--alpha", "2", "--trials", "1000", *extra, "--out", str(out)])
+        assert rc == 2
+        assert "underflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bootstrap_flag_is_deprecated_and_ignored(self, tmp_path, capsys):
         args = ["simulate", "--alpha", "2", "--trials", "2000", "--seed", "3"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -78,6 +78,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             plan(q=0.0)
 
+    def test_rejects_negative_seed(self):
+        # SeedSequence takes nonnegative entropy only
+        with pytest.raises(DomainError, match="master_seed"):
+            plan(seed=-1)
+        assert plan(seed=0).master_seed == 0
+
 
 class TestRunTrials:
     @pytest.mark.parametrize("q", [1e-9, 1e-3, 1.5e-3])
@@ -89,6 +95,30 @@ class TestRunTrials:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="too small"):
                 run_trials(plan(q=q, trials=1000, seed=0))
+
+    @pytest.mark.parametrize(
+        "gamma, q",
+        # the interval's cubes (q = 1/2, 1/4) or the standard error's squares
+        # (q = 4) of |x - shift| fall below double range; 1e-30 at q = 1/4
+        # used to divide by a zero second moment
+        [(1e-300, 0.5), (1e-100, 0.25), (1e-30, 0.25), (1e-200, 4.0)],
+    )
+    def test_underflowing_deviation_is_a_domain_error(self, gamma, q):
+        tiny = TrialPlan(ProbeDistribution(2.0, gamma), 0.0, q, 1000, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="underflows"):
+                run_trials(tiny)
+
+    def test_small_scale_within_range_keeps_its_error(self):
+        # gamma = 1e-25 at q = 1/4: |x - shift|**12 stays in range, and the
+        # report scales with gamma like the closed prediction
+        report = run_trials(TrialPlan(ProbeDistribution(2.0, 1e-25), 0.0, 0.25, 1000, 0))
+        assert report.mean_std_error > 0.0
+        assert report.generalized_error_ci_low < report.generalized_error_ci_high
+        assert report.empirical_generalized_error == pytest.approx(
+            report.predicted_mean_error, rel=0.05
+        )
 
     def test_gaussian_half_order_megatrial(self):
         # predicted error is the standard deviation gamma / 2 = 1/2

@@ -108,6 +108,50 @@ class TestLinearization:
         assert 0.99 <= ratio <= 1.01
 
 
+# A 100-evaluation spec: every Fisher route stops at 90 evaluations, a few
+# ulps from the converged integral, and raises ConvergenceError.
+STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
+
+
+class TestFisherMaps:
+    """Each map of the Fisher integral is applied to the value and to the
+    best estimate a ConvergenceError carries, with unchanged bits."""
+
+    def test_non_converged_linearization_is_a_distance(self):
+        # (q^(1/q)/2) |eps|^(1/q) F_q = (1/8)(1e-6)(4), not F_q = 4 itself
+        with pytest.raises(ConvergenceError) as info:
+            hellinger_linearized(GAUSS, 1e-3, 0.5, STARVED)
+        assert info.value.value == pytest.approx(5e-7, rel=1e-9)
+        assert info.value.result.value == pytest.approx(4.0, rel=1e-9)
+
+    # name -> (route, bits at the default spec, bits of the starved estimate)
+    PINS = {
+        "eps_min": (
+            lambda spec: sensitivity_quadrature(GAUSS, 0.5, spec),
+            "0x1.0000000000008p-1",
+            "0x1.0000000000008p-1",
+        ),
+        "eps_min_quarter": (
+            lambda spec: sensitivity_quadrature(energy_probe(0.8), 0.25, spec),
+            "0x1.a4f4a3f66aa6dp-2",
+            "0x1.c786ea5fad2eap-2",
+        ),
+        "linearized": (
+            lambda spec: hellinger_linearized(GAUSS, 1e-3, 0.5, spec),
+            "0x1.0c6f7a0b5ed7ep-21",
+            "0x1.0c6f7a0b5ed7dp-21",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_value_bits(self, name):
+        route, converged, starved = self.PINS[name]
+        assert route(None).value.hex() == converged
+        with pytest.raises(ConvergenceError) as info:
+            route(STARVED)
+        assert info.value.value.hex() == starved
+
+
 class TestFisher:
     @pytest.mark.parametrize(
         "dist,q,expected",
@@ -407,11 +451,12 @@ class TestIntegrandBits:
         measure, reference, real_line = self.ROUTES[route]
         captured = []
 
-        def capture(f, spec, label, **kwargs):
+        def capture(f, spec):
             captured.append(f)
-            return 1.0, QuadratureResult(1.0, 0.0, True, 0)
+            return QuadratureResult(1.0, 0.0, True, 0)
 
-        monkeypatch.setattr(measures, "integrate_measure", capture)
+        monkeypatch.setattr(measures, "integrate_real_line", capture)
+        monkeypatch.setattr(measures, "integrate_half_line", capture)
         dist = energy_probe(alpha)
         measure(dist, q)
         (integrand,) = captured

@@ -222,16 +222,17 @@ def _panels(seed, lo, hi, count):
 
 
 def _capture_integrand(route, alpha, q):
-    """The integrand a measure route hands to ``integrate_measure``."""
+    """The integrand a measure route hands to the quadrature engine."""
     captured = []
 
-    def capture(f, spec, label, **kwargs):
+    def capture(f, spec):
         captured.append(f)
-        return 1.0, QuadratureResult(1.0, 0.0, True, 0)
+        return QuadratureResult(1.0, 0.0, True, 0)
 
     dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "integrate_measure", capture)
+        mp.setattr(measures, "integrate_real_line", capture)
+        mp.setattr(measures, "integrate_half_line", capture)
         route(dist, q)
     (integrand,) = captured
     return integrand

@@ -53,7 +53,7 @@ from pathlib import Path
 
 from . import measures
 from .estimation import TrialPlan, run_trials, three_sigma_check
-from .numerics import ConvergenceError, DomainError, IntegrandError, QuadratureSpec
+from .numerics import ConvergenceError, DomainError, IntegrandError, QuadratureSpec, log_gamma
 from .probe import ProbeDistribution
 
 __all__ = [
@@ -189,15 +189,6 @@ class SweepRow:
     status: str
 
 
-def _closed(closed_form, dist: ProbeDistribution, q: float) -> float:
-    """``closed_form(dist, q).value``; raises OverflowError when the value
-    leaves double range, by overflow or by underflow to 0."""
-    value = closed_form(dist, q).value
-    if value == 0.0:
-        raise OverflowError("closed value underflows to 0")
-    return value
-
-
 def _integral(route, dist: ProbeDistribution, q: float) -> tuple[float, bool]:
     """(value, converged) of the quadrature ``route`` at (dist, q): a
     non-converged quadrature keeps its best estimate, ``nan`` after a
@@ -230,7 +221,7 @@ def _sweep_row(
     try:
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
         gamma = dist.gamma_scale
-        closed = _closed(closed_form, dist, q)
+        closed = closed_form(dist, q).value
     except DomainError:
         return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_domain")
     except OverflowError:
@@ -245,7 +236,10 @@ def _sweep_row(
 
 def run_sweep(config: SweepConfig, parity_tol: float = _PARITY_TOL) -> list[SweepRow]:
     """One row per (alpha, q), alpha-major; out-of-domain points are explicit
-    rows, never skipped."""
+    rows, never skipped.  Raises ConfigError, as ``verify_report`` does, for a
+    parity tolerance that is not positive and finite."""
+    if not (0.0 < parity_tol < math.inf):
+        raise ConfigError(f"parity tolerance must be positive and finite, got {parity_tol}")
     return [
         _sweep_row(config.quantity, alpha, q, config.energy, parity_tol)
         for alpha in config.alpha_grid.points()
@@ -317,9 +311,8 @@ def _sensitivity_law(alpha: float, energy: float) -> tuple[bool, str]:
 
 def _cr_product(alpha: float, energy: float) -> tuple[bool, str]:
     dist = ProbeDistribution.from_shape_energy(alpha, energy)
-    p = measures.mean_error_closed(dist, 0.5).value * math.sqrt(
-        _closed(measures.fisher_closed, dist, 0.5)
-    )
+    error = measures.mean_error_closed(dist, 0.5).value
+    p = error * math.sqrt(measures.fisher_closed(dist, 0.5).value)
     expected_saturation = abs(alpha - 2.0) < 1e-12
     ok = (abs(p - 1.0) <= 1e-9) == expected_saturation and p >= 1.0 - 1e-9
     return ok, f"product={_fmt(p)}"
@@ -327,7 +320,7 @@ def _cr_product(alpha: float, energy: float) -> tuple[bool, str]:
 
 def _generalized_cr_product(alpha: float, q: float, energy: float) -> tuple[None, str]:
     dist = ProbeDistribution.from_shape_energy(alpha, energy)
-    p = measures.mean_error_closed(dist, q).value * _closed(measures.fisher_closed, dist, q) ** q
+    p = measures.mean_error_closed(dist, q).value * measures.fisher_closed(dist, q).value ** q
     return None, _fmt(p)
 
 
@@ -416,18 +409,16 @@ def verify_report(
     quad = measures.fisher_quadrature(anchor, 0.5).value
     confirmed = measures.fisher_closed(anchor, 0.5).value
     # the candidate gamma argument (alpha+q-1)/alpha, which the quadrature rules out
-    a = anchor.alpha
-    rejected = math.exp(measures._log_fisher_closed(anchor, 0.5, (a + 0.5 - 1.0) / a))
+    a, q = anchor.alpha, 0.5
+    swap = log_gamma((a + q - 1.0) / a) - log_gamma(measures.fisher_gamma_argument(a, q))
+    rejected = confirmed * math.exp(swap)
     anchor_ok = (
         abs(quad - 4.0) <= 1e-6 * 4.0
         and abs(confirmed - quad) <= tolerance * abs(quad)
         and abs(rejected - quad) > 1e3 * tolerance * abs(quad)
     )
-    lines.append(
-        "eq6_argument: (alpha+q-1)/(alpha*q) CONFIRMED"
-        if anchor_ok
-        else "eq6_argument: (alpha+q-1)/(alpha*q) NOT CONFIRMED"
-    )
+    verdict = "CONFIRMED" if anchor_ok else "NOT CONFIRMED"
+    lines.append(f"eq6_argument: (alpha+q-1)/(alpha*q) {verdict}")
     all_ok = all_ok and anchor_ok
     lines.append(
         f"eq6_argument_anchor: alpha=2 gamma=1 q=0.5 quadrature={_fmt(quad)} "
@@ -601,6 +592,8 @@ def _cmd_simulate(args) -> tuple[str, str, int]:
         trials=args.trials,
         master_seed=args.seed,
     )
+    if plan.trials < 2:
+        raise ConfigError("simulate needs at least 2 trials: one trial has no spread to check")
     if args.bootstrap is not None:
         print("note: --bootstrap is deprecated and ignored (analytic interval)", file=sys.stderr)
         plan = replace(plan, bootstrap_resamples=args.bootstrap)  # still validated

@@ -21,10 +21,13 @@ from gamma-function ratios; each closed form here is paired with an
 independent quadrature route so they can be cross-checked.  The closed
 Fisher form uses the gamma argument ``(alpha + q - 1) / (alpha * q)``,
 which the quadrature confirms (see the verification report for the
-rejected alternative).
+rejected alternative).  A closed value that leaves double range, by overflow
+or by underflow to 0, raises OverflowError.
 
 Weak-signal behaviour: to first order in the shift,
-``D_q ~ (q**(1/q) / 2) * |eps|**(1/q) * F_q``.
+``D_q ~ (q**(1/q) / 2) * |eps|**(1/q) * F_q``.  ``hellinger_linearized``
+computes the factor in front of F_q before it integrates, so a non-finite
+shift or a factor beyond double range raises before any quadrature runs.
 """
 
 from __future__ import annotations
@@ -125,22 +128,26 @@ def fisher_gamma_argument(alpha: float, q: float) -> float:
     return (alpha + q - 1.0) / (alpha * q)
 
 
-def _log_fisher_closed(
-    dist: ProbeDistribution, q: float, gamma_argument: float | None = None
-) -> float:
-    """Log of the closed Fisher form, valid for alpha > max(1 - q, 1/2);
-    ``gamma_argument`` replaces ``fisher_gamma_argument(alpha, q)`` to
-    evaluate a rejected candidate."""
+def _log_fisher_closed(dist: ProbeDistribution, q: float) -> float:
+    """Log of the closed Fisher form, valid for alpha > max(1 - q, 1/2)."""
+    a = dist.alpha
     bound = max(1.0 - q, 0.5)
-    if dist.alpha <= bound:
+    if a <= bound:
         raise DomainError(
             f"closed Fisher form needs alpha > max(1 - q, 1/2) = {bound}; "
-            f"got alpha = {dist.alpha}, q = {q}"
+            f"got alpha = {a}, q = {q}"
         )
-    ln_scale = math.log(dist.alpha) + LN2 / dist.alpha - math.log(dist.gamma_scale)
-    if gamma_argument is None:
-        gamma_argument = fisher_gamma_argument(dist.alpha, q)
-    return ln_scale / q + log_gamma(gamma_argument) - log_gamma(1.0 / dist.alpha)
+    ln_scale = math.log(a) + LN2 / a - math.log(dist.gamma_scale)
+    return ln_scale / q + log_gamma(fisher_gamma_argument(a, q)) - log_gamma(1.0 / a)
+
+
+def _closed(quantity: Quantity, log_value: float) -> MeasureValue:
+    """The closed value ``exp(log_value)``; raises OverflowError when it
+    leaves double range, by overflow or by underflow to 0."""
+    value = math.exp(log_value)
+    if value == 0.0:
+        raise OverflowError(f"closed {quantity.value} underflows to 0")
+    return MeasureValue(quantity, value, Method.CLOSED_FORM)
 
 
 def _quadrature(
@@ -225,12 +232,14 @@ def hellinger_linearized(
     """First-order weak-signal approximation (q**(1/q) / 2) |eps|**(1/q) F_q.
 
     A linear map of the Fisher route, so it inherits that domain
-    (``alpha > 1 - q``); ``quad_detail`` holds the Fisher integral."""
+    (``alpha > 1 - q``); ``quad_detail`` holds the Fisher integral.  A
+    non-finite shift raises DomainError, and a factor in front of F_q beyond
+    double range OverflowError, before the quadrature runs."""
     q = _require_order(q)
-    prefactor = math.exp(math.log(q) / q - LN2)
-    return _fisher_route(
-        dist, q, spec, Quantity.DISTANCE, lambda fisher: prefactor * abs(eps) ** (1.0 / q) * fisher
-    )
+    if not math.isfinite(eps):
+        raise DomainError(f"shift must be finite, got {eps}")
+    factor = math.exp(math.log(q) / q - LN2) * abs(eps) ** (1.0 / q)
+    return _fisher_route(dist, q, spec, Quantity.DISTANCE, lambda fisher: factor * fisher)
 
 
 def _fisher_route(
@@ -289,17 +298,13 @@ def fisher_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
 
     valid for alpha > max(1 - q, 1/2)."""
     q = _require_order(q)
-    return MeasureValue(
-        Quantity.FISHER, math.exp(_log_fisher_closed(dist, q)), Method.CLOSED_FORM
-    )
+    return _closed(Quantity.FISHER, _log_fisher_closed(dist, q))
 
 
 def sensitivity_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
     """Minimum detectable shift eps_min = F_q**(-q), closed form."""
     q = _require_order(q)
-    return MeasureValue(
-        Quantity.EPS_MIN, math.exp(-q * _log_fisher_closed(dist, q)), Method.CLOSED_FORM
-    )
+    return _closed(Quantity.EPS_MIN, -q * _log_fisher_closed(dist, q))
 
 
 def _sensitivity_from_fisher(fisher: float, q: float) -> float:
@@ -338,7 +343,7 @@ def posterior_width_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
         - math.log(a)
         - LN2 / a
     )
-    return MeasureValue(Quantity.POSTERIOR_WIDTH, math.exp(log_w), Method.CLOSED_FORM)
+    return _closed(Quantity.POSTERIOR_WIDTH, log_w)
 
 
 def posterior_width_quadrature(
@@ -391,7 +396,7 @@ def mean_error_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
         + q * (log_gamma((1.0 + q) / (a * q)) - log_gamma(1.0 / a))
         + math.log(g)
     )
-    return MeasureValue(Quantity.MEAN_ERROR, math.exp(log_e), Method.CLOSED_FORM)
+    return _closed(Quantity.MEAN_ERROR, log_e)
 
 
 def mean_error_quadrature(

@@ -331,6 +331,15 @@ class TestRunSweepLibrary:
         with pytest.raises(ConfigError):
             SweepConfig("wrong", (0.5,), 1.0, grid, "x.csv")
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_rejects_bad_parity_tolerance(self, tol):
+        # as verify_report does, before any row is computed
+        config = SweepConfig("eps_min", (0.5,), 1.0, AlphaGrid(1.0, 2.0, 2), "x.csv")
+        with pytest.raises(ConfigError):
+            run_sweep(config, tol)
+        with pytest.raises(ConfigError):
+            verify_report(tolerance=tol)
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--alpha", "2", "--energy", "1", "--eps", "0.3",
@@ -360,6 +369,14 @@ class TestSimulateCommand:
         rc = main(["simulate", "--alpha", "2", "--trials", "0",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
+
+    def test_single_trial_is_usage_error(self, tmp_path, capsys):
+        # one trial has a standard error of 0 and an interval of one point,
+        # so neither check could pass on any seed
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--alpha", "2", "--trials", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: simulate needs at least 2 trials")
+        assert not out.exists()
 
     def test_energy_and_gamma_conflict(self, tmp_path):
         # argparse enforces the exclusion for flags

@@ -36,3 +36,30 @@ def test_default_run_is_pinned(tmp_path, capsys, evaluations, argv, sha256, call
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
     assert (len(evaluations), sum(evaluations)) == (calls, evals)
+
+
+# Runs whose closed values leave double range: the output bytes and the exit
+# code 1 gate where the out_of_range rule is applied.  The argv lists are
+# those of tests/test_cli.py::OUT_OF_RANGE.
+OUT_OF_RANGE_RUNS = [
+    (["verify", "--alphas", "2", "--qs", "1e-3"],
+     "d9f66dc11547aafa0b90b80652f03984e3c83486de9ec18cbcddf9314898c3b3"),
+    (["verify", "--energy", "1e-300"],
+     "2bac2ae34671b0b451b2b3b348134d811d4deb99104d198067975d614d7dd914"),
+    (["sweep", "--quantity", "fisher", "--q", "1e-3"],
+     "8963133fbba418f4de980acd3ee54546d482d0af60b7a075c5ad46cb226c307e"),
+    (["sweep", "--quantity", "fisher", "--energy", "1e300"],
+     "31a040457793ef2c7838e624c06b24740bab857ab83e7298f1df0af9b5872092"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    OUT_OF_RANGE_RUNS,
+    ids=["verify_tiny_q", "verify_tiny_energy", "sweep_tiny_q", "sweep_huge_energy"],
+)
+def test_out_of_range_run_is_pinned(tmp_path, capsys, argv, sha256):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

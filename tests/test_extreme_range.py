@@ -3,13 +3,15 @@
 Each test asserts the correct behaviour and names the one exception the
 defect raises today, so an unrelated error still fails the test.  Computing
 the measures on the unit-scale probe (ROADMAP item 3) is expected to flip
-them; an unexpected pass fails the suite (``xfail_strict``).
+the energy and order cases; the large-shift distance cases need split points
+and a tail map that follow the shift.  An unexpected pass fails the suite
+(``xfail_strict``).
 """
 
 import pytest
 
 from genfisher.cli import main
-from genfisher.measures import fisher_closed, fisher_quadrature
+from genfisher.measures import fisher_closed, fisher_quadrature, hellinger_distance
 from genfisher.numerics import IntegrandError
 from genfisher.probe import ProbeDistribution
 
@@ -52,3 +54,27 @@ def test_sweep_at_huge_energy_converges(tmp_path, capsys, quantity):
     assert len(rows) == 180
     assert [r for r in rows if r[-1] == "no_converge"] == []
     assert rc == 0
+
+
+# At q = 1/2 the distance of two copies of a unit-scale Gaussian probe tends to
+# 1 as the shift grows (D = 0.9999999999999968 at eps = 10).  Beyond that the
+# split points eps +- gamma collapse onto eps and the two bumps sit far apart
+# on a fixed tail map: the quadrature reports converged wrong values, and at
+# eps = 1e50 a tail node rounds onto t = 1 and divides by zero.
+@pytest.mark.parametrize(
+    "eps",
+    [
+        10.0,
+        pytest.param(1e4, marks=pytest.mark.xfail(raises=AssertionError, reason="reads 0.98861")),
+        pytest.param(1e8, marks=pytest.mark.xfail(raises=AssertionError, reason="reads 0.98861")),
+        pytest.param(1e16, marks=pytest.mark.xfail(raises=AssertionError, reason="reads 0.89919")),
+        pytest.param(1e20, marks=pytest.mark.xfail(raises=AssertionError, reason="reads 3268.2")),
+        pytest.param(
+            1e50,
+            marks=pytest.mark.xfail(raises=ZeroDivisionError, reason="escapes numerics._tail"),
+        ),
+    ],
+)
+def test_distance_at_large_shift_is_one(eps):
+    dist = ProbeDistribution.from_shape_scale(2.0, 1.0)
+    assert hellinger_distance(dist, eps, 0.5).value == pytest.approx(1.0, rel=0.0, abs=1e-9)

@@ -107,6 +107,52 @@ class TestLinearization:
         )
         assert 0.99 <= ratio <= 1.01
 
+    def test_factor_beyond_double_range_raises_before_integrating(self, evaluations):
+        # |eps|**(1/q) = 1e400 overflows; the Fisher quadrature never runs
+        with pytest.raises(OverflowError):
+            hellinger_linearized(GAUSS, 1e200, 0.5)
+        assert evaluations == []
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_is_out_of_domain(self, evaluations, eps):
+        # as for the distance and mean error quadratures at the same shift
+        for route in (hellinger_linearized, hellinger_distance):
+            with pytest.raises(DomainError):
+                route(GAUSS, eps, 0.5)
+        with pytest.raises(DomainError):
+            mean_error_quadrature(GAUSS, eps, 0.5)
+        assert evaluations == []
+
+
+class TestClosedRange:
+    """A closed value outside double range raises OverflowError, whether it
+    overflows or underflows to 0; it never reads 0.0."""
+
+    CASES = {
+        # F_{1/2} = 4e-300 here, so F_{1/4} is about 1.6e-599
+        "fisher_underflow": (fisher_closed, energy_probe(1.5, 1e-300), 0.25),
+        # eps_min = gamma / 2 at q = 1/2
+        "eps_min_underflow": (
+            sensitivity_closed, ProbeDistribution.from_shape_scale(2.0, 5e-324), 0.5
+        ),
+        "mean_error_underflow": (
+            mean_error_closed, ProbeDistribution.from_shape_scale(10.0, 5e-324), 10.0
+        ),
+        "fisher_overflow": (fisher_closed, energy_probe(2.0), 1e-3),
+        "posterior_width_overflow": (posterior_width_closed, energy_probe(0.6), 1e-300),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_raises_overflow_error(self, case):
+        closed_form, dist, q = self.CASES[case]
+        with pytest.raises(OverflowError):
+            closed_form(dist, q)
+
+    def test_smallest_subnormal_is_a_value(self):
+        # exp of the log value is 5e-324, not 0: inside double range
+        dist = ProbeDistribution.from_shape_scale(2.0, 1e-323)
+        assert sensitivity_closed(dist, 0.5).value == 5e-324
+
 
 # A 100-evaluation spec: every Fisher route stops at 90 evaluations, a few
 # ulps from the converged integral, and raises ConvergenceError.

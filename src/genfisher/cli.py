@@ -14,9 +14,9 @@ surface   tabulate the probe density over (ln alpha, x) at fixed energy (CSV).
 
 Exit codes: 0 success, 1 check failure (a failed verify or simulate check, a
 verify grid with no parity verdict, a non-converged sweep row, or no sweep row
-with a value), 2 usage or
-configuration error, an unwritable ``--out`` included.  ``main`` alone writes
-the output file and stdout, so a run that fails writes no file.
+with a value), 2 usage or configuration error, an unwritable ``--out``
+included.  ``main`` alone writes the output file and stdout, so a run that
+fails writes no file.
 
 Each sweep quantity has one closed form and one quadrature route; ``eps_min``
 maps the Fisher route's value to F_q**(-q), in ``sweep`` and ``verify``
@@ -25,8 +25,11 @@ integral once.
 
 Where no value can be given, a sweep row or verify line carries a status
 instead: ``out_of_domain`` when the point lies outside the probe family or the
-closed form's validity, ``out_of_range`` when the closed value overflows
-double range or underflows to 0 (its quadrature is then not run).
+closed form's validity, ``out_of_range`` only when the closed value overflows
+double range or underflows to 0 (its quadrature is then not run).  Any numeric
+failure of a quadrature route reads ``no_converge`` with a ``nan`` cell in a
+sweep row and FAIL on a verify line; a quadrature power beyond double range
+reads ``inf`` or ``0``.
 
 A flat ``key = value`` config file can supply any flag of its command (keys
 are the flag names with ``-`` replaced by ``_``); explicit flags override the
@@ -182,22 +185,25 @@ class SweepRow:
     closed_value: float | None
     quadrature_value: float | None
     relative_deviation: float | None
-    # ok | no_converge | out_of_domain (outside the family or the closed
-    # form's validity) | out_of_range (the closed value overflows or
-    # underflows to 0; no quadrature runs).  Only ok and no_converge rows
-    # carry values.
+    # ok | no_converge | out_of_domain | out_of_range, as the module docstring
+    # says; only ok and no_converge rows carry values.
     status: str
+
+
+# Numeric failures that read no_converge in a sweep row and FAIL on a verify
+# line; ``_check`` reads a DomainError and an OverflowError before them.
+_NUMERIC_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
 
 
 def _integral(route, dist: ProbeDistribution, q: float) -> tuple[float, bool]:
     """(value, converged) of the quadrature ``route`` at (dist, q): a
-    non-converged quadrature keeps its best estimate, ``nan`` after a
-    non-finite integrand."""
+    non-converged quadrature keeps its best estimate, ``nan`` after any
+    other numeric failure."""
     try:
         return route(dist, q).value, True
     except ConvergenceError as exc:
         return exc.value, False
-    except IntegrandError:
+    except _NUMERIC_ERRORS:
         return math.nan, False
 
 
@@ -280,14 +286,45 @@ def surface_to_csv(
     return "\n".join(lines) + "\n"
 
 
-# Numeric failures inside a verify check; each becomes that check's FAIL
-# line.  A DomainError (also a ValueError) and an OverflowError (also an
-# ArithmeticError) are caught before them and read out_of_domain and
-# out_of_range, as in the sweep rows.
-_CHECK_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
+def _check(label: str, evaluate, *args) -> tuple[bool | None, str]:
+    """(ok, line) of ``label`` from the check ``evaluate(*args)``'s (ok,
+    detail), ok None for a line without a PASS/FAIL verdict.  A DomainError
+    reads out_of_domain, an OverflowError out_of_range, another numeric
+    failure is a FAIL line carrying the exception text."""
+    try:
+        ok, detail = evaluate(*args)
+    except DomainError:
+        ok, detail = None, "out_of_domain"
+    except OverflowError:
+        ok, detail = None, "out_of_range"
+    except _NUMERIC_ERRORS as exc:
+        ok, detail = False, f"error={type(exc).__name__}: {exc}"
+    verdict = "" if ok is None else " PASS" if ok else " FAIL"
+    return ok, f"{label}: {detail}{verdict}"
 
-# Each verify check returns (ok, detail); ok is None for a line without a
-# PASS/FAIL verdict.
+
+def _eq6_argument(tolerance: float) -> tuple[bool, list[str]]:
+    """Gamma-argument resolution at the Gaussian anchor, whose classical
+    Fisher information is 4 / gamma**2: (confirmed, report lines)."""
+    anchor = ProbeDistribution.from_shape_scale(2.0, 1.0)
+    quad = measures.fisher_quadrature(anchor, 0.5).value
+    confirmed = measures.fisher_closed(anchor, 0.5).value
+    # the candidate gamma argument (alpha+q-1)/alpha, which the quadrature rules out
+    a, q = anchor.alpha, 0.5
+    swap = log_gamma((a + q - 1.0) / a) - log_gamma(measures.fisher_gamma_argument(a, q))
+    rejected = confirmed * math.exp(swap)
+    ok = (
+        abs(quad - 4.0) <= 1e-6 * 4.0
+        and abs(confirmed - quad) <= tolerance * abs(quad)
+        and abs(rejected - quad) > 1e3 * tolerance * abs(quad)
+    )
+    return ok, [
+        f"eq6_argument: (alpha+q-1)/(alpha*q) {'CONFIRMED' if ok else 'NOT CONFIRMED'}",
+        f"eq6_argument_anchor: alpha=2 gamma=1 q=0.5 quadrature={_fmt(quad)} "
+        f"closed={_fmt(confirmed)} expected_classical_fisher={_fmt(4.0)}",
+        f"eq6_argument_rejected: (alpha+q-1)/alpha gives {_fmt(rejected)} "
+        f"vs quadrature {_fmt(quad)} REJECTED",
+    ]
 
 
 def _parity(
@@ -374,121 +411,71 @@ def verify_report(
         raise ConfigError(
             f"energy and tolerance must be positive and finite, got {energy}, {tolerance}"
         )
-    lines: list[str] = []
-    all_ok = True
-
-    def check(label: str, evaluate, *args) -> tuple[bool | None, str]:
-        """Writes ``label``'s line from ``evaluate(*args)``'s (ok, detail) and
-        returns them.  A DomainError reads out_of_domain, an
-        OverflowError out_of_range, another numeric failure is a FAIL line
-        carrying the exception text."""
-        nonlocal all_ok
-        try:
-            ok, detail = evaluate(*args)
-        except DomainError:
-            ok, detail = None, "out_of_domain"
-        except OverflowError:
-            ok, detail = None, "out_of_range"
-        except _CHECK_ERRORS as exc:
-            ok, detail = False, f"error={type(exc).__name__}: {exc}"
-        if ok is None:
-            lines.append(f"{label}: {detail}")
-        else:
-            all_ok = all_ok and ok
-            lines.append(f"{label}: {detail} {'PASS' if ok else 'FAIL'}")
-        return ok, detail
+    anchor_ok, eq6_lines = _eq6_argument(tolerance)
 
     # One outcome per (route, probe, q) for this call: the eps_min and
     # fisher lines at a point share one Fisher quadrature, whichever runs
     # it first.
     integral = functools.cache(_integral)
 
-    # Gamma-argument resolution at the Gaussian anchor (classical Fisher
-    # information of a Gaussian is 4 / gamma**2).
-    anchor = ProbeDistribution.from_shape_scale(2.0, 1.0)
-    quad = measures.fisher_quadrature(anchor, 0.5).value
-    confirmed = measures.fisher_closed(anchor, 0.5).value
-    # the candidate gamma argument (alpha+q-1)/alpha, which the quadrature rules out
-    a, q = anchor.alpha, 0.5
-    swap = log_gamma((a + q - 1.0) / a) - log_gamma(measures.fisher_gamma_argument(a, q))
-    rejected = confirmed * math.exp(swap)
-    anchor_ok = (
-        abs(quad - 4.0) <= 1e-6 * 4.0
-        and abs(confirmed - quad) <= tolerance * abs(quad)
-        and abs(rejected - quad) > 1e3 * tolerance * abs(quad)
-    )
-    verdict = "CONFIRMED" if anchor_ok else "NOT CONFIRMED"
-    lines.append(f"eq6_argument: (alpha+q-1)/(alpha*q) {verdict}")
-    all_ok = all_ok and anchor_ok
-    lines.append(
-        f"eq6_argument_anchor: alpha=2 gamma=1 q=0.5 quadrature={_fmt(quad)} "
-        f"closed={_fmt(confirmed)} expected_classical_fisher={_fmt(4.0)}"
-    )
-    lines.append(
-        f"eq6_argument_rejected: (alpha+q-1)/alpha gives {_fmt(rejected)} "
-        f"vs quadrature {_fmt(quad)} REJECTED"
-    )
-
     # Closed-form / quadrature parity over the grid.  A grid where no line
     # has a verdict checked no closed form and fails, as a sweep with no
     # value does.
-    parity = [
-        check(
+    checks = [
+        _check(
             f"parity {quantity} alpha={alpha:g} q={q:g}",
             _parity, quantity, alpha, q, energy, tolerance, integral,
-        )[0]
+        )
         for quantity in QUANTITIES
         for alpha in alphas
         for q in qs
     ]
-    if all(ok is None for ok in parity):
-        lines.append("parity_grid: no point has a closed and a quadrature value FAIL")
-        all_ok = False
+    if all(ok is None for ok, _ in checks):
+        checks.append((False, "parity_grid: no point has a closed and a quadrature value FAIL"))
 
     # q = 1/2 sensitivity law: eps_min = 1 / (2 sqrt(E)) for every shape.
     for alpha in _LAW_ALPHAS:
         for e in _LAW_ENERGIES:
-            check(f"sensitivity_q_half alpha={alpha:g} energy={e:g}", _sensitivity_law, alpha, e)
+            label = f"sensitivity_q_half alpha={alpha:g} energy={e:g}"
+            checks.append(_check(label, _sensitivity_law, alpha, e))
 
     # Cramer-Rao products; the classical bound is asserted at q = 1/2
     # (saturated only by the Gaussian shape), other orders are reported
     # without assertion.
     for alpha in alphas:
-        check(f"cr_product alpha={alpha:g} q=0.5", _cr_product, alpha, energy)
+        checks.append(_check(f"cr_product alpha={alpha:g} q=0.5", _cr_product, alpha, energy))
     for alpha in alphas:
         for q in qs:
             label = f"generalized_cr_product alpha={alpha:g} q={q:g}"
-            check(label, _generalized_cr_product, alpha, q, energy)
+            checks.append(_check(label, _generalized_cr_product, alpha, q, energy))
 
     # Distance invariants: D(0) = 0, D(eps) = D(-eps), D >= 0.
     for alpha, q, eps in ((1.0, 2.0, 0.3), (2.0, 0.5, 0.1), (0.8, 0.25, 0.7)):
-        check(
-            f"distance_invariants alpha={alpha:g} q={q:g} eps={eps:g}",
-            _distance_invariants, alpha, q, eps, energy,
-        )
+        label = f"distance_invariants alpha={alpha:g} q={q:g} eps={eps:g}"
+        checks.append(_check(label, _distance_invariants, alpha, q, eps, energy))
 
     # Mean error is shift-independent.
-    check(
-        "translation_invariance mean_error alpha=1.5 q=0.25 eps=(-2,0,0.7)",
-        _translation_invariance, energy,
-    )
+    label = "translation_invariance mean_error alpha=1.5 q=0.25 eps=(-2,0,0.7)"
+    checks.append(_check(label, _translation_invariance, energy))
 
     # Weak-signal linearization at eps = 1e-3.
     for alpha, q in _LINEARIZATION_PAIRS:
-        check(f"linearization alpha={alpha:g} q={q:g} eps=0.001", _linearization, alpha, q)
+        label = f"linearization alpha={alpha:g} q={q:g} eps=0.001"
+        checks.append(_check(label, _linearization, alpha, q))
 
     # Triangle-inequality scan on D_q**q (informational: violations are a
     # finding, not a failure; a triangle that cannot be computed is one).
     triangles = [
-        check(f"triangle q={q:g} alpha={a:g} shifts={triple}", _triangle, a, q, triple, energy)[1]
+        _check(f"triangle q={q:g} alpha={a:g} shifts={triple}", _triangle, a, q, triple, energy)
         for q in _TRIANGLE_QS
         for a in _TRIANGLE_ALPHAS
         for triple in _TRIANGLE_TRIPLES
     ]
-    n_violations = sum(detail.endswith(" VIOLATED") for detail in triangles)
-    lines.append(f"triangle_scan_summary: {n_violations} violation(s) found")
+    n_violations = sum(line.endswith(" VIOLATED") for _, line in triangles)
+    checks += [*triangles, (None, f"triangle_scan_summary: {n_violations} violation(s) found")]
 
-    lines.append(f"overall: {'PASS' if all_ok else 'FAIL'}")
+    all_ok = anchor_ok and all(ok is not False for ok, _ in checks)
+    lines = [*eq6_lines, *(line for _, line in checks), f"overall: {'PASS' if all_ok else 'FAIL'}"]
     return "\n".join(lines) + "\n", all_ok
 
 

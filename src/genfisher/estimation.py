@@ -173,7 +173,10 @@ def run_trials(plan: TrialPlan) -> TrialReport:
     max_deviation = float(np.max(deviations))
     log_max = math.log(max_deviation) if max_deviation > 0.0 else -math.inf
     if 3.0 * log_max / plan.q + math.log(x.size) >= EXP_MAX:
-        raise DomainError(f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows")
+        raise DomainError(
+            f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows at the largest "
+            f"|x - shift| = {max_deviation:.3g}"
+        )
     p = max(2.0, 3.0 / plan.q)
     if p * log_max - math.log(x.size) <= -EXP_MAX:
         raise DomainError(f"|x - shift| <= {max_deviation:.3g}: |x - shift|**{p:g} underflows")

@@ -22,7 +22,8 @@ independent quadrature route so they can be cross-checked.  The closed
 Fisher form uses the gamma argument ``(alpha + q - 1) / (alpha * q)``,
 which the quadrature confirms (see the verification report for the
 rejected alternative).  A closed value that leaves double range, by overflow
-or by underflow to 0, raises OverflowError.
+or by underflow to 0, raises OverflowError; a quadrature route's power of its
+integral ends in ``safe_exp`` instead, so beyond double range it reads 0 or inf.
 
 Weak-signal behaviour: to first order in the shift,
 ``D_q ~ (q**(1/q) / 2) * |eps|**(1/q) * F_q``.  ``hellinger_linearized``
@@ -310,7 +311,7 @@ def sensitivity_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
 def _sensitivity_from_fisher(fisher: float, q: float) -> float:
     """eps_min = F_q**(-q) from a quadrature Fisher value; ``nan`` when that
     value is not positive (or is itself ``nan``)."""
-    return math.exp(-q * math.log(fisher)) if fisher > 0.0 else math.nan
+    return safe_exp(-q * math.log(fisher)) if fisher > 0.0 else math.nan
 
 
 def sensitivity_quadrature(
@@ -368,7 +369,7 @@ def posterior_width_quadrature(
         return safe_exp(q * log_p)
 
     def width(integral: float) -> float:
-        return math.exp(math.log(integral) / (1.0 - q)) if integral > 0.0 else math.nan
+        return safe_exp(math.log(integral) / (1.0 - q)) if integral > 0.0 else math.nan
 
     label = f"posterior width quadrature (alpha={dist.alpha}, q={q})"
     return _quadrature(
@@ -427,7 +428,7 @@ def mean_error_quadrature(
         return safe_exp(log_p + math.log(au) / q)
 
     def error(moment: float) -> float:
-        return math.exp(q * math.log(moment)) if moment > 0.0 else math.nan
+        return safe_exp(q * math.log(moment)) if moment > 0.0 else math.nan
 
     label = f"mean error quadrature (alpha={dist.alpha}, q={q}, eps={eps})"
     return _quadrature(Quantity.MEAN_ERROR, integrand, spec, splits, label, transform=error)

@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
+    EXP_MAX,
     LN2,
     DomainError,
     QuadratureSpec,
@@ -145,7 +146,7 @@ class ProbeDistribution:
         return _fisher_route(self, 0.5, spec, Quantity.FISHER, lambda fisher: fisher / 4.0).value
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` independent values.
+        """Draw ``n`` independent values; DomainError if one would pass ``exp(EXP_MAX)``.
 
         Uses the exact transform x = sign * gamma * (g / 2)**(1/alpha) with
         ``g`` a standard gamma variate of shape ``1/alpha``: by change of
@@ -164,6 +165,12 @@ class ProbeDistribution:
         if n < 1:
             raise DomainError(f"sample count must be at least 1, got {n}")
         g = rng.standard_gamma(1.0 / self.alpha, size=n)
+        top = float(g.max())  # the largest |draw| is gamma * (top / 2)**(1/alpha)
+        if top > 0.0 and math.log(0.5 * top) / self.alpha + math.log(self.gamma_scale) >= EXP_MAX:
+            raise DomainError(
+                f"shape alpha = {self.alpha} is too small to sample at gamma = "
+                f"{self.gamma_scale}: a draw overflows double range"
+            )
         signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
         x = signs * self.gamma_scale * (0.5 * g) ** (1.0 / self.alpha)
         tiny = np.finfo(float).tiny

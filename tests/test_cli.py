@@ -409,6 +409,16 @@ class TestSimulateCommand:
         assert "underflows" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_draw_is_usage_error(self, tmp_path, capsys):
+        # every draw at alpha = 0.001 overflows: one error line, no numpy warning
+        out = tmp_path / "x.json"
+        assert main(["simulate", "--alpha", "0.001", "--gamma", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: shape alpha = 0.001 is too small to sample at gamma = 1.0: "
+            "a draw overflows double range\n"
+        )
+        assert not out.exists()
+
     def test_bootstrap_flag_is_deprecated_and_ignored(self, tmp_path, capsys):
         args = ["simulate", "--alpha", "2", "--trials", "2000", "--seed", "3"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -686,3 +696,42 @@ def test_sweep_summary_counts_out_of_range_rows(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"wrote {out}: 60 rows, 0 no_converge, 0 out_of_domain, 60 out_of_range\n"
     )
+
+
+# Sweeps whose quadrature route fails numerically at points where the closed
+# value is in range: the power of the integral leaves double range (eps_min,
+# the posterior width just above q = 1, the mean error), or a tail node of
+# the posterior-width integral at q = 1e-300 divides by zero.  Each used to
+# end in a traceback.
+ROUTE_FAILURES = {
+    "eps_min_huge_q": ["--quantity", "eps_min", "--q", "1e300"],
+    "eps_min_huge_energy": ["--quantity", "eps_min", "--q", "1e6", "--energy", "1e300"],
+    "width_tiny_q": ["--quantity", "posterior_width", "--q", "1e-300"],
+    "width_q_above_one": ["--quantity", "posterior_width", "--q", "1.0000000000000002"],
+    "mean_error_huge_q": ["--quantity", "mean_error", "--q", "1e300", "--energy", "1e-300"],
+}
+
+
+@pytest.mark.parametrize("case", list(ROUTE_FAILURES))
+def test_failed_route_is_a_no_converge_row(tmp_path, capsys, case):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", *ROUTE_FAILURES[case], "--alpha-count", "4", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 1
+    rows = [r.split(",") for r in read(out).splitlines()[1:]]
+    in_range = [r for r in rows if r[-1] not in ("out_of_domain", "out_of_range")]
+    assert len(rows) == 4 and any(r[-1] == "no_converge" for r in in_range)
+    for r in in_range:
+        # a closed value and a quadrature cell, inf or nan included; ok only
+        # where the quadrature really agrees (alpha = 100 at q = 1e-300)
+        assert r[4] != "" and r[5] != ""
+        assert r[-1] == ("ok" if float(r[6]) <= cli._PARITY_TOL else "no_converge")
+
+
+def test_failed_power_is_a_fail_line(tmp_path):
+    # the closed eps_min is in range, the power of its Fisher integral is not
+    out = tmp_path / "report.txt"
+    assert main(["verify", "--alphas", "0.8", "--qs", "1e300", "--out", str(out)]) == 1
+    (line,) = [line for line in read(out).splitlines() if line.startswith("parity eps_min")]
+    assert line.startswith("parity eps_min alpha=0.8 q=1e+300: closed=")
+    assert line.endswith(" quadrature=inf rel_dev=inf FAIL")

@@ -96,6 +96,13 @@ class TestRunTrials:
             with pytest.raises(DomainError, match="too small"):
                 run_trials(plan(q=q, trials=1000, seed=0))
 
+    def test_overflow_message_states_the_largest_deviation(self):
+        p = plan(q=1e-9, trials=1000, seed=0)
+        largest = float(np.max(np.abs(_draw_outcomes(p) - p.true_shift)))
+        with pytest.raises(DomainError, match="^order q = 1e-09 is too small") as info:
+            run_trials(p)
+        assert str(info.value).endswith(f"largest |x - shift| = {largest:.3g}")
+
     @pytest.mark.parametrize(
         "gamma, q",
         # the interval's cubes (q = 1/2, 1/4) or the standard error's squares

@@ -154,6 +154,31 @@ class TestClosedRange:
         assert sensitivity_closed(dist, 0.5).value == 5e-324
 
 
+class TestPowerRange:
+    """A quadrature route's power of its integral ends in safe_exp, as every
+    integrand does: beyond double range it reads inf or 0, never
+    OverflowError, and inside it keeps the bits of the plain power."""
+
+    def test_sensitivity_map_clamps(self):
+        assert measures._sensitivity_from_fisher(0.5, 1e6) == math.inf
+        assert measures._sensitivity_from_fisher(2.0, 1e6) == 0.0
+        assert measures._sensitivity_from_fisher(2.0, 100.0) == math.exp(-100.0 * math.log(2.0))
+
+    # each integral is within rounding of 1 and its power has an exponent
+    # near 1e300 or -4.5e15
+    ROUTES = {
+        "eps_min": lambda: sensitivity_quadrature(GAUSS, 1e300),
+        "posterior_width": lambda: posterior_width_quadrature(
+            energy_probe(0.51), 1.0000000000000002
+        ),
+        "mean_error": lambda: mean_error_quadrature(energy_probe(100.0, 1e-300), 0.0, 1e300),
+    }
+
+    @pytest.mark.parametrize("name", list(ROUTES))
+    def test_power_beyond_double_range_is_inf_or_zero(self, name):
+        assert self.ROUTES[name]().value in (0.0, math.inf)
+
+
 # A 100-evaluation spec: every Fisher route stops at 90 evaluations, a few
 # ulps from the converged integral, and raises ConvergenceError.
 STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)

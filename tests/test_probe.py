@@ -252,3 +252,14 @@ class TestSampling:
         d = ProbeDistribution.from_shape_scale(1.0, 1.0)
         with pytest.raises(DomainError):
             d.sample(np.random.default_rng(0), 0)
+
+    @pytest.mark.parametrize("alpha, gamma", [(0.001, 1.0), (2.0, 1e308)])
+    def test_overflowing_draw_is_a_domain_error(self, alpha, gamma):
+        # at alpha = 0.001 every draw is (g/2)**1000 with g near 1000; at
+        # gamma = 1e308 the scale alone is at the edge.  A typed error, not
+        # inf draws and a numpy warning (warnings are errors here).
+        d = ProbeDistribution.from_shape_scale(alpha, gamma)
+        with pytest.raises(DomainError, match="too small to sample") as info:
+            d.sample(np.random.default_rng(0), 1000)
+        assert f"shape alpha = {alpha} " in str(info.value)
+        assert f"gamma = {gamma}:" in str(info.value)

@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .measures import mean_error_closed
 from .numerics import EXP_MAX, DomainError
 from .probe import ProbeDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TrialPlan",
@@ -112,6 +114,8 @@ class UnbiasednessReport:
 
 def _draw_outcomes(plan: TrialPlan) -> np.ndarray:
     """All trial outcomes in partition order."""
+    import numpy as np  # only sampling needs numpy; keep it off the import path
+
     n = plan.trials
     n_parts = (n + PARTITION_SIZE - 1) // PARTITION_SIZE
     children = np.random.SeedSequence(plan.master_seed).spawn(n_parts)
@@ -132,6 +136,8 @@ def _mean_interval(y: np.ndarray, m: float) -> tuple[float, float]:
     quantiles of the bootstrap distribution of the mean are
     m + se * (-+z + g1 * (z**2 - 1) / (6 sqrt(n))) to O(1/n).
     """
+    import numpy as np
+
     n = y.size
     d = y - m
     d2 = d * d
@@ -168,6 +174,8 @@ def run_trials(plan: TrialPlan) -> TrialReport:
     needs, overflows double range, or when those cubes or the squares that
     the standard error sums underflow it.
     """
+    import numpy as np
+
     x = _draw_outcomes(plan)
     deviations = np.abs(x - plan.true_shift)
     max_deviation = float(np.max(deviations))

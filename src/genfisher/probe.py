@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .numerics import (
     EXP_MAX,
@@ -37,6 +36,9 @@ from .numerics import (
     log_gamma,
     safe_exp,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ProbeDistribution"]
 
@@ -162,6 +164,8 @@ class ProbeDistribution:
         ``(tiny/2)**(1/alpha)`` times a uniform variate, drawn after the
         signs.  Nothing extra is drawn when no entry falls that low.
         """
+        import numpy as np  # only sampling needs numpy; keep it off the import path
+
         if n < 1:
             raise DomainError(f"sample count must be at least 1, got {n}")
         g = rng.standard_gamma(1.0 / self.alpha, size=n)

@@ -8,9 +8,14 @@ a change of results and is re-recorded here on purpose, never in passing.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genfisher
 from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
@@ -36,6 +41,34 @@ def test_default_run_is_pinned(tmp_path, capsys, evaluations, argv, sha256, call
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
     assert (len(evaluations), sum(evaluations)) == (calls, evals)
+
+
+# Only sampling needs numpy: with every numpy import made to fail, the CLI
+# still runs each default verify and sweep to the same bytes, and ``surface``
+# and ``--help`` still exit 0.
+NO_NUMPY_RUNS = [(argv, sha256) for argv, sha256, _, _ in DEFAULT_RUNS if argv[0] != "simulate"]
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    NO_NUMPY_RUNS + [(["surface"], None), (["--help"], None)],
+    ids=[argv[-1] for argv, _ in NO_NUMPY_RUNS] + ["surface", "help"],
+)
+def test_runs_without_numpy(tmp_path, argv, sha256):
+    out = tmp_path / "out"
+    if argv != ["--help"]:
+        argv = argv + ["--out", str(out)]
+    src = str(Path(genfisher.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['numpy'] = None; "
+         "from genfisher.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if sha256 is not None:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 # Runs whose closed values leave double range: the output bytes and the exit

@@ -16,14 +16,18 @@ Five quantities, each defined for any order ``q > 0``:
 * mean estimation error of the single-shot estimator "report the outcome",
       err = [integral P(x - eps) * |x - eps|**(1/q) dx]**q.
 
-For the exponential power family every quantity has a closed form built
-from gamma-function ratios; each closed form here is paired with an
-independent quadrature route so they can be cross-checked.  The closed
-Fisher form uses the gamma argument ``(alpha + q - 1) / (alpha * q)``,
-which the quadrature confirms (see the verification report for the
-rejected alternative).  A closed value that leaves double range, by overflow
-or by underflow to 0, raises OverflowError; a quadrature route's power of its
-integral ends in ``safe_exp`` instead, so beyond double range it reads 0 or inf.
+For the exponential power family every quantity but the distance has a
+closed form built from gamma-function ratios; each closed form here is paired
+with an independent quadrature route so they can be cross-checked.  The closed
+Fisher form uses the gamma argument ``(alpha + q - 1) / (alpha * q)``, which
+the quadrature confirms (see the verification report for the rejected
+alternative).  The distance route folds its integrand about the crossing
+``eps/2`` onto one half-line measured from the copy at ``|eps|``, so no shift
+moves the bumps away from the split points, and takes the gap between the two
+log densities without cancellation (see ``hellinger_distance``).  A closed
+value that leaves double range, by overflow or by underflow to 0, raises
+OverflowError; a quadrature route's power of its integral ends in
+``safe_exp`` instead, so beyond double range it reads 0 or inf.
 
 Weak-signal behaviour: to first order in the shift,
 ``D_q ~ (q**(1/q) / 2) * |eps|**(1/q) * F_q``.  ``hellinger_linearized``
@@ -194,34 +198,59 @@ def hellinger_distance(
 ) -> MeasureValue:
     """Order-q distance between ``P(x - eps)`` and ``P(x)`` by quadrature.
 
-    Split points: the two cusp locations 0 and eps, the crossing point
-    eps/2 where the two densities coincide, and scale hints at ``+-gamma``
-    so narrow high-alpha features are seeded with panels.
+    Fold: the integrand ``f(x) = |P^q(x - e) - P^q(x)|**(1/q)``, with
+    ``e = |eps|``, is symmetric about the crossing ``e/2``, so
+    ``D_q = int_0^inf g(s) ds`` with ``g(s) = f(e + s) + f(e - s) [s < e/2]``:
+    one half-line integral in the distance ``s`` from the copy at ``e``,
+    and even in the shift by construction.  Each bump then sits where the
+    half-line routes place their panels, whatever the size of the shift.
+
+    Split points: ``gamma`` and ``4 gamma``, plus the crossing ``e/2`` when
+    it lies below ``4 gamma``; beyond that the crossing sits in the tail.
+
+    Gap: at a point a distance ``s`` from the nearer copy and ``s + d``
+    from the farther one, ``lo = (s/gamma)**alpha`` and the log-density gap
+    is ``-2q lo expm1(alpha log1p(d/s))``, free of the cancellation in
+    ``u**alpha - v**alpha``.  The term is
+    ``exp(log_c - 2 lo + log(-expm1(gap))/q)``.  Where the farther copy is
+    at least twice as far (``d >= s``) the gap is taken as the plain
+    difference of the two powers, which then cancels at most
+    ``1/(2**alpha - 1)`` and stays exact when ``lo`` underflows; a gap
+    beyond double range leaves the nearer bump alone.  A non-finite shift
+    raises DomainError before any evaluation.
     """
     q = _require_order(q)
-    eps = float(eps)
+    if not math.isfinite(eps):
+        raise DomainError(f"shift must be finite, got {eps}")
+    e = abs(float(eps))
+    half = 0.5 * e
     log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
-    splits = {0.0, 0.5 * eps, eps, g, -g, 2.0 * g, -2.0 * g, eps + g, eps - g}
+    two_q = 2.0 * q
+    splits = (g, 4.0 * g, half) if half < 4.0 * g else (g, 4.0 * g)
 
-    def integrand(x: float) -> float:
+    def bump(s: float, d: float) -> float:
         try:
-            a = q * (log_c - 2.0 * math.pow(abs(x - eps) / g, alpha))
+            lo = math.pow(s / g, alpha)
         except OverflowError:
-            a = -math.inf
+            return 0.0
         try:
-            b = q * (log_c - 2.0 * math.pow(abs(x) / g, alpha))
+            if d < s:
+                gap = -two_q * lo * math.expm1(alpha * math.log1p(d / s))
+            else:
+                gap = two_q * (lo - math.pow((s + d) / g, alpha))
         except OverflowError:
-            b = -math.inf
-        hi = a if a >= b else b
-        if hi == -math.inf:
+            return safe_exp(log_c - 2.0 * lo)
+        if gap == 0.0:
             return 0.0
-        diff = -abs(a - b)
-        if diff == 0.0:
-            return 0.0
-        return safe_exp((hi + math.log(-math.expm1(diff))) / q)
+        return safe_exp(log_c - 2.0 * lo + math.log(-math.expm1(gap)) / q)
 
-    label = f"distance quadrature (alpha={dist.alpha}, q={q}, eps={eps})"
-    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, fold=0.5)
+    def integrand(s: float) -> float:
+        if s < half:
+            return bump(s, e) + bump(s, e - 2.0 * s)
+        return bump(s, e)
+
+    label = f"distance quadrature (alpha={dist.alpha}, q={q}, eps={float(eps)})"
+    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, half_line=True)
 
 
 def hellinger_linearized(

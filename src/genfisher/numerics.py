@@ -279,11 +279,23 @@ def _adaptive(pieces, spec: QuadratureSpec) -> QuadratureResult:
 
 
 def _tail(f: Callable[[float], float], anchor: float, sign: float) -> Callable[[float], float]:
-    """``f`` on ``anchor + sign * [0, inf)``, mapped onto [0, 1)."""
+    """``f`` on ``anchor + sign * [0, inf)``, mapped onto [0, 1).
+
+    A node that rounds onto t = 1 maps to infinity: refinement has chased
+    the integrand's mass past what the map can resolve, and that raises
+    IntegrandError."""
 
     def transformed(t: float) -> float:
         u = 1.0 - t
-        return f(anchor + sign * (t / u)) / (u * u)
+        try:
+            return f(anchor + sign * (t / u)) / (u * u)
+        except ZeroDivisionError:
+            if u != 0.0:
+                raise
+            raise IntegrandError(
+                f"tail node t = {t!r} maps to infinity beyond anchor {anchor!r}: the "
+                "integrand's mass lies beyond the tail map's resolution"
+            ) from None
 
     return transformed
 

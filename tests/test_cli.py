@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,22 @@ class TestVerifyCommand:
         grid_line = "parity_grid: no point has a closed and a quadrature value FAIL"
         assert (grid_line in lines) == (rc == 1)
         assert lines[-1] == ("overall: FAIL" if rc else "overall: PASS")
+
+    @pytest.mark.parametrize("scale, verdict", [(1.0, "PASS"), (1.0 + 1e-5, "FAIL")])
+    def test_distance_closed_lines(self, monkeypatch, scale, verdict):
+        # four closed forms of D_q (Laplace and Gaussian, q = 1/2 and 1): a
+        # distance 1e-5 off them fails each line and the report
+        route = measures.hellinger_distance
+
+        def scaled(*args):
+            distance = route(*args)
+            return replace(distance, value=scale * distance.value)
+
+        monkeypatch.setattr(measures, "hellinger_distance", scaled)
+        report, ok = verify_report(alphas=(2.0,), qs=(0.5,))
+        lines = [l for l in report.splitlines() if l.startswith("distance_closed ")]
+        assert len(lines) == 4 and all(l.endswith(f" {verdict}") for l in lines)
+        assert ok == (verdict == "PASS")
 
     def test_eps_min_and_fisher_lines_share_one_fisher_quadrature(self, fisher_routes):
         # E = 2 keeps the grid probe apart from the gamma = 1 probes of the
@@ -701,7 +718,7 @@ def test_sweep_summary_counts_out_of_range_rows(tmp_path, capsys):
 # Sweeps whose quadrature route fails numerically at points where the closed
 # value is in range: the power of the integral leaves double range (eps_min,
 # the posterior width just above q = 1, the mean error), or a tail node of
-# the posterior-width integral at q = 1e-300 divides by zero.  Each used to
+# the posterior-width integral at q = 1e-300 maps to infinity.  Each used to
 # end in a traceback.
 ROUTE_FAILURES = {
     "eps_min_huge_q": ["--quantity", "eps_min", "--q", "1e300"],

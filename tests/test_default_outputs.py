@@ -20,7 +20,7 @@ from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "7d2522f9959e0888c9c2cc9fc6df5ca7ba93ff3b0eff17eee50656e25f7757dd", 131, 141_300),
+    (["verify"], "ca7e50d466a4d3371fdc2c95885c852d383e63d4928231cfae2cf481be21f38c", 136, 98_400),
     (["sweep", "--quantity", "eps_min"],
      "fb9e5ed84e513645dce706878411c4fe948c3526c4849c14933589b09ed18b11", 180, 126_480),
     (["sweep", "--quantity", "posterior_width"],
@@ -76,9 +76,9 @@ def test_runs_without_numpy(tmp_path, argv, sha256):
 # those of tests/test_cli.py::OUT_OF_RANGE.
 OUT_OF_RANGE_RUNS = [
     (["verify", "--alphas", "2", "--qs", "1e-3"],
-     "d9f66dc11547aafa0b90b80652f03984e3c83486de9ec18cbcddf9314898c3b3"),
+     "7d9a46f2a69f5bdccc8c4def1b11f7eb0efbaf07512da3968e3c0a4f0548f706"),
     (["verify", "--energy", "1e-300"],
-     "2bac2ae34671b0b451b2b3b348134d811d4deb99104d198067975d614d7dd914"),
+     "2aa45067835b919f310bef3c05af3c328ab24303802b42022cdba22e958f2a01"),
     (["sweep", "--quantity", "fisher", "--q", "1e-3"],
      "8963133fbba418f4de980acd3ee54546d482d0af60b7a075c5ad46cb226c307e"),
     (["sweep", "--quantity", "fisher", "--energy", "1e300"],

@@ -1,13 +1,12 @@
-"""Open defects at the edges of double range, as strict xfails.
+"""The measures at the edges of double range; open defects as strict xfails.
 
-Each test asserts the correct behaviour and names the one exception the
-defect raises today, so an unrelated error still fails the test.  Computing
-the measures on the unit-scale probe (ROADMAP item 3) is expected to flip
-the energy and order cases; the large-shift distance cases need split points
-and a tail map that follow the shift.  The last two cases are not about
-double range: a mapped route certifies its integral, not the quantity, and
-the Monte Carlo deviations lose their digits at a large shift.  An
-unexpected pass fails the suite (``xfail_strict``).
+Each test asserts the correct behaviour.  An open defect's test is a strict
+xfail that names the one exception the defect raises today, so an unrelated
+error still fails it.  Computing the measures on the unit-scale probe
+(ROADMAP item 3) is expected to flip the energy and order cases.  The last
+two xfails are not about double range: a mapped route certifies its
+integral, not the quantity, and the Monte Carlo deviations lose their digits
+at a large shift.  An unexpected pass fails the suite (``xfail_strict``).
 """
 
 import pytest
@@ -66,27 +65,33 @@ def test_sweep_at_huge_energy_converges(tmp_path, capsys, quantity):
 
 
 # At q = 1/2 the distance of two copies of a unit-scale Gaussian probe tends to
-# 1 as the shift grows (D = 0.9999999999999968 at eps = 10).  Beyond that the
-# split points eps +- gamma collapse onto eps and the two bumps sit far apart
-# on a fixed tail map: the quadrature reports converged wrong values, and at
-# eps = 1e50 a tail node rounds onto t = 1 and divides by zero.
-@pytest.mark.parametrize(
-    "eps",
-    [
-        10.0,
-        pytest.param(1e4, marks=pytest.mark.xfail(raises=AssertionError, reason="reads 0.98861")),
-        pytest.param(1e8, marks=pytest.mark.xfail(raises=AssertionError, reason="reads 0.98861")),
-        pytest.param(1e16, marks=pytest.mark.xfail(raises=AssertionError, reason="reads 0.89919")),
-        pytest.param(1e20, marks=pytest.mark.xfail(raises=AssertionError, reason="reads 3268.2")),
-        pytest.param(
-            1e50,
-            marks=pytest.mark.xfail(raises=ZeroDivisionError, reason="escapes numerics._tail"),
-        ),
-    ],
-)
+# 1 as the shift grows (D = 0.9999999999999968 at eps = 10).  The folded
+# quadrature keeps its split points at gamma and 4 gamma from the nearer copy,
+# so no shift moves the bumps out of reach of its panels.
+@pytest.mark.parametrize("eps", [10.0, 1e4, 1e8, 1e16, 1e20, 1e50])
 def test_distance_at_large_shift_is_one(eps):
     dist = ProbeDistribution.from_shape_scale(2.0, 1.0)
     assert hellinger_distance(dist, eps, 0.5).value == pytest.approx(1.0, rel=0.0, abs=1e-9)
+
+
+# At alpha = 20 and eps = 1e50 the gap between the two copies overflows: the
+# farther copy then adds nothing, and the term is the nearer bump alone.
+@pytest.mark.parametrize("alpha", [0.6, 2.0, 20.0])
+@pytest.mark.parametrize("ratio", [1e3, 1e8, 1e50])
+def test_distance_far_beyond_the_scale_is_one_to_1e_12(alpha, ratio):
+    gamma = 0.37
+    dist = ProbeDistribution.from_shape_scale(alpha, gamma)
+    value = hellinger_distance(dist, ratio * gamma, 0.5).value
+    assert 0.0 <= 1.0 - value < 1e-12
+
+
+# At q = 1e-300 the width integrand exp(q log P) stays near 1 out to
+# |x| ~ 1e296, so refinement chases its mass onto the tail node t = 1, which
+# maps to infinity.  The route says so instead of dividing by zero.
+def test_width_tail_node_at_infinity_is_an_integrand_error():
+    dist = ProbeDistribution.from_shape_energy(1.01, 1.0)
+    with pytest.raises(IntegrandError, match="beyond the tail map's resolution"):
+        posterior_width_quadrature(dist, 1e-300)
 
 
 # The width is I**(1/(1-q)), which multiplies the integral's relative error by

@@ -184,6 +184,16 @@ class TestHalfLine:
         assert res.converged
         assert res.value == pytest.approx(1.0, rel=1e-10)
 
+    def test_tail_node_at_infinity_is_an_integrand_error(self):
+        tail = numerics._tail(lambda x: 1.0, 2.0, 1.0)
+        with pytest.raises(IntegrandError, match="beyond the tail map's resolution"):
+            tail(1.0)
+
+    def test_integrand_division_by_zero_passes_through_the_tail(self):
+        tail = numerics._tail(lambda x: 1.0 / 0.0, 2.0, 1.0)
+        with pytest.raises(ZeroDivisionError):
+            tail(0.5)
+
 
 class TestQuadratureSpec:
     @pytest.mark.parametrize(
@@ -300,7 +310,7 @@ class TestPanelKernel:
     @pytest.mark.parametrize("route", list(MEASURES))
     def test_measure_integrands_match_loop_form(self, route, alpha, q):
         f = _capture_integrand(self.MEASURES[route], alpha, q)
-        real_line = route in ("distance", "mean_error")
+        real_line = route == "mean_error"
         panels = _panels(8, -4.0 if real_line else 0.0, 4.0, 30)
         panels += [(0.0, 0.7), (0.7, 1.4)]
         self.assert_same_bits(f, panels)

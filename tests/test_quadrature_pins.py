@@ -15,9 +15,9 @@ from genfisher.probe import ProbeDistribution
 
 # (route, alpha, q, eps, value hex, quad_detail.value hex, evaluations)
 PINS = [
-    ("distance", 2.0, 0.5, 0.1, "0x1.46dcb6c16ba77p-8", "0x1.46dcb6c16ba77p-8", 1200),
-    ("distance", 0.8, 0.25, 0.7, "0x1.1a56b06266ec4p-9", "0x1.1a56b06266ec4p-9", 2100),
-    ("distance", 5.0, 2.0, 0.5, "0x1.8184ff68331dbp-2", "0x1.8184ff68331dbp-2", 1830),
+    ("distance", 2.0, 0.5, 0.1, "0x1.46dcb6c16ba77p-8", "0x1.46dcb6c16ba77p-8", 480),
+    ("distance", 0.8, 0.25, 0.7, "0x1.1a56b0625dc3bp-9", "0x1.1a56b0625dc3bp-9", 690),
+    ("distance", 5.0, 2.0, 0.5, "0x1.8184ff6832cafp-2", "0x1.8184ff6832cafp-2", 810),
     ("fisher", 2.0, 0.5, None, "0x1.fffffffffffe4p+1", "0x1.fffffffffffe4p+1", 360),
     ("fisher", 1.5, 0.25, None, "0x1.b2b94e4481e1dp+4", "0x1.b2b94e4481e1dp+4", 360),
     ("fisher", 0.8, 2.0, None, "0x1.5cd6df642ce9ap+0", "0x1.5cd6df642ce9ap+0", 1230),

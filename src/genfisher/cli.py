@@ -20,9 +20,9 @@ included.  ``main`` alone writes the output file and stdout, so a run that
 fails writes no file.
 
 Each sweep quantity has one closed form and one quadrature route; ``eps_min``
-maps the Fisher route's value to F_q**(-q), in ``sweep`` and ``verify``
-alike, and ``verify``'s parity lines run each distinct (route, probe, q)
-integral once.
+and ``fisher`` read one Fisher route, ``eps_min`` its value F_q**(-q) and
+``fisher`` its integral F_q, in ``sweep`` and ``verify`` alike, and
+``verify``'s parity lines run each distinct (route, probe, q) integral once.
 
 Where no value can be given, a sweep row or verify line carries a status
 instead: ``out_of_domain`` when the point lies outside the probe family or the
@@ -73,29 +73,27 @@ __all__ = [
     "entrypoint",
 ]
 
-# Closed form, quadrature route and the map from the route's value to the
-# quantity (None: the value itself) of each sweep quantity at (dist, q).
-# eps_min = F_q**(-q) maps the Fisher route, the same route object as the
-# fisher row's.  The lambdas look the functions up in `measures` at call
-# time, so wrappers installed on that module see every call.
-_FISHER_ROUTE = lambda d, q: measures.fisher_quadrature(d, q)  # noqa: E731
+# Closed form and quadrature route of each sweep quantity at (dist, q), and
+# whether the row reads the route's integral (``quad_detail``) rather than
+# its value.  eps_min and fisher share one route object, the Fisher route
+# reported as eps_min = F_q**(-q): its value is taken from ln F_q, so it
+# stays in range where F_q does not, and its integral is F_q.  The lambdas
+# look the functions up in `measures` at call time, so wrappers installed
+# on that module see every call.
+_FISHER_ROUTE = lambda d, q: measures.sensitivity_quadrature(d, q)  # noqa: E731
 _ROUTES = {
-    "eps_min": (
-        lambda d, q: measures.sensitivity_closed(d, q),
-        _FISHER_ROUTE,
-        measures._sensitivity_from_fisher,
-    ),
+    "eps_min": (lambda d, q: measures.sensitivity_closed(d, q), _FISHER_ROUTE, False),
     "posterior_width": (
         lambda d, q: measures.posterior_width_closed(d, q),
         lambda d, q: measures.posterior_width_quadrature(d, q),
-        None,
+        False,
     ),
     "mean_error": (
         lambda d, q: measures.mean_error_closed(d, q),
         lambda d, q: measures.mean_error_quadrature(d, 0.0, q),
-        None,
+        False,
     ),
-    "fisher": (lambda d, q: measures.fisher_closed(d, q), _FISHER_ROUTE, None),
+    "fisher": (lambda d, q: measures.fisher_closed(d, q), _FISHER_ROUTE, True),
 }
 QUANTITIES = tuple(_ROUTES)
 
@@ -205,16 +203,17 @@ class SweepRow:
 _NUMERIC_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
 
 
-def _integral(route, dist: ProbeDistribution, q: float) -> tuple[float, bool]:
-    """(value, converged) of the quadrature ``route`` at (dist, q): a
-    non-converged quadrature keeps its best estimate, ``nan`` after any
-    other numeric failure."""
+def _integral(route, dist: ProbeDistribution, q: float) -> tuple[float, float, bool]:
+    """(value, integral, converged) of the quadrature ``route`` at (dist,
+    q): a non-converged quadrature keeps its best estimates, ``nan`` after
+    any other numeric failure."""
     try:
-        return route(dist, q).value, True
+        measure = route(dist, q)
+        return measure.value, measure.quad_detail.value, True
     except ConvergenceError as exc:
-        return exc.value, False
+        return exc.value, exc.result.value, False
     except _NUMERIC_ERRORS:
-        return math.nan, False
+        return math.nan, math.nan, False
 
 
 def _sweep_row(
@@ -229,10 +228,10 @@ def _sweep_row(
 
     A DomainError from the probe or the closed form gives out_of_domain, an
     OverflowError from the closed value out_of_range, and neither runs
-    ``integral(route, dist, q)``; the route's value is mapped to the
-    quantity, and a non-converged quadrature reads no_converge.
+    ``integral(route, dist, q)``; the row reads the route's value or its
+    integral, and a non-converged quadrature reads no_converge.
     """
-    closed_form, route, to_quantity = _ROUTES[quantity]
+    closed_form, route, reads_integral = _ROUTES[quantity]
     gamma = None
     try:
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
@@ -242,9 +241,8 @@ def _sweep_row(
         return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_domain")
     except OverflowError:
         return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_range")
-    quad, converged = integral(route, dist, q)
-    if to_quantity is not None:
-        quad = to_quantity(quad, q)
+    value, integral_value, converged = integral(route, dist, q)
+    quad = integral_value if reads_integral else value
     rel = abs(closed - quad) / abs(closed)
     status = "ok" if converged and rel <= parity_tol else "no_converge"
     return SweepRow(alpha, q, energy, gamma, closed, quad, rel, status)

@@ -21,13 +21,16 @@ closed form built from gamma-function ratios; each closed form here is paired
 with an independent quadrature route so they can be cross-checked.  The closed
 Fisher form uses the gamma argument ``(alpha + q - 1) / (alpha * q)``, which
 the quadrature confirms (see the verification report for the rejected
-alternative).  The distance route folds its integrand about the crossing
-``eps/2`` onto one half-line measured from the copy at ``|eps|``, so no shift
-moves the bumps away from the split points, and takes the gap between the two
-log densities without cancellation (see ``hellinger_distance``).  A closed
-value that leaves double range, by overflow or by underflow to 0, raises
-OverflowError; a quadrature route's power of its integral ends in
-``safe_exp`` instead, so beyond double range it reads 0 or inf.
+alternative).  The Fisher, width and mean-error routes integrate one
+unit-scale moment kernel ``s**p exp(-c s**alpha)`` in ``s = |x - eps|/gamma``,
+with an endpoint power map on its first panel, and add the probe's prefactors
+in log space (see ``_moment``).  The distance route folds its integrand about
+the crossing ``eps/2`` onto one half-line measured from the copy at ``|eps|``,
+and takes the gap between the two log densities without cancellation (see
+``hellinger_distance``).  A closed value that leaves double range, by
+overflow or by underflow to 0, raises OverflowError; a quadrature route's
+power of its integral ends in ``safe_exp`` instead, so beyond double range
+it reads 0 or inf.
 
 Weak-signal behaviour: to first order in the shift,
 ``D_q ~ (q**(1/q) / 2) * |eps|**(1/q) * F_q``.  ``hellinger_linearized``
@@ -38,7 +41,7 @@ shift or a factor beyond double range raises before any quadrature runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -163,33 +166,83 @@ def _quadrature(
     label: str,
     *,
     half_line: bool = False,
-    fold: float = 1.0,
+    log_scale: float = 0.0,
     transform: Callable[[float], float] | None = None,
 ) -> MeasureValue:
     """Integrate over the real line, or [0, inf) when ``half_line``, with
-    ``splits`` merged into ``spec``; scale value and error by ``fold`` and
-    report ``transform`` (which guards its own domain) of the folded integral.
-    Raises ``ConvergenceError`` with the folded result and the mapped best
+    ``splits`` merged into ``spec``.  Without ``transform`` the integral is
+    the value.  With it the integral ``I`` is a unit-scale kernel: the
+    value is ``transform(log_scale + log I)`` and ``quad_detail`` holds
+    ``exp(log_scale + log I)``, its error estimate scaled the same way.
+    Raises ``ConvergenceError`` with that result and the mapped best
     estimate when the quadrature did not converge.  The engine is looked up
     in this module per call, so wrappers installed on it see every integral.
     """
     spec = (spec or QuadratureSpec()).with_splits(splits)
-    raw = (integrate_half_line if half_line else integrate_real_line)(integrand, spec)
-    result = QuadratureResult(
-        fold * raw.value, fold * raw.abs_error_estimate, raw.converged, raw.evaluations
-    )
-    value = result.value if transform is None else transform(result.value)
+    result = (integrate_half_line if half_line else integrate_real_line)(integrand, spec)
+    value = result.value
+    if transform is not None:
+        log_value, log_error = (
+            log_scale + math.log(v) if v > 0.0 else -math.inf
+            for v in (result.value, result.abs_error_estimate)
+        )
+        value = transform(log_value)
+        result = replace(result, value=safe_exp(log_value), abs_error_estimate=safe_exp(log_error))
     if not result.converged:
         raise ConvergenceError(f"{label} did not converge", result, value)
     return MeasureValue(quantity, value, Method.QUADRATURE, result)
 
 
-# Each quadrature integrand reads its probe's constants into closure locals
-# once per integral and evaluates log P (and log |score|) in place, with the
-# operations of ProbeDistribution.log_pdf and log_score_magnitude in the same
-# order: calling those methods per evaluation cost more than the quadrature
-# engine itself, and inlining them keeps every result bit for bit
-# (tests/test_measures.py compares each integrand with the methods).
+def _moment(
+    quantity: Quantity,
+    alpha: float,
+    p: float,
+    c: float,
+    log_scale: float,
+    transform: Callable[[float], float],
+    spec: QuadratureSpec | None,
+    label: str,
+    shift: float | None = None,
+) -> MeasureValue:
+    """``transform(log_scale + log I)`` for the moment kernel
+    ``I = int s**p exp(-c s**alpha)`` in the reduced variable
+    ``s = |x - eps| / gamma``: over [0, inf), or over the real line in
+    ``y = x / gamma`` about the reduced ``shift``.  Split at ``s = 1, 4``.
+
+    On ``s < 1`` the kernel substitutes ``s = t**m``, ``n = ceil(p + 1)``,
+    ``m = n / (p + 1)``: the first panel integrates the integer power times
+    smooth exponential ``m t**(n-1) exp(-c t**(alpha m))``, bounded even
+    where ``s**p`` is singular.  Beyond 1 the plain kernel is taken in log
+    form, so a large ``p`` cannot overflow before the exponential decays.
+    """
+    n = math.ceil(p + 1.0)
+    m = n / (p + 1.0)
+    k, am = n - 1, alpha * m
+
+    def kernel(s: float) -> float:
+        if s < 1.0:
+            return m * s**k * math.exp(-c * s**am)
+        try:
+            return safe_exp(p * math.log(s) - c * s**alpha)
+        except OverflowError:  # s**alpha beyond double range: exp(-inf)
+            return 0.0
+
+    if shift is None:
+        integrand, splits = kernel, (1.0, 4.0)
+    else:
+        integrand = lambda y: kernel(abs(y - shift))  # noqa: E731
+        splits = (shift, shift - 1.0, shift + 1.0, shift - 4.0, shift + 4.0)
+    return _quadrature(
+        quantity, integrand, spec, splits, label,
+        half_line=shift is None, log_scale=log_scale, transform=transform,
+    )
+
+
+# The distance integrand reads its probe's constants into closure locals once
+# per integral and evaluates log P in place, with the operations of
+# ProbeDistribution.log_pdf in the same order: calling that method per
+# evaluation cost more than the quadrature engine itself
+# (tests/test_measures.py compares the integrand with the method).
 def hellinger_distance(
     dist: ProbeDistribution,
     eps: float,
@@ -269,7 +322,7 @@ def hellinger_linearized(
     if not math.isfinite(eps):
         raise DomainError(f"shift must be finite, got {eps}")
     factor = math.exp(math.log(q) / q - LN2) * abs(eps) ** (1.0 / q)
-    return _fisher_route(dist, q, spec, Quantity.DISTANCE, lambda fisher: factor * fisher)
+    return _fisher_route(dist, q, spec, Quantity.DISTANCE, lambda log_f: factor * safe_exp(log_f))
 
 
 def _fisher_route(
@@ -277,37 +330,25 @@ def _fisher_route(
     q: float,
     spec: QuadratureSpec | None,
     quantity: Quantity,
-    transform: Callable[[float], float] | None = None,
+    transform: Callable[[float], float] = safe_exp,
 ) -> MeasureValue:
-    """Quadrature of P * |score|**(1/q), reported as ``transform(F_q)``.
+    """Quadrature of P * |score|**(1/q), reported as ``transform(ln F_q)``.
 
-    The integrand is even, so it is folded onto [0, inf); the origin --
-    where the factor |x|**((alpha-1)/q) is singular for alpha < 1 -- then
-    sits on a panel boundary.  Needs ``alpha > 1 - q`` for integrability.
+    With ``x = gamma s`` and the even integrand folded onto [0, inf),
+    ``F_q = 2 C gamma (2 alpha / gamma)**(1/q) int s**((alpha-1)/q) exp(-2 s**alpha)``:
+    the moment kernel, whose first-panel map keeps the origin -- singular
+    for alpha < 1 -- finite.  Needs ``alpha > 1 - q`` for integrability.
     """
     q = _require_order(q)
-    if dist.alpha <= 1.0 - q:
+    a, g = dist.alpha, dist.gamma_scale
+    if a <= 1.0 - q:
         raise DomainError(
-            f"Fisher integrand not integrable: needs alpha > 1 - q; "
-            f"got alpha = {dist.alpha}, q = {q}"
+            f"Fisher integrand not integrable: needs alpha > 1 - q; got alpha = {a}, q = {q}"
         )
-    log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
-    log_2alpha, power, alpha_log_gamma = dist.score_terms
-    splits = (g, 4.0 * g)
-
-    def integrand(u: float) -> float:
-        if u == 0.0:
-            return 0.0
-        try:
-            log_p = log_c - 2.0 * math.pow(abs(u) / g, alpha)
-        except OverflowError:
-            log_p = -math.inf
-        return safe_exp(log_p + (log_2alpha + power * math.log(u) - alpha_log_gamma) / q)
-
-    label = f"Fisher quadrature (alpha={dist.alpha}, q={q})"
-    return _quadrature(
-        quantity, integrand, spec, splits, label, half_line=True, fold=2.0, transform=transform
-    )
+    log_g = math.log(g)
+    log_scale = dist.log_norm_const + LN2 + log_g + (LN2 + math.log(a) - log_g) / q
+    label = f"Fisher quadrature (alpha={a}, q={q})"
+    return _moment(quantity, a, (a - 1.0) / q, 2.0, log_scale, transform, spec, label)
 
 
 def fisher_quadrature(
@@ -337,22 +378,15 @@ def sensitivity_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
     return _closed(Quantity.EPS_MIN, -q * _log_fisher_closed(dist, q))
 
 
-def _sensitivity_from_fisher(fisher: float, q: float) -> float:
-    """eps_min = F_q**(-q) from a quadrature Fisher value; ``nan`` when that
-    value is not positive (or is itself ``nan``)."""
-    return safe_exp(-q * math.log(fisher)) if fisher > 0.0 else math.nan
-
-
 def sensitivity_quadrature(
     dist: ProbeDistribution,
     q: float,
     spec: QuadratureSpec | None = None,
 ) -> MeasureValue:
     """Minimum detectable shift F_q**(-q) through the quadrature Fisher
-    route; ``quad_detail`` holds the Fisher integral."""
-    return _fisher_route(
-        dist, q, spec, Quantity.EPS_MIN, lambda fisher: _sensitivity_from_fisher(fisher, q)
-    )
+    route, taken from ln F_q so it stays in range where F_q does not;
+    ``quad_detail`` holds the Fisher integral."""
+    return _fisher_route(dist, q, spec, Quantity.EPS_MIN, lambda log_f: safe_exp(-q * log_f))
 
 
 def posterior_width_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
@@ -381,35 +415,18 @@ def posterior_width_quadrature(
     q: float,
     spec: QuadratureSpec | None = None,
 ) -> MeasureValue:
-    """Posterior width by direct quadrature of the integral of P**q.
-
-    ``quad_detail`` holds that raw integral; the width is its
-    1/(1-q) power.  Shifting the density cannot change the result."""
+    """Posterior width by quadrature of the integral of P**q, which is
+    ``2 gamma C**q int exp(-2q s**alpha)`` on the folded reduced variable;
+    ``quad_detail`` holds it, and the width is its 1/(1-q) power taken from
+    its logarithm.  Shifting the density cannot change the result."""
     q = _require_order(q)
     if q == 1.0:
         raise DomainError("posterior width is undefined at q = 1")
-    log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
-
-    def integrand(u: float) -> float:
-        try:
-            log_p = log_c - 2.0 * math.pow(abs(u) / g, alpha)
-        except OverflowError:
-            log_p = -math.inf
-        return safe_exp(q * log_p)
-
-    def width(integral: float) -> float:
-        return safe_exp(math.log(integral) / (1.0 - q)) if integral > 0.0 else math.nan
-
+    log_scale = LN2 + math.log(dist.gamma_scale) + q * dist.log_norm_const
     label = f"posterior width quadrature (alpha={dist.alpha}, q={q})"
-    return _quadrature(
-        Quantity.POSTERIOR_WIDTH,
-        integrand,
-        spec,
-        (g, 4.0 * g),
-        label,
-        half_line=True,
-        fold=2.0,
-        transform=width,
+    return _moment(
+        Quantity.POSTERIOR_WIDTH, dist.alpha, 0.0, 2.0 * q, log_scale,
+        lambda log_i: safe_exp(log_i / (1.0 - q)), spec, label,
     )
 
 
@@ -437,30 +454,20 @@ def mean_error_quadrature(
 ) -> MeasureValue:
     """Mean estimation error by quadrature of P(x - eps) |x - eps|**(1/q).
 
-    Integrated over the real line with a split at the cusp ``x = eps`` (not
-    folded), so the value's independence of ``eps`` is a genuine numerical
-    check rather than true by construction.  ``quad_detail`` holds the raw
-    moment integral; the error is its q-th power."""
+    In ``y = x / gamma`` the moment is ``C gamma**(1 + 1/q)`` times the
+    kernel integral over the real line about ``eps / gamma``, split at the
+    cusp there (not folded), so its independence of ``eps`` is a genuine
+    numerical check.  ``quad_detail`` holds the moment; the error is its
+    q-th power, taken from its logarithm."""
     q = _require_order(q)
     eps = float(eps)
-    log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
-    splits = (eps, eps - g, eps + g, eps - 4.0 * g, eps + 4.0 * g)
-
-    def integrand(x: float) -> float:
-        au = abs(x - eps)
-        if au == 0.0:
-            return 0.0
-        try:
-            log_p = log_c - 2.0 * math.pow(au / g, alpha)
-        except OverflowError:
-            log_p = -math.inf
-        return safe_exp(log_p + math.log(au) / q)
-
-    def error(moment: float) -> float:
-        return safe_exp(q * math.log(moment)) if moment > 0.0 else math.nan
-
-    label = f"mean error quadrature (alpha={dist.alpha}, q={q}, eps={eps})"
-    return _quadrature(Quantity.MEAN_ERROR, integrand, spec, splits, label, transform=error)
+    a, g = dist.alpha, dist.gamma_scale
+    log_scale = dist.log_norm_const + (1.0 + 1.0 / q) * math.log(g)
+    label = f"mean error quadrature (alpha={a}, q={q}, eps={eps})"
+    return _moment(
+        Quantity.MEAN_ERROR, a, 1.0 / q, 2.0, log_scale,
+        lambda log_m: safe_exp(q * log_m), spec, label, shift=eps / g,
+    )
 
 
 def triangle_probe(

@@ -119,20 +119,13 @@ class ProbeDistribution:
             )
         return -math.copysign(safe_exp(self.log_score_magnitude(abs(x))), x)
 
-    @cached_property
-    def score_terms(self) -> tuple[float, float, float]:
-        """``(log(2 alpha), alpha - 1, alpha log(gamma))``: log |score| at
-        ``|x| = ax`` is ``terms[0] + terms[1] * log(ax) - terms[2]``."""
-        return (
-            math.log(2.0 * self.alpha),
-            self.alpha - 1.0,
-            self.alpha * math.log(self.gamma_scale),
-        )
-
     def log_score_magnitude(self, ax: float) -> float:
-        """log |score| at ``|x| = ax > 0``; building block for moment integrands."""
-        log_2alpha, power, alpha_log_gamma = self.score_terms
-        return log_2alpha + power * math.log(ax) - alpha_log_gamma
+        """log |score| at ``|x| = ax > 0``."""
+        return (
+            math.log(2.0 * self.alpha)
+            + (self.alpha - 1.0) * math.log(ax)
+            - self.alpha * math.log(self.gamma_scale)
+        )
 
     def mean_energy_quadrature(self, spec: QuadratureSpec | None = None) -> float:
         """Mean energy by quadrature: one quarter of the classical Fisher
@@ -145,7 +138,8 @@ class ProbeDistribution:
         """
         from .measures import Quantity, _fisher_route  # measures imports this module
 
-        return _fisher_route(self, 0.5, spec, Quantity.FISHER, lambda fisher: fisher / 4.0).value
+        energy = _fisher_route(self, 0.5, spec, Quantity.FISHER, lambda log_f: safe_exp(log_f) / 4)
+        return energy.value
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values; DomainError if one would pass ``exp(EXP_MAX)``.

@@ -20,15 +20,15 @@ from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "ca7e50d466a4d3371fdc2c95885c852d383e63d4928231cfae2cf481be21f38c", 136, 98_400),
+    (["verify"], "b697994ffddd82ccf7a68842b24e36c0d0a1fe4e17369194c8e3cd0857d54154", 136, 79_110),
     (["sweep", "--quantity", "eps_min"],
-     "fb9e5ed84e513645dce706878411c4fe948c3526c4849c14933589b09ed18b11", 180, 126_480),
+     "1f2349ec25308df126e7be3742c0ead77cb31420d4f80f91a709910e2850a3c9", 180, 81_540),
     (["sweep", "--quantity", "posterior_width"],
-     "1b3ca8b3afced293174bacd455105d93820a7527ebfbf47a2959054ac6be96ae", 180, 81_450),
+     "5ca592883f26fc40e187577ef9eab19093eb8e1422ddd711ca488c5140b51dc0", 180, 81_480),
     (["sweep", "--quantity", "mean_error"],
-     "3619f010709ca21987bb5ccef3a3e51fe77c93b1b6833880edff45ab5d806e8d", 180, 204_120),
+     "acc4aa6ec5aa9a1626270ada7cca7e87f2cf308281eb98da0e95f644d14ca4ae", 180, 152_520),
     (["sweep", "--quantity", "fisher"],
-     "8c0e1213f503b996b396554f7d5024394dc6fdc3e9ef04b56ccec7524c0df1cc", 180, 126_480),
+     "95a591ba90e54c02feb9617881c916ab67183000416a1670ca5af0779ee32ef1", 180, 81_540),
 ]
 
 
@@ -72,27 +72,27 @@ def test_runs_without_numpy(tmp_path, argv, sha256):
 
 
 # Runs whose closed values leave double range: the output bytes and the exit
-# code 1 gate where the out_of_range rule is applied.  The argv lists are
-# those of tests/test_cli.py::OUT_OF_RANGE.
+# code gate where the out_of_range rule is applied.  The argv lists and exit
+# codes are those of tests/test_cli.py::OUT_OF_RANGE.
 OUT_OF_RANGE_RUNS = [
-    (["verify", "--alphas", "2", "--qs", "1e-3"],
+    (["verify", "--alphas", "2", "--qs", "1e-3"], 1,
      "7d9a46f2a69f5bdccc8c4def1b11f7eb0efbaf07512da3968e3c0a4f0548f706"),
-    (["verify", "--energy", "1e-300"],
-     "2aa45067835b919f310bef3c05af3c328ab24303802b42022cdba22e958f2a01"),
-    (["sweep", "--quantity", "fisher", "--q", "1e-3"],
+    (["verify", "--energy", "1e-300"], 0,
+     "00e9fa6cda3f10a15d4ce497da366edfb13946c7c2746d1cf2b57ec3291d9641"),
+    (["sweep", "--quantity", "fisher", "--q", "1e-3"], 1,
      "8963133fbba418f4de980acd3ee54546d482d0af60b7a075c5ad46cb226c307e"),
-    (["sweep", "--quantity", "fisher", "--energy", "1e300"],
-     "31a040457793ef2c7838e624c06b24740bab857ab83e7298f1df0af9b5872092"),
+    (["sweep", "--quantity", "fisher", "--energy", "1e300"], 0,
+     "7101752134f13fc09cbbed0bdfd8b7cd1e4549d0fc20c68ccfc078b7b2d42e2f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, sha256",
+    "argv, code, sha256",
     OUT_OF_RANGE_RUNS,
     ids=["verify_tiny_q", "verify_tiny_energy", "sweep_tiny_q", "sweep_huge_energy"],
 )
-def test_out_of_range_run_is_pinned(tmp_path, capsys, argv, sha256):
+def test_out_of_range_run_is_pinned(tmp_path, capsys, argv, code, sha256):
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 1
+    assert main(argv + ["--out", str(out)]) == code
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -2,11 +2,14 @@
 
 Each test asserts the correct behaviour.  An open defect's test is a strict
 xfail that names the one exception the defect raises today, so an unrelated
-error still fails it.  Computing the measures on the unit-scale probe
-(ROADMAP item 3) is expected to flip the energy and order cases.  The last
-two xfails are not about double range: a mapped route certifies its
-integral, not the quantity, and the Monte Carlo deviations lose their digits
-at a large shift.  An unexpected pass fails the suite (``xfail_strict``).
+error still fails it.  The Fisher, width and mean-error routes integrate a
+unit-scale kernel and add the probe's scale in log space, so they keep
+their digits at E = 1e-300 and 1e300.  At q = 1e-3 the kernel integral
+itself leaves double range; that needs the mass-scale substitution of
+ROADMAP item 3.  The last two xfails are not about double range: a mapped
+route certifies its integral, not the quantity, and the Monte Carlo
+deviations lose their digits at a large shift.  An unexpected pass fails
+the suite (``xfail_strict``).
 """
 
 import pytest
@@ -24,7 +27,6 @@ from genfisher.numerics import IntegrandError
 from genfisher.probe import ProbeDistribution
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="the Fisher integrand underflows to 0")
 def test_fisher_quadrature_at_tiny_energy():
     dist = ProbeDistribution.from_shape_energy(1.5, 1e-300)
     closed = fisher_closed(dist, 0.5).value
@@ -32,16 +34,16 @@ def test_fisher_quadrature_at_tiny_energy():
     assert fisher_quadrature(dist, 0.5).value == pytest.approx(closed, rel=1e-6, abs=0.0)
 
 
-@pytest.mark.xfail(raises=IntegrandError, reason="the Fisher integrand overflows to inf")
 def test_fisher_quadrature_at_huge_energy():
     dist = ProbeDistribution.from_shape_energy(1.5, 1e300)
     closed = fisher_closed(dist, 0.5).value
     assert fisher_quadrature(dist, 0.5).value == pytest.approx(closed, rel=1e-6, abs=0.0)
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="the raw integral leaves double range")
+@pytest.mark.xfail(raises=AssertionError, reason="the kernel integral leaves double range")
 def test_verify_tiny_order_parity_has_finite_quadrature(tmp_path, capsys):
-    # F^-q and M^q are finite at q = 1e-3, but F and M themselves are not
+    # F^-q and M^q are finite at q = 1e-3, but the kernel integral of the
+    # mean error, int s**1000 exp(-2 s**2), is not
     out = tmp_path / "report.txt"
     main(["verify", "--alphas", "2", "--qs", "1e-3", "--out", str(out)])
     capsys.readouterr()
@@ -51,7 +53,6 @@ def test_verify_tiny_order_parity_has_finite_quadrature(tmp_path, capsys):
         assert "nan" not in line and line.endswith(" PASS"), line
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="quadrature loses the scale at E = 1e300")
 @pytest.mark.parametrize("quantity", ["eps_min", "posterior_width", "mean_error"])
 def test_sweep_at_huge_energy_converges(tmp_path, capsys, quantity):
     # the default 60-point grid, three orders: 180 rows

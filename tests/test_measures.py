@@ -162,19 +162,14 @@ class TestClosedRange:
 class TestPowerRange:
     """A quadrature route's power of its integral ends in safe_exp, as every
     integrand does: beyond double range it reads inf or 0, never
-    OverflowError, and inside it keeps the bits of the plain power."""
+    OverflowError."""
 
-    def test_sensitivity_map_clamps(self):
-        assert measures._sensitivity_from_fisher(0.5, 1e6) == math.inf
-        assert measures._sensitivity_from_fisher(2.0, 1e6) == 0.0
-        assert measures._sensitivity_from_fisher(2.0, 100.0) == math.exp(-100.0 * math.log(2.0))
-
-    # each integral is within rounding of 1 and its power has an exponent
-    # near 1e300 or -4.5e15
+    # eps_min and the mean error raise a logarithm near 0 to an exponent near
+    # 1e300; the width of the Gaussian probe at gamma = 8e307 is 2.0e308
     ROUTES = {
         "eps_min": lambda: sensitivity_quadrature(GAUSS, 1e300),
         "posterior_width": lambda: posterior_width_quadrature(
-            energy_probe(0.51), 1.0000000000000002
+            ProbeDistribution.from_shape_scale(2.0, 8e307), 0.5
         ),
         "mean_error": lambda: mean_error_quadrature(energy_probe(100.0, 1e-300), 0.0, 1e300),
     }
@@ -184,8 +179,8 @@ class TestPowerRange:
         assert self.ROUTES[name]().value in (0.0, math.inf)
 
 
-# A 100-evaluation spec: every Fisher route stops at 90 evaluations, a few
-# ulps from the converged integral, and raises ConvergenceError.
+# A 100-evaluation spec: every Fisher route stops at 90 evaluations, within
+# 1e-11 of the converged integral, and raises ConvergenceError.
 STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
 
 
@@ -204,18 +199,18 @@ class TestFisherMaps:
     PINS = {
         "eps_min": (
             lambda spec: sensitivity_quadrature(GAUSS, 0.5, spec),
-            "0x1.0000000000008p-1",
-            "0x1.0000000000008p-1",
+            "0x1.0000000000009p-1",
+            "0x1.0000000000009p-1",
         ),
         "eps_min_quarter": (
             lambda spec: sensitivity_quadrature(energy_probe(0.8), 0.25, spec),
-            "0x1.a4f4a3f66aa6dp-2",
-            "0x1.c786ea5fad2eap-2",
+            "0x1.a4f4a3f5d4462p-2",
+            "0x1.a4f4a3f5d623cp-2",
         ),
         "linearized": (
             lambda spec: hellinger_linearized(GAUSS, 1e-3, 0.5, spec),
-            "0x1.0c6f7a0b5ed7ep-21",
-            "0x1.0c6f7a0b5ed7dp-21",
+            "0x1.0c6f7a0b5ed7bp-21",
+            "0x1.0c6f7a0b5ed7cp-21",
         ),
     }
 
@@ -260,6 +255,16 @@ class TestFisher:
         with pytest.raises(DomainError):
             fisher_quadrature(d, 0.05)
         assert fisher_quadrature(d, 0.2).value > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.7501, 0.751, 0.755, 0.76])
+    def test_converges_beside_the_pole(self, evaluations, alpha):
+        # at q = 1/4 the score moment s**((alpha-1)/q) tends to s**-1 as alpha
+        # falls to 3/4, and F_q to the Gamma pole; the first-panel power map
+        # turns it into the bounded m exp(-2 t**(alpha m)), m = 1/(1 + (alpha-1)/q)
+        dist = energy_probe(alpha)
+        value = fisher_quadrature(dist, 0.25).value
+        assert value == pytest.approx(fisher_closed(dist, 0.25).value, rel=1e-9, abs=0.0)
+        assert len(evaluations) == 1 and evaluations[0] < 1_000
 
 
 class TestSensitivity:
@@ -491,47 +496,74 @@ def _reference_distance(dist, eps, q):
     return f
 
 
-def _reference_fisher(dist, eps, q):
-    return lambda u: 0.0 if u == 0.0 else safe_exp(
-        dist.log_pdf(u) + dist.log_score_magnitude(u) / q
-    )
+def _reference_kernel(p, c, alpha):
+    # the moment kernel s**p exp(-c s**alpha); on s < 1 the substitution
+    # s = t**m, n = ceil(p + 1), m = n / (p + 1), gives m t**(n-1) exp(-c t**(alpha m))
+    n = math.ceil(p + 1.0)
+    m = n / (p + 1.0)
 
-
-def _reference_mean_error(dist, eps, q):
-    def f(x):
-        au = abs(x - eps)
-        return 0.0 if au == 0.0 else safe_exp(dist.log_pdf(x - eps) + math.log(au) / q)
+    def f(s):
+        if s < 1.0:
+            return m * s ** (n - 1) * math.exp(-c * s ** (alpha * m))
+        try:
+            return safe_exp(p * math.log(s) - c * s**alpha)
+        except OverflowError:
+            return 0.0
 
     return f
+
+
+def _reference_mean_error(dist, q):
+    kernel = _reference_kernel(1.0 / q, 2.0, dist.alpha)
+    shift = _SHIFT / dist.gamma_scale
+    return lambda y: kernel(abs(y - shift))
 
 
 _SHIFT = 0.7
 
 
 class TestIntegrandBits:
-    """Each route's integrand equals, bit for bit, its composition of
-    ``ProbeDistribution.log_pdf`` and ``log_score_magnitude``; the distance's
-    reference writes its gap out."""
+    """Each route's integrand equals, bit for bit, its plain composition:
+    the distance's of ``ProbeDistribution.log_pdf`` with its gap written
+    out, the Fisher, width and mean-error routes' of the moment kernel in
+    the reduced variable, first-panel power map included."""
 
     # 0, tiny and moderate arguments, the cusp at the shift 0.7, and far
     # tails; for alpha = 100 the power in log_pdf overflows from |x| ~ 1.2e3 on
     HALF_LINE = (0.0, 1e-300, 1e-12, 0.3, 0.7, 0.7 + 1e-12, 1.0, 2.5, 40.0, 1e4, 1e300)
-    REAL_LINE = HALF_LINE + tuple(-x for x in HALF_LINE) + (0.35, 0.7 - 1e-12)
     # the folded distance also at its crossing 0.35 and just below it
     FOLDED = HALF_LINE + (0.35, 0.35 - 1e-12)
+    # the moment kernel also just below its split at s = 1, and the mean
+    # error on either side of the reduced shift 0.7 / gamma
+    REDUCED = HALF_LINE + (1.0 - 2.0**-53,)
+    AROUND_SHIFT = REDUCED + tuple(-s for s in REDUCED)
 
-    # (route, reference integrand, arguments)
+    # (route, reference integrand, arguments of the probe)
     ROUTES = {
-        "distance": (lambda d, q: hellinger_distance(d, _SHIFT, q), _reference_distance, FOLDED),
-        "fisher": (fisher_quadrature, _reference_fisher, HALF_LINE),
-        "eps_min": (sensitivity_quadrature, _reference_fisher, HALF_LINE),
+        "distance": (
+            lambda d, q: hellinger_distance(d, _SHIFT, q),
+            lambda d, q: _reference_distance(d, _SHIFT, q),
+            lambda d: TestIntegrandBits.FOLDED,
+        ),
+        "fisher": (
+            fisher_quadrature,
+            lambda d, q: _reference_kernel((d.alpha - 1.0) / q, 2.0, d.alpha),
+            lambda d: TestIntegrandBits.REDUCED,
+        ),
+        "eps_min": (
+            sensitivity_quadrature,
+            lambda d, q: _reference_kernel((d.alpha - 1.0) / q, 2.0, d.alpha),
+            lambda d: TestIntegrandBits.REDUCED,
+        ),
         "width": (
             posterior_width_quadrature,
-            lambda d, eps, q: (lambda u: safe_exp(q * d.log_pdf(u))),
-            HALF_LINE,
+            lambda d, q: _reference_kernel(0.0, 2.0 * q, d.alpha),
+            lambda d: TestIntegrandBits.REDUCED,
         ),
         "mean_error": (
-            lambda d, q: mean_error_quadrature(d, _SHIFT, q), _reference_mean_error, REAL_LINE
+            lambda d, q: mean_error_quadrature(d, _SHIFT, q),
+            _reference_mean_error,
+            lambda d: tuple(_SHIFT / d.gamma_scale + s for s in TestIntegrandBits.AROUND_SHIFT),
         ),
     }
 
@@ -551,8 +583,8 @@ class TestIntegrandBits:
         dist = energy_probe(alpha)
         measure(dist, q)
         (integrand,) = captured
-        expected = reference(dist, _SHIFT, q)
-        for x in points:
+        expected = reference(dist, q)
+        for x in points(dist):
             assert integrand(x).hex() == expected(x).hex(), x
 
     def test_grid_reaches_the_overflowing_power(self):

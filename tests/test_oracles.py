@@ -1,20 +1,26 @@
-"""Closed forms and the quadrature distance against mpmath at 30 digits.
+"""Closed forms and the quadrature routes against mpmath at 30 digits.
 
 These oracles share no code with the in-house Gauss-Kronrod engine: each
 integral is taken by ``mpmath.quad`` (tanh-sinh), the moments on the
 substituted variable ``u = x / gamma`` and the distance on ``x`` itself, and
 the density's normalization is itself integrated, not taken from the
 gamma-function constant.  Only ``alpha`` and ``gamma`` come from the probe.
+The Fisher, width and mean-error quadrature routes are checked at E = 1 and
+at the edges of double range, E = 1e-300 and 1e300.
 """
 
 import pytest
 
 from genfisher.measures import (
     fisher_closed,
+    fisher_quadrature,
     hellinger_distance,
     mean_error_closed,
+    mean_error_quadrature,
     posterior_width_closed,
+    posterior_width_quadrature,
     sensitivity_closed,
+    sensitivity_quadrature,
 )
 from genfisher.probe import ProbeDistribution
 
@@ -70,6 +76,36 @@ def test_closed_forms_match_mpmath(alpha, q):
     }
     for name, value in closed.items():
         assert abs(value / float(oracle[name]) - 1.0) <= REL, name
+
+
+ROUTE_REL = 1e-9
+
+
+@pytest.mark.parametrize("energy", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("alpha, q", POINTS)
+def test_quadrature_routes_match_mpmath(alpha, q, energy):
+    # F_q itself leaves double range at the edge energies for q < 1, so the
+    # Fisher route is checked there through eps_min = F_q**(-q)
+    dist = ProbeDistribution.from_shape_energy(alpha, energy)
+    with mp.workdps(30):
+        fisher, width, error = _oracles(alpha, q, dist.gamma_scale)
+        oracle = {
+            "fisher": fisher,
+            "eps_min": fisher ** -mp.mpf(q),
+            "posterior_width": width,
+            "mean_error": error,
+        }
+        fisher_in_range = mp.mpf("1e-300") < fisher < mp.mpf("1e300")
+    quadrature = {
+        "eps_min": sensitivity_quadrature(dist, q).value,
+        "posterior_width": posterior_width_quadrature(dist, q).value,
+        "mean_error": mean_error_quadrature(dist, 0.0, q).value,
+    }
+    if fisher_in_range:
+        quadrature["fisher"] = fisher_quadrature(dist, q).value
+    assert energy != 1.0 or "fisher" in quadrature
+    for name, value in quadrature.items():
+        assert abs(value / float(oracle[name]) - 1.0) <= ROUTE_REL, name
 
 
 # (alpha, q, eps) for the distance, either sign of the shift; the last four

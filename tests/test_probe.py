@@ -173,20 +173,22 @@ class TestMeanEnergy:
     def test_value_bits(self):
         # F / 4 maps the value and the best estimate of a starved quadrature
         d = ProbeDistribution.from_shape_energy(2.0, 3.0)
-        assert d.mean_energy_quadrature().hex() == "0x1.7ffffffffffeap+1"
+        assert d.mean_energy_quadrature().hex() == "0x1.7ffffffffffe5p+1"
         starved = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
         with pytest.raises(ConvergenceError) as info:
             d.mean_energy_quadrature(starved)
-        assert info.value.value.hex() == "0x1.7ffffffffffeap+1"
+        assert info.value.value.hex() == "0x1.7ffffffffffe8p+1"
 
     def test_linear_map_keeps_an_underflowing_integral(self):
-        # At E = 1e-300 the Fisher integral underflows to 0.0 (a strict xfail
-        # in test_extreme_range.py); the energy is still that integral / 4,
-        # not the nan that the log-based maps give a non-positive integral.
+        # At E = 1e-300 the Fisher integral is 4e-300: the unit-scale kernel
+        # keeps the probe's scale in log space, so nothing underflows, and the
+        # energy is that integral / 4, bit for bit.
         from genfisher.measures import fisher_quadrature
 
         d = ProbeDistribution.from_shape_energy(2.0, 1e-300)
-        assert d.mean_energy_quadrature() == fisher_quadrature(d, 0.5).value / 4.0 == 0.0
+        energy = d.mean_energy_quadrature()
+        assert energy == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+        assert energy == fisher_quadrature(d, 0.5).value / 4.0
 
     @pytest.mark.parametrize("alpha,gamma", [(0.8, 1.0), (2.0, 0.7), (5.0, 2.0)])
     def test_quarter_of_classical_fisher(self, alpha, gamma):

@@ -4,10 +4,13 @@ The closed forms scale with the probe scale gamma by fixed powers, the
 distance vanishes at zero shift, is even in the shift and depends on the
 shift only through eps / gamma, and the mean error's raw moment does not
 depend on the shift.  Quadrature values are compared within the sum of their
-error estimates.  The distance also converges within a small evaluation
-budget, a gate against quadrature stalls.  Hypothesis runs derandomized, so
-every run draws the same examples.
+error estimates.  The distance converges within a small evaluation budget, a
+gate against quadrature stalls, and within the same budget the Fisher and
+width routes match their closed forms over wide shapes, orders and scales.
+Hypothesis runs derandomized, so every run draws the same examples.
 """
+
+import math
 
 import pytest
 
@@ -18,10 +21,12 @@ from hypothesis import strategies as st
 
 from genfisher.measures import (
     fisher_closed,
+    fisher_quadrature,
     hellinger_distance,
     mean_error_closed,
     mean_error_quadrature,
     posterior_width_closed,
+    posterior_width_quadrature,
     sensitivity_closed,
 )
 from genfisher.numerics import QuadratureSpec
@@ -92,6 +97,30 @@ def test_distance_converges_within_a_small_budget(alpha, q, log10_gamma, log10_r
     budget = QuadratureSpec(max_evaluations=10_000)
     d = hellinger_distance(dist, gamma * 10.0**log10_ratio, q, budget)
     assert 0.0 < d.value <= 1.0 + d.quad_detail.abs_error_estimate
+
+
+# Converged is not enough: within 10 000 evaluations each value must agree
+# with its closed form.  The closed Fisher form needs alpha > 1/2 as well as
+# the route's alpha > 1 - q; the width's power 1/(1-q) multiplies the
+# integral's error near q = 1 (ROADMAP item 9), so |1 - q| >= 0.05.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    log10_alpha=st.floats(math.log10(0.3), math.log10(200.0)),
+    log10_q=st.floats(math.log10(0.05), math.log10(20.0)),
+    log10_gamma=st.floats(-3.0, 3.0),
+)
+def test_fisher_and_width_routes_match_closed_forms(log10_alpha, log10_q, log10_gamma):
+    alpha, q = 10.0**log10_alpha, 10.0**log10_q
+    dist = ProbeDistribution.from_shape_scale(alpha, 10.0**log10_gamma)
+    budget = QuadratureSpec(max_evaluations=10_000)
+    if alpha > max(1.0 - q, 0.5):
+        assert fisher_quadrature(dist, q, budget).value == pytest.approx(
+            fisher_closed(dist, q).value, rel=1e-8, abs=0.0
+        )
+    if abs(1.0 - q) >= 0.05:
+        assert posterior_width_quadrature(dist, q, budget).value == pytest.approx(
+            posterior_width_closed(dist, q).value, rel=1e-8, abs=0.0
+        )
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -21,10 +21,12 @@ closed form built from gamma-function ratios; each closed form here is paired
 with an independent quadrature route so they can be cross-checked.  The closed
 Fisher form uses the gamma argument ``(alpha + q - 1) / (alpha * q)``, which
 the quadrature confirms (see the verification report for the rejected
-alternative).  The Fisher, width and mean-error routes integrate one
-unit-scale moment kernel ``s**p exp(-c s**alpha)`` in ``s = |x - eps|/gamma``,
-with an endpoint power map on its first panel, and add the probe's prefactors
-in log space (see ``_moment``).  The distance route folds its integrand about
+alternative).  Every quadrature runs on one half-line.  The Fisher, width
+and mean-error routes integrate one unit-scale moment kernel
+``s**p exp(-c s**alpha)`` in the folded ``s = |x - eps|/gamma``, with an
+endpoint power map on its first panel, and add the probe's prefactors in log
+space (see ``_moment``); the mean error is therefore independent of the
+shift by construction.  The distance route folds its integrand about
 the crossing ``eps/2`` onto one half-line measured from the copy at ``|eps|``,
 and takes the gap between the two log densities without cancellation (see
 ``hellinger_distance``).  A closed value that leaves double range, by
@@ -52,7 +54,6 @@ from .numerics import (
     QuadratureResult,
     QuadratureSpec,
     integrate_half_line,
-    integrate_real_line,
     log_gamma,
     safe_exp,
 )
@@ -131,6 +132,12 @@ def _require_order(q: float) -> float:
     return float(q)
 
 
+def _require_shift(eps: float) -> float:
+    if not math.isfinite(eps):
+        raise DomainError(f"shift must be finite, got {eps}")
+    return float(eps)
+
+
 def fisher_gamma_argument(alpha: float, q: float) -> float:
     """Gamma argument of the closed Fisher form: (alpha + q - 1) / (alpha * q)."""
     return (alpha + q - 1.0) / (alpha * q)
@@ -165,21 +172,20 @@ def _quadrature(
     splits: Iterable[float],
     label: str,
     *,
-    half_line: bool = False,
     log_scale: float = 0.0,
     transform: Callable[[float], float] | None = None,
 ) -> MeasureValue:
-    """Integrate over the real line, or [0, inf) when ``half_line``, with
-    ``splits`` merged into ``spec``.  Without ``transform`` the integral is
-    the value.  With it the integral ``I`` is a unit-scale kernel: the
-    value is ``transform(log_scale + log I)`` and ``quad_detail`` holds
+    """Integrate over [0, inf) with ``splits`` merged into ``spec``.
+    Without ``transform`` the integral is the value.  With it the integral
+    ``I`` is a unit-scale kernel: the value is
+    ``transform(log_scale + log I)`` and ``quad_detail`` holds
     ``exp(log_scale + log I)``, its error estimate scaled the same way.
     Raises ``ConvergenceError`` with that result and the mapped best
     estimate when the quadrature did not converge.  The engine is looked up
     in this module per call, so wrappers installed on it see every integral.
     """
     spec = (spec or QuadratureSpec()).with_splits(splits)
-    result = (integrate_half_line if half_line else integrate_real_line)(integrand, spec)
+    result = integrate_half_line(integrand, spec)
     value = result.value
     if transform is not None:
         log_value, log_error = (
@@ -202,12 +208,10 @@ def _moment(
     transform: Callable[[float], float],
     spec: QuadratureSpec | None,
     label: str,
-    shift: float | None = None,
 ) -> MeasureValue:
     """``transform(log_scale + log I)`` for the moment kernel
-    ``I = int s**p exp(-c s**alpha)`` in the reduced variable
-    ``s = |x - eps| / gamma``: over [0, inf), or over the real line in
-    ``y = x / gamma`` about the reduced ``shift``.  Split at ``s = 1, 4``.
+    ``I = int_0^inf s**p exp(-c s**alpha)`` in the folded reduced variable
+    ``s = |x - eps| / gamma``, split at ``s = 1, 4``.
 
     On ``s < 1`` the kernel substitutes ``s = t**m``, ``n = ceil(p + 1)``,
     ``m = n / (p + 1)``: the first panel integrates the integer power times
@@ -227,14 +231,8 @@ def _moment(
         except OverflowError:  # s**alpha beyond double range: exp(-inf)
             return 0.0
 
-    if shift is None:
-        integrand, splits = kernel, (1.0, 4.0)
-    else:
-        integrand = lambda y: kernel(abs(y - shift))  # noqa: E731
-        splits = (shift, shift - 1.0, shift + 1.0, shift - 4.0, shift + 4.0)
     return _quadrature(
-        quantity, integrand, spec, splits, label,
-        half_line=shift is None, log_scale=log_scale, transform=transform,
+        quantity, kernel, spec, (1.0, 4.0), label, log_scale=log_scale, transform=transform
     )
 
 
@@ -272,10 +270,8 @@ def hellinger_distance(
     beyond double range leaves the nearer bump alone.  A non-finite shift
     raises DomainError before any evaluation.
     """
-    q = _require_order(q)
-    if not math.isfinite(eps):
-        raise DomainError(f"shift must be finite, got {eps}")
-    e = abs(float(eps))
+    q, eps = _require_order(q), _require_shift(eps)
+    e = abs(eps)
     half = 0.5 * e
     log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
     two_q = 2.0 * q
@@ -302,8 +298,8 @@ def hellinger_distance(
             return bump(s, e) + bump(s, e - 2.0 * s)
         return bump(s, e)
 
-    label = f"distance quadrature (alpha={dist.alpha}, q={q}, eps={float(eps)})"
-    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, half_line=True)
+    label = f"distance quadrature (alpha={dist.alpha}, q={q}, eps={eps})"
+    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label)
 
 
 def hellinger_linearized(
@@ -319,9 +315,7 @@ def hellinger_linearized(
     non-finite shift raises DomainError, and a factor in front of F_q beyond
     double range OverflowError, before the quadrature runs."""
     q = _require_order(q)
-    if not math.isfinite(eps):
-        raise DomainError(f"shift must be finite, got {eps}")
-    factor = math.exp(math.log(q) / q - LN2) * abs(eps) ** (1.0 / q)
+    factor = math.exp(math.log(q) / q - LN2) * abs(_require_shift(eps)) ** (1.0 / q)
     return _fisher_route(dist, q, spec, Quantity.DISTANCE, lambda log_f: factor * safe_exp(log_f))
 
 
@@ -454,19 +448,19 @@ def mean_error_quadrature(
 ) -> MeasureValue:
     """Mean estimation error by quadrature of P(x - eps) |x - eps|**(1/q).
 
-    In ``y = x / gamma`` the moment is ``C gamma**(1 + 1/q)`` times the
-    kernel integral over the real line about ``eps / gamma``, split at the
-    cusp there (not folded), so its independence of ``eps`` is a genuine
-    numerical check.  ``quad_detail`` holds the moment; the error is its
+    In the folded ``s = |x - eps| / gamma`` the moment is
+    ``2 C gamma**(1 + 1/q) int s**(1/q) exp(-2 s**alpha)``, so every finite
+    ``eps`` gives the same bits; a non-finite one raises DomainError before
+    any evaluation.  ``quad_detail`` holds the moment; the error is its
     q-th power, taken from its logarithm."""
     q = _require_order(q)
-    eps = float(eps)
-    a, g = dist.alpha, dist.gamma_scale
-    log_scale = dist.log_norm_const + (1.0 + 1.0 / q) * math.log(g)
-    label = f"mean error quadrature (alpha={a}, q={q}, eps={eps})"
+    _require_shift(eps)
+    a = dist.alpha
+    log_scale = dist.log_norm_const + LN2 + (1.0 + 1.0 / q) * math.log(dist.gamma_scale)
+    label = f"mean error quadrature (alpha={a}, q={q})"
     return _moment(
         Quantity.MEAN_ERROR, a, 1.0 / q, 2.0, log_scale,
-        lambda log_m: safe_exp(q * log_m), spec, label, shift=eps / g,
+        lambda log_m: safe_exp(q * log_m), spec, label,
     )
 
 

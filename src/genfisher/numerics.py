@@ -91,9 +91,9 @@ _EVALS_PER_PANEL = 15
 _MACHINE_EPS = 2.220446049250313e-16
 
 LN2 = math.log(2.0)
-#: exp() overflow / underflow thresholds for double precision.
+#: exp() overflow threshold for double precision, rounded down; the sampling
+#: checks bound their logarithms by it.
 EXP_MAX = 709.0
-EXP_MIN = -745.0
 
 #: Uniform panels each piece is seeded with before adaptive refinement.
 INITIAL_PANELS = 8
@@ -147,13 +147,12 @@ def log_gamma(x: float) -> float:
 
 
 def safe_exp(x: float) -> float:
-    """``exp(x)``, clamped to 0 at or below ``EXP_MIN`` and to inf at or
-    above ``EXP_MAX``; integrands built in log space end with it."""
-    if x <= EXP_MIN:
-        return 0.0
-    if x >= EXP_MAX:
+    """``exp(x)``, inf where it overflows (``math.exp`` already underflows
+    to 0); integrands built in log space end with it."""
+    try:
+        return math.exp(x)
+    except OverflowError:
         return math.inf
-    return math.exp(x)
 
 
 def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:

@@ -74,12 +74,12 @@ class TestVerifyCommand:
         assert not out.exists()
 
     def test_numeric_failure_is_a_fail_line(self, tmp_path, capsys, monkeypatch):
-        # a mean-error route that meets a non-finite integrand: the
-        # shift-invariance line says so instead of stopping with a traceback
+        # a distance route that meets a non-finite integrand: the distance
+        # lines say so instead of stopping with a traceback
         def non_finite(*args):
             raise IntegrandError("integrand returned a non-finite value inside panel")
 
-        monkeypatch.setattr(measures, "mean_error_quadrature", non_finite)
+        monkeypatch.setattr(measures, "hellinger_distance", non_finite)
         out = tmp_path / "report.txt"
         assert main(["verify", "--alphas", "0.8", "--qs", "0.5", "--out", str(out)]) == 1
         assert "Traceback" not in capsys.readouterr().err

@@ -20,13 +20,13 @@ from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "b697994ffddd82ccf7a68842b24e36c0d0a1fe4e17369194c8e3cd0857d54154", 136, 79_110),
+    (["verify"], "18c2ac685e21d1594f2de48c01655413778db9d62e38449b4c2400dd7c10b2e4", 133, 67_320),
     (["sweep", "--quantity", "eps_min"],
      "1f2349ec25308df126e7be3742c0ead77cb31420d4f80f91a709910e2850a3c9", 180, 81_540),
     (["sweep", "--quantity", "posterior_width"],
      "5ca592883f26fc40e187577ef9eab19093eb8e1422ddd711ca488c5140b51dc0", 180, 81_480),
     (["sweep", "--quantity", "mean_error"],
-     "acc4aa6ec5aa9a1626270ada7cca7e87f2cf308281eb98da0e95f644d14ca4ae", 180, 152_520),
+     "07abb123a1403c002732ffa9a7de7b958dc585799e010af9b6a8f192739887ed", 180, 76_530),
     (["sweep", "--quantity", "fisher"],
      "95a591ba90e54c02feb9617881c916ab67183000416a1670ca5af0779ee32ef1", 180, 81_540),
 ]
@@ -76,9 +76,9 @@ def test_runs_without_numpy(tmp_path, argv, sha256):
 # codes are those of tests/test_cli.py::OUT_OF_RANGE.
 OUT_OF_RANGE_RUNS = [
     (["verify", "--alphas", "2", "--qs", "1e-3"], 1,
-     "7d9a46f2a69f5bdccc8c4def1b11f7eb0efbaf07512da3968e3c0a4f0548f706"),
+     "9c298f9e49afdc2ab6a48fad3524aeb0f37c540543a781ef2c0cbe19064cebcf"),
     (["verify", "--energy", "1e-300"], 0,
-     "00e9fa6cda3f10a15d4ce497da366edfb13946c7c2746d1cf2b57ec3291d9641"),
+     "d20915a1cef3fddc220ccf2252810b860398d7c6af0f6f0e0a9c601a4de1116b"),
     (["sweep", "--quantity", "fisher", "--q", "1e-3"], 1,
      "8963133fbba418f4de980acd3ee54546d482d0af60b7a075c5ad46cb226c307e"),
     (["sweep", "--quantity", "fisher", "--energy", "1e300"], 0,

@@ -65,6 +65,15 @@ def test_sweep_at_huge_energy_converges(tmp_path, capsys, quantity):
     assert rc == 0
 
 
+@pytest.mark.parametrize("energy", ["1e30", "1e100", "1e300"])
+def test_verify_at_huge_energy_passes(tmp_path, capsys, energy):
+    out = tmp_path / "report.txt"
+    rc = main(["verify", "--energy", energy, "--out", str(out)])
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8").endswith("overall: PASS\n")
+    assert rc == 0
+
+
 # At q = 1/2 the distance of two copies of a unit-scale Gaussian probe tends to
 # 1 as the shift grows (D = 0.9999999999999968 at eps = 10).  The folded
 # quadrature keeps its split points at gamma and 4 gamma from the nearer copy,

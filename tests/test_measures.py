@@ -308,6 +308,14 @@ class TestPosteriorWidth:
         quad = posterior_width_quadrature(dist, q).value
         assert quad == pytest.approx(closed, rel=1e-8)
 
+    def test_quadrature_just_below_overflow_is_finite(self):
+        # the width 1.0027e308 is inside double range, though the log of
+        # its power is above 709
+        dist = ProbeDistribution.from_shape_scale(2.0, 4e307)
+        closed = posterior_width_closed(dist, 0.5).value
+        assert closed == pytest.approx(1.0027e308, rel=1e-4)
+        assert posterior_width_quadrature(dist, 0.5).value == pytest.approx(closed, rel=1e-8)
+
     def test_rejects_order_one(self):
         with pytest.raises(DomainError):
             posterior_width_closed(GAUSS, 1.0)
@@ -347,10 +355,14 @@ class TestMeanError:
         assert got == pytest.approx(expected, rel=1e-8)
 
     def test_translation_invariance(self):
+        # the folded route never sees the shift: every finite one gives the
+        # bits of eps = 0
         d = energy_probe(1.5)
-        values = [mean_error_quadrature(d, eps, 0.25).value for eps in (-2.0, 0.0, 0.7)]
-        assert values[0] == pytest.approx(values[1], rel=1e-8)
-        assert values[2] == pytest.approx(values[1], rel=1e-8)
+        centred = mean_error_quadrature(d, 0.0, 0.25)
+        for eps in (-2.0, 0.7, 5e-324, -1e300, 1.7e308):
+            shifted = mean_error_quadrature(d, eps, 0.25)
+            assert shifted.value.hex() == centred.value.hex()
+            assert shifted.quad_detail == centred.quad_detail
 
     def test_closed_quadrature_parity(self):
         for q in (0.25, 0.5, 2.0, 4.0):
@@ -513,12 +525,6 @@ def _reference_kernel(p, c, alpha):
     return f
 
 
-def _reference_mean_error(dist, q):
-    kernel = _reference_kernel(1.0 / q, 2.0, dist.alpha)
-    shift = _SHIFT / dist.gamma_scale
-    return lambda y: kernel(abs(y - shift))
-
-
 _SHIFT = 0.7
 
 
@@ -526,17 +532,15 @@ class TestIntegrandBits:
     """Each route's integrand equals, bit for bit, its plain composition:
     the distance's of ``ProbeDistribution.log_pdf`` with its gap written
     out, the Fisher, width and mean-error routes' of the moment kernel in
-    the reduced variable, first-panel power map included."""
+    the folded reduced variable, first-panel power map included."""
 
     # 0, tiny and moderate arguments, the cusp at the shift 0.7, and far
     # tails; for alpha = 100 the power in log_pdf overflows from |x| ~ 1.2e3 on
     HALF_LINE = (0.0, 1e-300, 1e-12, 0.3, 0.7, 0.7 + 1e-12, 1.0, 2.5, 40.0, 1e4, 1e300)
     # the folded distance also at its crossing 0.35 and just below it
     FOLDED = HALF_LINE + (0.35, 0.35 - 1e-12)
-    # the moment kernel also just below its split at s = 1, and the mean
-    # error on either side of the reduced shift 0.7 / gamma
+    # the moment kernel also just below its split at s = 1
     REDUCED = HALF_LINE + (1.0 - 2.0**-53,)
-    AROUND_SHIFT = REDUCED + tuple(-s for s in REDUCED)
 
     # (route, reference integrand, arguments of the probe)
     ROUTES = {
@@ -562,8 +566,8 @@ class TestIntegrandBits:
         ),
         "mean_error": (
             lambda d, q: mean_error_quadrature(d, _SHIFT, q),
-            _reference_mean_error,
-            lambda d: tuple(_SHIFT / d.gamma_scale + s for s in TestIntegrandBits.AROUND_SHIFT),
+            lambda d, q: _reference_kernel(1.0 / q, 2.0, d.alpha),
+            lambda d: TestIntegrandBits.REDUCED,
         ),
     }
 
@@ -578,7 +582,6 @@ class TestIntegrandBits:
             captured.append(f)
             return QuadratureResult(1.0, 0.0, True, 0)
 
-        monkeypatch.setattr(measures, "integrate_real_line", capture)
         monkeypatch.setattr(measures, "integrate_half_line", capture)
         dist = energy_probe(alpha)
         measure(dist, q)

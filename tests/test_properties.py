@@ -3,10 +3,11 @@
 The closed forms scale with the probe scale gamma by fixed powers, the
 distance vanishes at zero shift, is even in the shift and depends on the
 shift only through eps / gamma, and the mean error's raw moment does not
-depend on the shift.  Quadrature values are compared within the sum of their
-error estimates.  The distance converges within a small evaluation budget, a
-gate against quadrature stalls, and within the same budget the Fisher and
-width routes match their closed forms over wide shapes, orders and scales.
+depend on the shift, to the bit.  Distance values are compared within the sum
+of their error estimates.  The distance converges within a small evaluation
+budget, a gate against quadrature stalls, and within the same budget the
+Fisher, width and mean-error routes match their closed forms over wide
+shapes, orders and scales.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
@@ -16,7 +17,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genfisher.measures import (
@@ -102,14 +103,19 @@ def test_distance_converges_within_a_small_budget(alpha, q, log10_gamma, log10_r
 # Converged is not enough: within 10 000 evaluations each value must agree
 # with its closed form.  The closed Fisher form needs alpha > 1/2 as well as
 # the route's alpha > 1 - q; the width's power 1/(1-q) multiplies the
-# integral's error near q = 1 (ROADMAP item 9), so |1 - q| >= 0.05.
+# integral's error near q = 1 (ROADMAP item 9), so |1 - q| >= 0.05.  The two
+# examples are small-shape, small-order mean errors whose mass lies far
+# beyond the split at 4 gamma: an unfolded real-line route read them 3.8 %
+# and 4.1 % low.
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     log10_alpha=st.floats(math.log10(0.3), math.log10(200.0)),
     log10_q=st.floats(math.log10(0.05), math.log10(20.0)),
     log10_gamma=st.floats(-3.0, 3.0),
 )
-def test_fisher_and_width_routes_match_closed_forms(log10_alpha, log10_q, log10_gamma):
+@example(log10_alpha=math.log10(0.308), log10_q=math.log10(0.056), log10_gamma=math.log10(0.068))
+@example(log10_alpha=math.log10(0.307), log10_q=math.log10(0.060), log10_gamma=math.log10(0.0035))
+def test_moment_routes_match_closed_forms(log10_alpha, log10_q, log10_gamma):
     alpha, q = 10.0**log10_alpha, 10.0**log10_q
     dist = ProbeDistribution.from_shape_scale(alpha, 10.0**log10_gamma)
     budget = QuadratureSpec(max_evaluations=10_000)
@@ -121,13 +127,16 @@ def test_fisher_and_width_routes_match_closed_forms(log10_alpha, log10_q, log10_
         assert posterior_width_quadrature(dist, q, budget).value == pytest.approx(
             posterior_width_closed(dist, q).value, rel=1e-8, abs=0.0
         )
+    assert mean_error_quadrature(dist, 0.0, q, budget).value == pytest.approx(
+        mean_error_closed(dist, q).value, rel=1e-8, abs=0.0
+    )
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(alpha=ALPHAS, q=ORDERS, gamma=SCALES, eps=st.floats(-3.0, 3.0))
 def test_mean_error_moment_does_not_depend_on_the_shift(alpha, q, gamma, eps):
     dist = ProbeDistribution.from_shape_scale(alpha, gamma)
-    centred = mean_error_quadrature(dist, 0.0, q).quad_detail
-    shifted = mean_error_quadrature(dist, eps, q).quad_detail
-    gap_tol = centred.abs_error_estimate + shifted.abs_error_estimate
-    assert abs(shifted.value - centred.value) <= gap_tol
+    centred = mean_error_quadrature(dist, 0.0, q)
+    shifted = mean_error_quadrature(dist, eps, q)
+    assert shifted.value.hex() == centred.value.hex()
+    assert shifted.quad_detail == centred.quad_detail

@@ -27,9 +27,9 @@ PINS = [
     ("width", 2.0, 2.0, None, "0x1.c5bf891b4ef87p+0", "0x1.20dd750429b5bp-1", 360),
     ("width", 0.8, 0.25, None, "0x1.53ed53bcad724p+3", "0x1.789460d6b03dap+2", 660),
     ("width", 5.0, 0.5, None, "0x1.5d3f3495fc534p+1", "0x1.a6dd51d86f417p+0", 360),
-    ("mean_error", 1.5, 0.25, 0.7, "0x1.7534c9eb800f5p-1", "0x1.21140d98a3114p-2", 720),
-    ("mean_error", 2.0, 2.0, 0.0, "0x1.5a19d1e3cb0eap-2", "0x1.29a91ba90e29cp-1", 720),
-    ("mean_error", 0.8, 0.5, -2.0, "0x1.07038dc53ee6dp+0", "0x1.0e384d57e860ap+0", 780),
+    ("mean_error", 1.5, 0.25, 0.7, "0x1.7534c9eb800f5p-1", "0x1.21140d98a3114p-2", 360),
+    ("mean_error", 2.0, 2.0, 0.0, "0x1.5a19d1e3cb0ebp-2", "0x1.29a91ba90e29cp-1", 360),
+    ("mean_error", 0.8, 0.5, -2.0, "0x1.07038dc53ee6ep+0", "0x1.0e384d57e860bp+0", 390),
     ("mean_energy", 0.8, None, None, "0x1.00000000006f6p+0", None, 510),
     ("mean_energy", 2.0, None, None, "0x1.fffffffffffe4p-1", None, 360),
     ("mean_energy", 5.0, None, None, "0x1.fffffffffffe6p-1", None, 420),

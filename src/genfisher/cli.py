@@ -5,9 +5,9 @@ Commands
 verify    cross-check every closed form against its quadrature oracle on a
           parameter grid, resolve the Fisher gamma-argument question, check
           the q = 1/2 sensitivity law, Cramer-Rao products, the distance
-          against its Laplace and Gaussian closed forms, weak-signal
-          linearization, and scan for triangle-inequality violations; writes
-          a line-per-check text report.
+          against its Laplace and Gaussian closed forms at the run's energy,
+          weak-signal linearization, and scan for triangle-inequality
+          violations; writes a line-per-check text report.
 sweep     tabulate one quantity over an alpha grid for several orders q,
           with closed and quadrature values side by side (CSV).
 simulate  Monte Carlo single-shot estimation run (JSON report).
@@ -23,9 +23,10 @@ Each sweep quantity has one closed form and one quadrature route; ``eps_min``
 and ``fisher`` read one Fisher route, ``eps_min`` its value F_q**(-q) and
 ``fisher`` its integral F_q, in ``sweep`` and ``verify`` alike, and
 ``verify``'s parity lines run each distinct (route, probe, q) integral once.
-Every quadrature route integrates one folded half-line, so the distance is
-even in the shift and the mean error independent of it by construction;
-``verify`` checks neither.
+Every quadrature route integrates a unit-scale kernel on one folded
+half-line, so by construction the distance is even in the shift and depends
+on the scale only through eps / gamma, and the mean error is independent of
+the shift; ``verify`` does not check these.
 
 Where no value can be given, a sweep row or verify line carries a status
 instead: ``out_of_domain`` when the point lies outside the probe family or the
@@ -379,13 +380,13 @@ def _distance_invariants(alpha: float, q: float, eps: float, energy: float) -> t
     return at_zero == 0.0 and value >= 0.0, f"zero_shift={_fmt(at_zero)} value={_fmt(value)}"
 
 
-def _distance_closed(alpha: float, q: float, closed, tolerance: float) -> tuple[bool, str]:
-    dist = ProbeDistribution.from_shape_scale(alpha, 1.0)
+def _distance_closed(alpha: float, q: float, closed, energy: float, tol: float) -> tuple[bool, str]:
+    dist = ProbeDistribution.from_shape_energy(alpha, energy)
     worst = max(
-        abs(measures.hellinger_distance(dist, r, q).value / closed(r) - 1.0)
+        abs(measures.hellinger_distance(dist, r * dist.gamma_scale, q).value / closed(r) - 1.0)
         for r in _DISTANCE_SHIFTS
     )
-    return worst <= tolerance, f"max_rel_dev={worst:.3e}"
+    return worst <= tol, f"max_rel_dev={worst:.3e}"
 
 
 def _linearization(alpha: float, q: float) -> tuple[bool, str]:
@@ -464,11 +465,11 @@ def verify_report(
         label = f"distance_invariants alpha={alpha:g} q={q:g} eps={eps:g}"
         checks.append(_check(label, _distance_invariants, alpha, q, eps, energy))
 
-    # The distance against its closed forms on the unit-scale Laplace and
-    # Gaussian probes, within the parity tolerance.
+    # The distance against its closed forms on the run's Laplace and Gaussian
+    # probes at the shifts eps = r gamma, within the parity tolerance.
     for (alpha, q), closed in _DISTANCE_CLOSED.items():
         label = f"distance_closed alpha={alpha:g} q={q:g} eps={_DISTANCE_SHIFTS}"
-        checks.append(_check(label, _distance_closed, alpha, q, closed, tolerance))
+        checks.append(_check(label, _distance_closed, alpha, q, closed, energy, tolerance))
 
     # Weak-signal linearization at eps = 1e-3.
     for alpha, q in _LINEARIZATION_PAIRS:

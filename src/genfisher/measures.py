@@ -21,18 +21,19 @@ closed form built from gamma-function ratios; each closed form here is paired
 with an independent quadrature route so they can be cross-checked.  The closed
 Fisher form uses the gamma argument ``(alpha + q - 1) / (alpha * q)``, which
 the quadrature confirms (see the verification report for the rejected
-alternative).  Every quadrature runs on one half-line.  The Fisher, width
-and mean-error routes integrate one unit-scale moment kernel
-``s**p exp(-c s**alpha)`` in the folded ``s = |x - eps|/gamma``, with an
-endpoint power map on its first panel, and add the probe's prefactors in log
-space (see ``_moment``); the mean error is therefore independent of the
-shift by construction.  The distance route folds its integrand about
-the crossing ``eps/2`` onto one half-line measured from the copy at ``|eps|``,
-and takes the gap between the two log densities without cancellation (see
-``hellinger_distance``).  A closed value that leaves double range, by
-overflow or by underflow to 0, raises OverflowError; a quadrature route's
-power of its integral ends in ``safe_exp`` instead, so beyond double range
-it reads 0 or inf.
+alternative).  Every quadrature integrates a unit-scale kernel on one
+half-line of the reduced variable and adds the probe's prefactors in log
+space, so the scale enters no integrand.  The Fisher, width and mean-error
+routes integrate one moment kernel ``s**p exp(-c s**alpha)`` in the folded
+``s = |x - eps|/gamma``, with an endpoint power map on its first panel (see
+``_moment``); the mean error is therefore independent of the shift by
+construction.  The distance route folds the unit-scale probe's integrand
+about the crossing ``e/2``, ``e = |eps|/gamma``, onto one half-line
+measured from the copy at ``e``, and takes the gap between the two log
+densities without cancellation (see ``hellinger_distance``).  A closed value
+that leaves double range, by overflow or by underflow to 0, raises
+OverflowError; a quadrature route's power of its integral ends in
+``safe_exp`` instead, so beyond double range it reads 0 or inf.
 
 Weak-signal behaviour: to first order in the shift,
 ``D_q ~ (q**(1/q) / 2) * |eps|**(1/q) * F_q``.  ``hellinger_linearized``
@@ -97,9 +98,10 @@ class MeasureValue:
     """One evaluated measure.
 
     ``quad_detail`` carries the underlying quadrature for quadrature-backed
-    values.  For the distance and Fisher quadratures it is on the same scale
-    as ``value``; for the linearized distance, sensitivity, posterior width
-    and mean error it holds the integral that ``value`` is a map of.
+    values: the unit-scale kernel's integral times the route's prefactors.
+    For the distance and Fisher quadratures that is ``value`` itself; for
+    the linearized distance, sensitivity, posterior width and mean error it
+    is the integral that ``value`` is a map of.
     """
 
     quantity: Quantity
@@ -171,13 +173,11 @@ def _quadrature(
     spec: QuadratureSpec | None,
     splits: Iterable[float],
     label: str,
-    *,
-    log_scale: float = 0.0,
-    transform: Callable[[float], float] | None = None,
+    log_scale: float,
+    transform: Callable[[float], float],
 ) -> MeasureValue:
-    """Integrate over [0, inf) with ``splits`` merged into ``spec``.
-    Without ``transform`` the integral is the value.  With it the integral
-    ``I`` is a unit-scale kernel: the value is
+    """Integrate the unit-scale kernel ``integrand`` over [0, inf) with
+    ``splits`` merged into ``spec``; for its integral ``I`` the value is
     ``transform(log_scale + log I)`` and ``quad_detail`` holds
     ``exp(log_scale + log I)``, its error estimate scaled the same way.
     Raises ``ConvergenceError`` with that result and the mapped best
@@ -186,14 +186,12 @@ def _quadrature(
     """
     spec = (spec or QuadratureSpec()).with_splits(splits)
     result = integrate_half_line(integrand, spec)
-    value = result.value
-    if transform is not None:
-        log_value, log_error = (
-            log_scale + math.log(v) if v > 0.0 else -math.inf
-            for v in (result.value, result.abs_error_estimate)
-        )
-        value = transform(log_value)
-        result = replace(result, value=safe_exp(log_value), abs_error_estimate=safe_exp(log_error))
+    log_value, log_error = (
+        log_scale + math.log(v) if v > 0.0 else -math.inf
+        for v in (result.value, result.abs_error_estimate)
+    )
+    value = transform(log_value)
+    result = replace(result, value=safe_exp(log_value), abs_error_estimate=safe_exp(log_error))
     if not result.converged:
         raise ConvergenceError(f"{label} did not converge", result, value)
     return MeasureValue(quantity, value, Method.QUADRATURE, result)
@@ -231,16 +229,13 @@ def _moment(
         except OverflowError:  # s**alpha beyond double range: exp(-inf)
             return 0.0
 
-    return _quadrature(
-        quantity, kernel, spec, (1.0, 4.0), label, log_scale=log_scale, transform=transform
-    )
+    return _quadrature(quantity, kernel, spec, (1.0, 4.0), label, log_scale, transform)
 
 
-# The distance integrand reads its probe's constants into closure locals once
-# per integral and evaluates log P in place, with the operations of
-# ProbeDistribution.log_pdf in the same order: calling that method per
-# evaluation cost more than the quadrature engine itself
-# (tests/test_measures.py compares the integrand with the method).
+# The distance integrand keeps its constants in closure locals and writes the
+# folded gap out in place: a probe method call per evaluation cost more than
+# the quadrature engine itself (tests/test_measures.py compares the integrand
+# with its plain composition).
 def hellinger_distance(
     dist: ProbeDistribution,
     eps: float,
@@ -249,57 +244,60 @@ def hellinger_distance(
 ) -> MeasureValue:
     """Order-q distance between ``P(x - eps)`` and ``P(x)`` by quadrature.
 
-    Fold: the integrand ``f(x) = |P^q(x - e) - P^q(x)|**(1/q)``, with
-    ``e = |eps|``, is symmetric about the crossing ``e/2``, so
-    ``D_q = int_0^inf g(s) ds`` with ``g(s) = f(e + s) + f(e - s) [s < e/2]``:
-    one half-line integral in the distance ``s`` from the copy at ``e``,
-    and even in the shift by construction.  Each bump then sits where the
+    Scale: in ``x / gamma`` this is the distance of the unit-scale probe
+    shifted by ``e = |eps| / gamma``, so it depends on the scale only through
+    ``eps / gamma``, by construction; the unit probe's constant ``C`` is
+    added in log space.
+
+    Fold: ``f(s) = |P^q(s - e) - P^q(s)|**(1/q)`` is symmetric about the
+    crossing ``e/2``, so ``D_q = int_0^inf g(s) ds`` with
+    ``g(s) = f(e + s) + f(e - s) [s < e/2]``: one half-line integral in the
+    distance ``s`` from the copy at ``e``, and even in the shift by
+    construction.  It splits at 1 and 4, the moment kernel's points, plus
+    the crossing when it lies below 4, so each bump sits where the
     half-line routes place their panels, whatever the size of the shift.
 
-    Split points: ``gamma`` and ``4 gamma``, plus the crossing ``e/2`` when
-    it lies below ``4 gamma``; beyond that the crossing sits in the tail.
-
     Gap: at a point a distance ``s`` from the nearer copy and ``s + d``
-    from the farther one, ``lo = (s/gamma)**alpha`` and the log-density gap
-    is ``-2q lo expm1(alpha log1p(d/s))``, free of the cancellation in
+    from the farther one, ``lo = s**alpha`` and the log-density gap is
+    ``-2q lo expm1(alpha log1p(d/s))``, free of the cancellation in
     ``u**alpha - v**alpha``.  The term is
-    ``exp(log_c - 2 lo + log(-expm1(gap))/q)``.  Where the farther copy is
-    at least twice as far (``d >= s``) the gap is taken as the plain
+    ``exp(-2 lo + log(-expm1(gap))/q)``.  Where the farther copy is at
+    least twice as far (``d >= s``) the gap is taken as the plain
     difference of the two powers, which then cancels at most
     ``1/(2**alpha - 1)`` and stays exact when ``lo`` underflows; a gap
     beyond double range leaves the nearer bump alone.  A non-finite shift
     raises DomainError before any evaluation.
     """
     q, eps = _require_order(q), _require_shift(eps)
-    e = abs(eps)
+    alpha, e = dist.alpha, abs(eps) / dist.gamma_scale
     half = 0.5 * e
-    log_c, g, alpha = dist.log_norm_const, dist.gamma_scale, dist.alpha
     two_q = 2.0 * q
-    splits = (g, 4.0 * g, half) if half < 4.0 * g else (g, 4.0 * g)
+    splits = (1.0, 4.0, half) if half < 4.0 else (1.0, 4.0)
 
     def bump(s: float, d: float) -> float:
         try:
-            lo = math.pow(s / g, alpha)
+            lo = math.pow(s, alpha)
         except OverflowError:
             return 0.0
         try:
             if d < s:
                 gap = -two_q * lo * math.expm1(alpha * math.log1p(d / s))
             else:
-                gap = two_q * (lo - math.pow((s + d) / g, alpha))
+                gap = two_q * (lo - math.pow(s + d, alpha))
         except OverflowError:
-            return safe_exp(log_c - 2.0 * lo)
+            return safe_exp(-2.0 * lo)
         if gap == 0.0:
             return 0.0
-        return safe_exp(log_c - 2.0 * lo + math.log(-math.expm1(gap)) / q)
+        return safe_exp(-2.0 * lo + math.log(-math.expm1(gap)) / q)
 
     def integrand(s: float) -> float:
         if s < half:
             return bump(s, e) + bump(s, e - 2.0 * s)
         return bump(s, e)
 
-    label = f"distance quadrature (alpha={dist.alpha}, q={q}, eps={eps})"
-    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label)
+    label = f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
+    log_c = ProbeDistribution(alpha, 1.0).log_norm_const
+    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, log_c, safe_exp)
 
 
 def hellinger_linearized(

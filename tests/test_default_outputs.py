@@ -20,7 +20,7 @@ from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "18c2ac685e21d1594f2de48c01655413778db9d62e38449b4c2400dd7c10b2e4", 133, 67_320),
+    (["verify"], "4c49e4b84cddefa5c355b91d3ca5de69f08edbfe42298b7c38e9bd692fac2bba", 133, 67_320),
     (["sweep", "--quantity", "eps_min"],
      "1f2349ec25308df126e7be3742c0ead77cb31420d4f80f91a709910e2850a3c9", 180, 81_540),
     (["sweep", "--quantity", "posterior_width"],
@@ -76,9 +76,9 @@ def test_runs_without_numpy(tmp_path, argv, sha256):
 # codes are those of tests/test_cli.py::OUT_OF_RANGE.
 OUT_OF_RANGE_RUNS = [
     (["verify", "--alphas", "2", "--qs", "1e-3"], 1,
-     "9c298f9e49afdc2ab6a48fad3524aeb0f37c540543a781ef2c0cbe19064cebcf"),
+     "9003dacbc0e663fe5929c381bbf92341ceb72dc8237a31bc4909317ab821b24f"),
     (["verify", "--energy", "1e-300"], 0,
-     "d20915a1cef3fddc220ccf2252810b860398d7c6af0f6f0e0a9c601a4de1116b"),
+     "03b6c74d1f771f752c0f71b66a5e6c478e6c805530d68eeaea5af4b88e62d121"),
     (["sweep", "--quantity", "fisher", "--q", "1e-3"], 1,
      "8963133fbba418f4de980acd3ee54546d482d0af60b7a075c5ad46cb226c307e"),
     (["sweep", "--quantity", "fisher", "--energy", "1e300"], 0,

@@ -2,15 +2,17 @@
 
 Each test asserts the correct behaviour.  An open defect's test is a strict
 xfail that names the one exception the defect raises today, so an unrelated
-error still fails it.  The Fisher, width and mean-error routes integrate a
-unit-scale kernel and add the probe's scale in log space, so they keep
-their digits at E = 1e-300 and 1e300.  At q = 1e-3 the kernel integral
+error still fails it.  Every quadrature route integrates a unit-scale
+kernel and adds the probe's scale in log space, so the routes keep their
+digits at E = 1e-300 and 1e300.  At q = 1e-3 the kernel integral
 itself leaves double range; that needs the mass-scale substitution of
 ROADMAP item 3.  The last two xfails are not about double range: a mapped
 route certifies its integral, not the quantity, and the Monte Carlo
 deviations lose their digits at a large shift.  An unexpected pass fails
 the suite (``xfail_strict``).
 """
+
+import math
 
 import pytest
 
@@ -65,7 +67,9 @@ def test_sweep_at_huge_energy_converges(tmp_path, capsys, quantity):
     assert rc == 0
 
 
-@pytest.mark.parametrize("energy", ["1e30", "1e100", "1e300"])
+# The distance_closed lines check the distance on the run's probes, so here
+# off unit scale: gamma is near 1e-6 at E = 1e12.
+@pytest.mark.parametrize("energy", ["1e12", "1e30", "1e100", "1e300"])
 def test_verify_at_huge_energy_passes(tmp_path, capsys, energy):
     out = tmp_path / "report.txt"
     rc = main(["verify", "--energy", energy, "--out", str(out)])
@@ -76,12 +80,32 @@ def test_verify_at_huge_energy_passes(tmp_path, capsys, energy):
 
 # At q = 1/2 the distance of two copies of a unit-scale Gaussian probe tends to
 # 1 as the shift grows (D = 0.9999999999999968 at eps = 10).  The folded
-# quadrature keeps its split points at gamma and 4 gamma from the nearer copy,
-# so no shift moves the bumps out of reach of its panels.
+# quadrature keeps its split points 1 and 4 widths from the nearer copy, so no
+# shift moves the bumps out of reach of its panels.
 @pytest.mark.parametrize("eps", [10.0, 1e4, 1e8, 1e16, 1e20, 1e50])
 def test_distance_at_large_shift_is_one(eps):
     dist = ProbeDistribution.from_shape_scale(2.0, 1.0)
     assert hellinger_distance(dist, eps, 0.5).value == pytest.approx(1.0, rel=0.0, abs=1e-9)
+
+
+# The distance integrates the unit-scale probe shifted by eps / gamma, so the
+# scale enters nowhere else.  At E = 1e-300 (gamma = 1e150, r = eps / gamma =
+# 1e-151) the Gaussian distance 1 - exp(-r**2 / 2) = 5e-303 is resolved,
+# although the physical integrand lies below double range; at gamma = 1e308,
+# where 2 gamma overflows and the probe's log C reads -inf, the distance is
+# the unit-scale one.
+def test_distance_at_tiny_energy_is_the_gaussian_closed_form():
+    dist = ProbeDistribution.from_shape_energy(2.0, 1e-300)
+    r = 0.1 / dist.gamma_scale
+    expected = -math.expm1(-0.5 * r * r)
+    assert hellinger_distance(dist, 0.1, 0.5).value == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def test_distance_at_the_largest_scale_is_the_unit_scale_value():
+    unit = hellinger_distance(ProbeDistribution.from_shape_scale(2.0, 1.0), 0.7, 0.5).value
+    dist = ProbeDistribution.from_shape_scale(2.0, 1e308)
+    value = hellinger_distance(dist, 0.7 * dist.gamma_scale, 0.5).value
+    assert value == pytest.approx(unit, rel=1e-12, abs=0.0)
 
 
 # At alpha = 20 and eps = 1e50 the gap between the two copies overflows: the

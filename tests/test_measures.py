@@ -483,23 +483,25 @@ class TestMeasureValue:
 
 
 def _reference_distance(dist, eps, q):
-    # the folded integrand g(s) = f(|eps| + s) + f(|eps| - s) [s < |eps|/2]; each
-    # term sits a distance s from the nearer copy and s + d from the farther
-    e, g, a = abs(eps), dist.gamma_scale, dist.alpha
+    # the folded integrand of the unit-scale probe without its constant, in the
+    # reduced variable s: g(s) = f(e + s) + f(e - s) [s < e/2] with
+    # e = |eps| / gamma; each term sits a distance s from the nearer copy and
+    # s + d from the farther
+    e, a = abs(eps) / dist.gamma_scale, dist.alpha
 
     def term(s, d):
-        log_p = dist.log_pdf(s)
-        if log_p == -math.inf:
+        try:
+            lo = s**a
+        except OverflowError:
             return 0.0
-        lo = (s / g) ** a
         try:
             if d < s:
                 gap = -2.0 * q * lo * math.expm1(a * math.log1p(d / s))
             else:
-                gap = 2.0 * q * (lo - ((s + d) / g) ** a)
+                gap = 2.0 * q * (lo - (s + d) ** a)
         except OverflowError:
-            return safe_exp(log_p)
-        return 0.0 if gap == 0.0 else safe_exp(log_p + math.log(-math.expm1(gap)) / q)
+            return safe_exp(-2.0 * lo)
+        return 0.0 if gap == 0.0 else safe_exp(-2.0 * lo + math.log(-math.expm1(gap)) / q)
 
     def f(s):
         near = term(s, e)
@@ -529,13 +531,13 @@ _SHIFT = 0.7
 
 
 class TestIntegrandBits:
-    """Each route's integrand equals, bit for bit, its plain composition:
-    the distance's of ``ProbeDistribution.log_pdf`` with its gap written
-    out, the Fisher, width and mean-error routes' of the moment kernel in
-    the folded reduced variable, first-panel power map included."""
+    """Each route's integrand equals, bit for bit, its plain composition in
+    the folded reduced variable: the distance's with its gap written out,
+    the Fisher, width and mean-error routes' of the moment kernel, first-panel
+    power map included."""
 
-    # 0, tiny and moderate arguments, the cusp at the shift 0.7, and far
-    # tails; for alpha = 100 the power in log_pdf overflows from |x| ~ 1.2e3 on
+    # 0, tiny and moderate arguments, the cusp at the reduced shift 0.7, and
+    # far tails; for alpha = 100 the power s**alpha overflows from s ~ 1.2e3 on
     HALF_LINE = (0.0, 1e-300, 1e-12, 0.3, 0.7, 0.7 + 1e-12, 1.0, 2.5, 40.0, 1e4, 1e300)
     # the folded distance also at its crossing 0.35 and just below it
     FOLDED = HALF_LINE + (0.35, 0.35 - 1e-12)
@@ -545,8 +547,8 @@ class TestIntegrandBits:
     # (route, reference integrand, arguments of the probe)
     ROUTES = {
         "distance": (
-            lambda d, q: hellinger_distance(d, _SHIFT, q),
-            lambda d, q: _reference_distance(d, _SHIFT, q),
+            lambda d, q: hellinger_distance(d, _SHIFT * d.gamma_scale, q),
+            lambda d, q: _reference_distance(d, _SHIFT * d.gamma_scale, q),
             lambda d: TestIntegrandBits.FOLDED,
         ),
         "fisher": (
@@ -591,7 +593,5 @@ class TestIntegrandBits:
             assert integrand(x).hex() == expected(x).hex(), x
 
     def test_grid_reaches_the_overflowing_power(self):
-        dist = energy_probe(100.0)
         with pytest.raises(OverflowError):
-            math.pow(1e4 / dist.gamma_scale, dist.alpha)
-        assert dist.log_pdf(1e4) == -math.inf
+            math.pow(1e4, 100.0)

@@ -6,7 +6,8 @@ substituted variable ``u = x / gamma`` and the distance on ``x`` itself, and
 the density's normalization is itself integrated, not taken from the
 gamma-function constant.  Only ``alpha`` and ``gamma`` come from the probe.
 The Fisher, width and mean-error quadrature routes are checked at E = 1 and
-at the edges of double range, E = 1e-300 and 1e300.
+at the edges of double range, E = 1e-300 and 1e300; the distance at E = 1
+and, at its first four points, at E = 1e12.
 """
 
 import pytest
@@ -132,9 +133,22 @@ def _distance_oracle(alpha, q, eps, gamma):
     return mp.quad(lambda x: abs(p_q(x - e) - p_q(x)) ** (1 / q), points) / 2
 
 
-@pytest.mark.parametrize("alpha, q, eps", DISTANCE_POINTS)
-def test_distance_matches_mpmath(alpha, q, eps):
-    dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
+def _distance_case(alpha, q, eps, energy):
+    suffix = "" if energy == 1.0 else f"-E{energy:g}"
+    return pytest.param(alpha, q, eps, energy, id=f"{alpha}-{q}-{eps}{suffix}")
+
+
+# At E = 1e12 the scale is near 1e-6, so the first four shifts lie 1e5 to 1e6
+# widths apart and D is within 3e-10 of 1.  A tail beyond 4 gamma mapped at
+# unit scale instead of in units of gamma read (0.8, 1/4, 0.7) 4.2e-3 low.
+DISTANCE_CASES = [_distance_case(*point, 1.0) for point in DISTANCE_POINTS] + [
+    _distance_case(*point, 1e12) for point in DISTANCE_POINTS[:4]
+]
+
+
+@pytest.mark.parametrize("alpha, q, eps, energy", DISTANCE_CASES)
+def test_distance_matches_mpmath(alpha, q, eps, energy):
+    dist = ProbeDistribution.from_shape_energy(alpha, energy)
     with mp.workdps(30):
         oracle = _distance_oracle(alpha, q, eps, dist.gamma_scale)
     value = hellinger_distance(dist, eps, q).value

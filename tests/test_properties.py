@@ -2,12 +2,12 @@
 
 The closed forms scale with the probe scale gamma by fixed powers, the
 distance vanishes at zero shift, is even in the shift and depends on the
-shift only through eps / gamma, and the mean error's raw moment does not
-depend on the shift, to the bit.  Distance values are compared within the sum
-of their error estimates.  The distance converges within a small evaluation
-budget, a gate against quadrature stalls, and within the same budget the
-Fisher, width and mean-error routes match their closed forms over wide
-shapes, orders and scales.
+shift only through eps / gamma, for scales from 1e-12 to 1e12, and the mean
+error's raw moment does not depend on the shift, to the bit.  Distance
+values are compared within the sum of their error estimates.  The distance
+converges within a small evaluation budget, a gate against quadrature
+stalls, and within the same budget the Fisher, width and mean-error routes
+match their closed forms over wide shapes, orders and scales.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
@@ -71,10 +71,14 @@ def test_distance_is_even_in_the_shift(alpha, q, eps):
     assert abs(plus.value - minus.value) <= gap_tol
 
 
+# The example is 2.7 % off when the tail beyond 4 gamma is mapped at absolute
+# scale 1 instead of in units of gamma.
 @settings(max_examples=60, derandomize=True, deadline=None)
-@given(alpha=ALPHAS, q=ORDERS, eps=st.floats(0.01, 3.0), c=SCALES)
-def test_distance_is_unchanged_when_scale_and_shift_scale_together(alpha, q, eps, c):
+@given(alpha=ALPHAS, q=ORDERS, eps=st.floats(0.01, 3.0), log10_c=st.floats(-12.0, 12.0))
+@example(alpha=0.6, q=4.0, eps=0.01, log10_c=-6.0)
+def test_distance_is_unchanged_when_scale_and_shift_scale_together(alpha, q, eps, log10_c):
     # (gamma, eps) -> (c gamma, c eps) leaves D_q unchanged
+    c = 10.0**log10_c
     base = hellinger_distance(ProbeDistribution.from_shape_scale(alpha, 1.0), eps, q)
     scaled = hellinger_distance(ProbeDistribution.from_shape_scale(alpha, c), c * eps, q)
     gap_tol = base.quad_detail.abs_error_estimate + scaled.quad_detail.abs_error_estimate

@@ -466,9 +466,9 @@ def verify_report(
         checks.append(_check(label, _distance_invariants, alpha, q, eps, energy))
 
     # The distance against its closed forms on the run's Laplace and Gaussian
-    # probes at the shifts eps = r gamma, within the parity tolerance.
+    # probes at the reduced shifts r = eps / gamma, within the parity tolerance.
     for (alpha, q), closed in _DISTANCE_CLOSED.items():
-        label = f"distance_closed alpha={alpha:g} q={q:g} eps={_DISTANCE_SHIFTS}"
+        label = f"distance_closed alpha={alpha:g} q={q:g} r={_DISTANCE_SHIFTS}"
         checks.append(_check(label, _distance_closed, alpha, q, closed, energy, tolerance))
 
     # Weak-signal linearization at eps = 1e-3.

@@ -24,9 +24,11 @@ the quadrature confirms (see the verification report for the rejected
 alternative).  Every quadrature integrates a unit-scale kernel on one
 half-line of the reduced variable and adds the probe's prefactors in log
 space, so the scale enters no integrand.  The Fisher, width and mean-error
-routes integrate one moment kernel ``s**p exp(-c s**alpha)`` in the folded
-``s = |x - eps|/gamma``, with an endpoint power map on its first panel (see
-``_moment``); the mean error is therefore independent of the shift by
+routes integrate one moment kernel ``s**p exp(-c s**alpha)`` of the folded
+``s = |x - eps|/gamma`` in units of its own mass scale, where it peaks at
+``t = 1`` whatever the order, split there only and with an endpoint power
+map on its first panel; the mass scale joins the prefactors in log space
+(see ``_moment``).  The mean error is therefore independent of the shift by
 construction.  The distance route folds the unit-scale probe's integrand
 about the crossing ``e/2``, ``e = |eps|/gamma``, onto one half-line
 measured from the copy at ``e``, and takes the gap between the two log
@@ -49,6 +51,7 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .numerics import (
+    EXP_MAX,
     LN2,
     ConvergenceError,
     DomainError,
@@ -209,27 +212,43 @@ def _moment(
 ) -> MeasureValue:
     """``transform(log_scale + log I)`` for the moment kernel
     ``I = int_0^inf s**p exp(-c s**alpha)`` in the folded reduced variable
-    ``s = |x - eps| / gamma``, split at ``s = 1, 4``.
+    ``s = |x - eps| / gamma``.
 
-    On ``s < 1`` the kernel substitutes ``s = t**m``, ``n = ceil(p + 1)``,
+    Mass scale: with ``b = max(p / alpha, 1)`` and
+    ``sigma = (b / c)**(1/alpha)``, ``s = sigma t`` gives
+    ``I = sigma**(p+1) e**-b int_0^inf t**p exp(-b (t**alpha - 1)) dt``.
+    The kernel in ``t`` peaks at ``t = 1`` (for ``p / alpha < 1`` that is
+    its e-fold edge) at a value of order 1, whatever the order or the
+    scale; it is split there only, and ``(p + 1) ln sigma - b`` joins
+    ``log_scale``.
+
+    On ``t < 1`` the kernel substitutes ``t = tau**m``, ``n = ceil(p + 1)``,
     ``m = n / (p + 1)``: the first panel integrates the integer power times
-    smooth exponential ``m t**(n-1) exp(-c t**(alpha m))``, bounded even
-    where ``s**p`` is singular.  Beyond 1 the plain kernel is taken in log
-    form, so a large ``p`` cannot overflow before the exponential decays.
+    smooth exponential ``m tau**(n-1) exp(-b (tau**(alpha m) - 1))``,
+    bounded even where ``t**p`` is singular; where ``e**b`` overflows it is
+    taken in log form, ``m exp((n-1) ln tau - b (tau**(alpha m) - 1))``.
+    Beyond 1 the kernel is taken in log form, so a large ``p`` cannot
+    overflow before the exponential decays.
     """
+    b = max(p / alpha, 1.0)
+    log_sigma = (math.log(b) - math.log(c)) / alpha
     n = math.ceil(p + 1.0)
     m = n / (p + 1.0)
     k, am = n - 1, alpha * m
+    log_head = b > EXP_MAX
 
-    def kernel(s: float) -> float:
-        if s < 1.0:
-            return m * s**k * math.exp(-c * s**am)
+    def kernel(t: float) -> float:
+        if t < 1.0:
+            if log_head:
+                return m * math.exp(k * math.log(t) - b * (t**am - 1.0))
+            return m * t**k * math.exp(-b * (t**am - 1.0))
         try:
-            return safe_exp(p * math.log(s) - c * s**alpha)
-        except OverflowError:  # s**alpha beyond double range: exp(-inf)
+            return safe_exp(p * math.log(t) - b * (t**alpha - 1.0))
+        except OverflowError:  # t**alpha beyond double range: exp(-inf)
             return 0.0
 
-    return _quadrature(quantity, kernel, spec, (1.0, 4.0), label, log_scale, transform)
+    log_scale += (p + 1.0) * log_sigma - b
+    return _quadrature(quantity, kernel, spec, (1.0,), label, log_scale, transform)
 
 
 # The distance integrand keeps its constants in closure locals and writes the
@@ -253,9 +272,9 @@ def hellinger_distance(
     crossing ``e/2``, so ``D_q = int_0^inf g(s) ds`` with
     ``g(s) = f(e + s) + f(e - s) [s < e/2]``: one half-line integral in the
     distance ``s`` from the copy at ``e``, and even in the shift by
-    construction.  It splits at 1 and 4, the moment kernel's points, plus
-    the crossing when it lies below 4, so each bump sits where the
-    half-line routes place their panels, whatever the size of the shift.
+    construction.  It splits at 1 and 4, plus the crossing when it lies
+    below 4, so each bump sits on panels of its own width, whatever the
+    size of the shift.
 
     Gap: at a point a distance ``s`` from the nearer copy and ``s + d``
     from the farther one, ``lo = s**alpha`` and the log-density gap is

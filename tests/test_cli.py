@@ -655,11 +655,9 @@ def test_sweep_with_no_row_in_domain_fails(tmp_path):
 # show out_of_range lines or cells.  Fisher at q = 1e-3 is a 1000th power at
 # E = 1; at E = 1e-300 the q = 1/4 Fisher value underflows to 0, at 1e300 it
 # overflows.  out_of_range is a status, not a failure: the tiny-q sweep exits
-# 1 because no row has a value, the tiny-q verify because of its mean-error
-# and eps_min parity lines (a strict xfail in test_extreme_range.py), and the
-# energy runs pass.
+# 1 because no row has a value, and the tiny-q verify and the energy runs pass.
 OUT_OF_RANGE = {
-    "verify_tiny_q": (["verify", "--alphas", "2", "--qs", "1e-3"], 1),
+    "verify_tiny_q": (["verify", "--alphas", "2", "--qs", "1e-3"], 0),
     "verify_tiny_energy": (["verify", "--energy", "1e-300"], 0),
     "sweep_tiny_q": (["sweep", "--quantity", "fisher", "--q", "1e-3"], 1),
     "sweep_huge_energy": (["sweep", "--quantity", "fisher", "--energy", "1e300"], 0),
@@ -725,12 +723,10 @@ def test_sweep_summary_counts_out_of_range_rows(tmp_path, capsys):
 
 # Sweeps whose quadrature route fails numerically at points where the closed
 # value is in range: the power of the integral leaves double range (eps_min,
-# the posterior width just above q = 1, the mean error), or a tail node of
-# the posterior-width integral at q = 1e-300 maps to infinity.  Each used to
-# end in a traceback.
+# the posterior width just above q = 1, the mean error).  Each used to end in
+# a traceback.
 ROUTE_FAILURES = {
     "eps_min_huge_q": ["--quantity", "eps_min", "--q", "1e300"],
-    "width_tiny_q": ["--quantity", "posterior_width", "--q", "1e-300"],
     "width_q_above_one": ["--quantity", "posterior_width", "--q", "1.0000000000000002"],
     "mean_error_huge_q": ["--quantity", "mean_error", "--q", "1e300", "--energy", "1e-300"],
 }
@@ -747,9 +743,22 @@ def test_failed_route_is_a_no_converge_row(tmp_path, capsys, case):
     assert len(rows) == 4 and any(r[-1] == "no_converge" for r in in_range)
     for r in in_range:
         # a closed value and a quadrature cell, inf or nan included; ok only
-        # where the quadrature really agrees (alpha = 100 at q = 1e-300)
+        # where the quadrature really agrees
         assert r[4] != "" and r[5] != ""
         assert r[-1] == ("ok" if float(r[6]) <= cli._PARITY_TOL else "no_converge")
+
+
+def test_width_at_tiny_order_is_an_ok_row(tmp_path, capsys):
+    # in t = s / sigma, sigma = (2q)**(-1/alpha), the width kernel is
+    # exp(-(t**alpha - 1)) at every order; at q = 1e-300 its mass lay beyond
+    # the tail map's resolution in s, and each row but alpha = 100 read
+    # no_converge
+    out = tmp_path / "sweep.csv"
+    argv = ["--quantity", "posterior_width", "--q", "1e-300", "--alpha-count", "4"]
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = [r.split(",") for r in read(out).splitlines()[1:]]
+    assert len(rows) == 4 and all(r[-1] == "ok" for r in rows)
 
 
 def test_eps_min_at_huge_energy_is_taken_from_the_log(tmp_path, capsys):

@@ -20,15 +20,15 @@ from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "4c49e4b84cddefa5c355b91d3ca5de69f08edbfe42298b7c38e9bd692fac2bba", 133, 67_320),
+    (["verify"], "6755d4ffe18b938a7c111ea3e2372be9965b14f6c020ffe81f069ff556e3dcce", 133, 58_290),
     (["sweep", "--quantity", "eps_min"],
-     "1f2349ec25308df126e7be3742c0ead77cb31420d4f80f91a709910e2850a3c9", 180, 81_540),
+     "2afd7259ab3c926e33aa206d4059af80cd9204a1d4f3c68278f6b23fce4bf2c9", 180, 56_820),
     (["sweep", "--quantity", "posterior_width"],
-     "5ca592883f26fc40e187577ef9eab19093eb8e1422ddd711ca488c5140b51dc0", 180, 81_480),
+     "c0f85084fb35c19fdea396720b5bc8e4d5c08b2328df2201ba92832d18f004cb", 180, 55_350),
     (["sweep", "--quantity", "mean_error"],
-     "07abb123a1403c002732ffa9a7de7b958dc585799e010af9b6a8f192739887ed", 180, 76_530),
+     "95760c3e3285a94c27318f85ca32771f8f81fb1fb1a9196088f6c96d88c741cf", 180, 50_940),
     (["sweep", "--quantity", "fisher"],
-     "95a591ba90e54c02feb9617881c916ab67183000416a1670ca5af0779ee32ef1", 180, 81_540),
+     "770eaf69c0b7f1ef091b0880d4732ef6a072e5980df5fdebf573ee2ade478112", 180, 56_820),
 ]
 
 
@@ -75,14 +75,14 @@ def test_runs_without_numpy(tmp_path, argv, sha256):
 # code gate where the out_of_range rule is applied.  The argv lists and exit
 # codes are those of tests/test_cli.py::OUT_OF_RANGE.
 OUT_OF_RANGE_RUNS = [
-    (["verify", "--alphas", "2", "--qs", "1e-3"], 1,
-     "9003dacbc0e663fe5929c381bbf92341ceb72dc8237a31bc4909317ab821b24f"),
+    (["verify", "--alphas", "2", "--qs", "1e-3"], 0,
+     "614098400fcc896c1a48855a42e858640a7a42af4faae6488c28d6f14133f95b"),
     (["verify", "--energy", "1e-300"], 0,
-     "03b6c74d1f771f752c0f71b66a5e6c478e6c805530d68eeaea5af4b88e62d121"),
+     "83d5a80b2971e2b4a7d80852db8a108af87d74c21193047c81d46b027da95fe4"),
     (["sweep", "--quantity", "fisher", "--q", "1e-3"], 1,
      "8963133fbba418f4de980acd3ee54546d482d0af60b7a075c5ad46cb226c307e"),
     (["sweep", "--quantity", "fisher", "--energy", "1e300"], 0,
-     "7101752134f13fc09cbbed0bdfd8b7cd1e4549d0fc20c68ccfc078b7b2d42e2f"),
+     "8d66e09b67b4c53396e22f393406b5ca9731432e957a56b95f636127ebd1356c"),
 ]
 
 

@@ -4,12 +4,13 @@ Each test asserts the correct behaviour.  An open defect's test is a strict
 xfail that names the one exception the defect raises today, so an unrelated
 error still fails it.  Every quadrature route integrates a unit-scale
 kernel and adds the probe's scale in log space, so the routes keep their
-digits at E = 1e-300 and 1e300.  At q = 1e-3 the kernel integral
-itself leaves double range; that needs the mass-scale substitution of
-ROADMAP item 3.  The last two xfails are not about double range: a mapped
-route certifies its integral, not the quantity, and the Monte Carlo
-deviations lose their digits at a large shift.  An unexpected pass fails
-the suite (``xfail_strict``).
+digits at E = 1e-300 and 1e300.  The moment routes integrate their kernel
+in units of its own mass scale and add that scale in log space too, so at
+q = 1e-3, where the kernel integral itself leaves double range, and at
+q = 1e-300 they read their closed forms.  The two xfails are not about
+double range: a mapped route certifies its integral, not the quantity, and
+the Monte Carlo deviations lose their digits at a large shift.  An
+unexpected pass fails the suite (``xfail_strict``).
 """
 
 import math
@@ -25,7 +26,6 @@ from genfisher.measures import (
     posterior_width_closed,
     posterior_width_quadrature,
 )
-from genfisher.numerics import IntegrandError
 from genfisher.probe import ProbeDistribution
 
 
@@ -42,10 +42,10 @@ def test_fisher_quadrature_at_huge_energy():
     assert fisher_quadrature(dist, 0.5).value == pytest.approx(closed, rel=1e-6, abs=0.0)
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="the kernel integral leaves double range")
 def test_verify_tiny_order_parity_has_finite_quadrature(tmp_path, capsys):
-    # F^-q and M^q are finite at q = 1e-3, but the kernel integral of the
-    # mean error, int s**1000 exp(-2 s**2), is not
+    # F^-q and M^q are finite at q = 1e-3, though the mean error's moment
+    # int s**1000 exp(-2 s**2) is not: its kernel is integrated at its mass
+    # scale, where it peaks at 1, and that scale is added in log space
     out = tmp_path / "report.txt"
     main(["verify", "--alphas", "2", "--qs", "1e-3", "--out", str(out)])
     capsys.readouterr()
@@ -120,12 +120,15 @@ def test_distance_far_beyond_the_scale_is_one_to_1e_12(alpha, ratio):
 
 
 # At q = 1e-300 the width integrand exp(q log P) stays near 1 out to
-# |x| ~ 1e296, so refinement chases its mass onto the tail node t = 1, which
-# maps to infinity.  The route says so instead of dividing by zero.
-def test_width_tail_node_at_infinity_is_an_integrand_error():
+# |x| ~ 1e296.  In units of its mass scale sigma = gamma (2q)**(-1/alpha) it
+# is exp(-(t**alpha - 1)) at every order, and the width is 1e297 here.  In
+# the folded s = |x|/gamma refinement chased that mass onto the tail node
+# that maps to infinity, and the route raised IntegrandError.
+def test_width_at_tiny_order_is_the_closed_form():
     dist = ProbeDistribution.from_shape_energy(1.01, 1.0)
-    with pytest.raises(IntegrandError, match="beyond the tail map's resolution"):
-        posterior_width_quadrature(dist, 1e-300)
+    for q in (1e-15, 1e-300):
+        closed = posterior_width_closed(dist, q).value
+        assert posterior_width_quadrature(dist, q).value == pytest.approx(closed, rel=1e-10, abs=0.0)
 
 
 # The width is I**(1/(1-q)), which multiplies the integral's relative error by

@@ -1,4 +1,5 @@
-"""Closed forms and the quadrature routes against mpmath at 30 digits.
+"""Closed forms and the quadrature routes against mpmath at 30 digits, the
+distance at 50.
 
 These oracles share no code with the in-house Gauss-Kronrod engine: each
 integral is taken by ``mpmath.quad`` (tanh-sinh), the moments on the
@@ -149,7 +150,7 @@ DISTANCE_CASES = [_distance_case(*point, 1.0) for point in DISTANCE_POINTS] + [
 @pytest.mark.parametrize("alpha, q, eps, energy", DISTANCE_CASES)
 def test_distance_matches_mpmath(alpha, q, eps, energy):
     dist = ProbeDistribution.from_shape_energy(alpha, energy)
-    with mp.workdps(30):
+    with mp.workdps(50):
         oracle = _distance_oracle(alpha, q, eps, dist.gamma_scale)
     value = hellinger_distance(dist, eps, q).value
     assert abs(value / float(oracle) - 1.0) <= DISTANCE_REL

@@ -46,7 +46,6 @@ print("\nso for q < 1/2 a fixed energy budget appears to buy arbitrarily fine")
 print("sensitivity by pushing alpha toward 1 - q or infinity, while q > 1/2")
 print("says the two-sided exponential (alpha = 1) is the optimum.")
 
-n_bad = sum(r.status == "no_converge" for r in rows)
-print(f"\nquadrature cross-check: {sum(r.status == 'ok' for r in rows)}/180 rows ok "
-      f"({n_bad} flagged no_converge at the singular left edge, where the score")
-print("moment integrand approaches a non-integrable power in double precision)")
+statuses = [r.status for r in rows]
+print(f"\nquadrature cross-check over {len(rows)} rows: "
+      + ", ".join(f"{statuses.count(s)} {s}" for s in sorted(set(statuses))))

@@ -9,17 +9,25 @@ symmetric), and the order-q generalized error of a batch of trials,
 estimates the closed-form mean error, which these simulations exist to
 cross-check.
 
-Its 99% interval is analytic and takes one pass over the sample: a normal
-interval for the mean of ``|x - shift|**(1/q)``, shifted by the one-term
-Cornish-Fisher skewness correction, then raised to the q-th power.  To
-O(1/n) this is the percentile-bootstrap interval of the same statistic
+Its 99% interval is analytic and needs only the first three moments of
+``|x - shift|**(1/q)``: a normal interval for their mean, shifted by the
+one-term Cornish-Fisher skewness correction, then raised to the q-th power.
+To O(1/n) this is the percentile-bootstrap interval of the same statistic
 (Hall 1992, *The Bootstrap and Edgeworth Expansion*), without its B
 resamples of n values each.
 
-Reproducibility: trials are split into fixed-size partitions and partition
-k draws from ``SeedSequence(master_seed).spawn(...)[k]``.  The partitioning
-depends only on the trial count, never on worker count or scheduling, so a
-plan's report is bit-for-bit reproducible.
+Trials are split into fixed-size partitions and handled one at a time.
+Each partition's moments come from its unshifted draws ``x - shift``, as a
+mean followed by a centred pass, and are merged into the running totals
+with the pairwise update of Chan, Golub & LeVeque (1979) and Pebay (2008).
+Memory is therefore one partition at any trial count, and the deviations
+``|x - shift|`` are exact at any shift: the shift is added only to the
+reported mean.
+
+Reproducibility: partition k draws from
+``SeedSequence(master_seed).spawn(...)[k]``.  The partitioning depends only
+on the trial count, never on worker count or scheduling, so a plan's report
+is bit-for-bit reproducible.
 
 The report carries the batch mean and its standard error, so the 3-sigma
 unbiasedness rule is ``three_sigma_check(report.empirical_mean,
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .measures import mean_error_closed
 from .numerics import EXP_MAX, DomainError
@@ -112,42 +120,90 @@ class UnbiasednessReport:
     passed: bool
 
 
-def _draw_outcomes(plan: TrialPlan) -> np.ndarray:
-    """All trial outcomes in partition order."""
+def _partitions(plan: TrialPlan) -> Iterator[np.ndarray]:
+    """Each partition's unshifted draws, in partition order, one at a time."""
     import numpy as np  # only sampling needs numpy; keep it off the import path
 
-    n = plan.trials
-    n_parts = (n + PARTITION_SIZE - 1) // PARTITION_SIZE
-    children = np.random.SeedSequence(plan.master_seed).spawn(n_parts)
-    chunks = []
-    remaining = n
-    for k in range(n_parts):
-        m = min(PARTITION_SIZE, remaining)
-        rng = np.random.default_rng(children[k])
-        chunks.append(plan.distribution.sample(rng, m) + plan.true_shift)
-        remaining -= m
-    return np.concatenate(chunks)
+    n_parts = (plan.trials + PARTITION_SIZE - 1) // PARTITION_SIZE
+    for k, child in enumerate(np.random.SeedSequence(plan.master_seed).spawn(n_parts)):
+        m = min(PARTITION_SIZE, plan.trials - k * PARTITION_SIZE)
+        yield plan.distribution.sample(np.random.default_rng(child), m)
 
 
-def _mean_interval(y: np.ndarray, m: float) -> tuple[float, float]:
-    """Cornish-Fisher interval for the mean ``m`` of ``y``, lower end >= 0.
+def _moments(v: np.ndarray, third: bool) -> tuple[float, ...]:
+    """``(n, mean, M2)`` of ``v``, and ``M3`` if ``third``: the mean, then a
+    centred pass (M_k is the sum of k-th powers of deviations from the mean)."""
+    import numpy as np
+
+    m = float(np.mean(v))
+    d = v - m
+    d2 = d * d
+    moments = (v.size, m, float(np.sum(d2)))
+    return moments + (float(np.dot(d2, d)),) if third else moments
+
+
+def _merge(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    """The moments of ``a`` and ``b`` joined: Chan, Golub & LeVeque (1979) for
+    the mean and M2, Pebay (2008, SAND2008-6212) for M3 when both carry it.
+
+    ``a`` is the running total and ``b`` one partition, so ``b``'s sums and
+    the cross terms, the smaller parts, are added first.
+    """
+    na, ma, m2a, *m3a = a
+    nb, mb, m2b, *m3b = b
+    n = na + nb
+    delta = mb - ma
+    merged = (n, ma + delta * nb / n, m2a + (m2b + delta * delta * na * nb / n))
+    if not m3a:
+        return merged
+    cross = delta**3 * na * nb * (na - nb) / (n * n) + 3.0 * delta * (na * m2b - nb * m2a) / n
+    return merged + (m3a[0] + (m3b[0] + cross),)
+
+
+def _mean_interval(moments: tuple[float, ...]) -> tuple[float, float]:
+    """Cornish-Fisher interval for the mean in ``moments = (n, m, M2, M3)``,
+    lower end >= 0.
 
     With standard error se and sample skewness g1, the ``CI_COVERAGE``
     quantiles of the bootstrap distribution of the mean are
     m + se * (-+z + g1 * (z**2 - 1) / (6 sqrt(n))) to O(1/n).
     """
-    import numpy as np
-
-    n = y.size
-    d = y - m
-    d2 = d * d
-    m2 = float(np.mean(d2))
+    n, m, s2, s3 = moments
+    m2 = s2 / n
     if m2 == 0.0:  # a single trial, or every trial alike
         return m, m
     se = math.sqrt(m2 / (n - 1))
-    g1 = float(np.dot(d2, d)) / n / m2**1.5
+    g1 = s3 / n / m2**1.5
     kappa = g1 * (CI_Z * CI_Z - 1.0) / (6.0 * math.sqrt(n))
     return max(m + se * (-CI_Z + kappa), 0.0), m + se * (CI_Z + kappa)
+
+
+def _accumulate(plan: TrialPlan) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """One pass over the partitions: the merged ``(n, mean, M2)`` of the
+    draws ``x - shift``, ``(n, mean, M2, M3)`` of ``|x - shift|**(1/q)`` and
+    the largest ``|x - shift|``.
+
+    Raises ``DomainError`` before a partition's powers are taken if, at the
+    largest deviation so far, the trials' sum of cubes would overflow.
+    """
+    import numpy as np
+
+    log_n = math.log(plan.trials)
+    x_moments = y_moments = None
+    top = 0.0
+    for x in _partitions(plan):
+        deviations = np.abs(x)
+        top = max(top, float(np.max(deviations)))
+        if top > 0.0 and 3.0 * math.log(top) / plan.q + log_n >= EXP_MAX:
+            raise DomainError(
+                f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows at the largest "
+                f"|x - shift| = {top:.3g}"
+            )
+        xm = _moments(x, third=False)
+        ym = _moments(deviations ** (1.0 / plan.q), third=True)
+        x_moments = xm if x_moments is None else _merge(x_moments, xm)
+        y_moments = ym if y_moments is None else _merge(y_moments, ym)
+    return x_moments, y_moments, top
 
 
 def three_sigma_check(
@@ -169,43 +225,32 @@ def run_trials(plan: TrialPlan) -> TrialReport:
     plug-in estimate.  ``plan.bootstrap_resamples`` is ignored.
     ``max_abs_deviation`` is the largest single deviation seen; for q < 1/2
     the statistic averages a high power of it, so a large value flags slow
-    convergence.  Raises ``DomainError`` when, judged from that largest
+    convergence.  Raises ``DomainError`` when, judged from the largest
     deviation, the sum of cubes of |x - shift|**(1/q), which the interval
-    needs, overflows double range, or when those cubes or the squares that
-    the standard error sums underflow it.
+    needs, would overflow double range (checked as each partition is drawn,
+    see ``_accumulate``), or when those cubes or the squares that the
+    standard error sums underflow it.
     """
-    import numpy as np
-
-    x = _draw_outcomes(plan)
-    deviations = np.abs(x - plan.true_shift)
-    max_deviation = float(np.max(deviations))
-    log_max = math.log(max_deviation) if max_deviation > 0.0 else -math.inf
-    if 3.0 * log_max / plan.q + math.log(x.size) >= EXP_MAX:
-        raise DomainError(
-            f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows at the largest "
-            f"|x - shift| = {max_deviation:.3g}"
-        )
+    x_moments, y_moments, top = _accumulate(plan)
     p = max(2.0, 3.0 / plan.q)
-    if p * log_max - math.log(x.size) <= -EXP_MAX:
-        raise DomainError(f"|x - shift| <= {max_deviation:.3g}: |x - shift|**{p:g} underflows")
-    y = deviations ** (1.0 / plan.q)
+    if top == 0.0 or p * math.log(top) - math.log(plan.trials) <= -EXP_MAX:
+        raise DomainError(f"|x - shift| <= {top:.3g}: |x - shift|**{p:g} underflows")
 
-    empirical_mean = float(np.mean(x))
-    mean_std_error = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
-    y_mean = float(np.mean(y))
-    generalized_error = y_mean**plan.q
-    mean_low, mean_high = _mean_interval(y, y_mean)
+    n, x_mean, x_s2 = x_moments
+    mean_std_error = math.sqrt(x_s2 / (n - 1)) / math.sqrt(n) if n > 1 else 0.0
+    generalized_error = y_moments[1] ** plan.q
+    mean_low, mean_high = _mean_interval(y_moments)
     ci_low = min(mean_low**plan.q, generalized_error)
     ci_high = max(mean_high**plan.q, generalized_error)
 
     return TrialReport(
         trials=plan.trials,
-        empirical_mean=empirical_mean,
+        empirical_mean=x_mean + plan.true_shift,
         mean_std_error=mean_std_error,
         empirical_generalized_error=generalized_error,
         generalized_error_ci_low=ci_low,
         generalized_error_ci_high=ci_high,
         predicted_mean_error=mean_error_closed(plan.distribution, plan.q).value,
-        max_abs_deviation=max_deviation,
+        max_abs_deviation=top,
         seed=plan.master_seed,
     )

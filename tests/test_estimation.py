@@ -18,7 +18,8 @@ from genfisher.estimation import (
     CI_Z,
     TrialPlan,
     TrialReport,
-    _draw_outcomes,
+    _accumulate,
+    _partitions,
     run_trials,
     three_sigma_check,
 )
@@ -38,10 +39,15 @@ def plan(alpha=2.0, energy=1.0, shift=0.3, q=0.5, trials=1_000_000, seed=42, boo
     )
 
 
+def draws(plan):
+    """Oracle: every unshifted draw ``x - shift`` of the plan in one array."""
+    return np.concatenate(list(_partitions(plan)))
+
+
 def percentile_bootstrap(plan, resamples, seed):
     """Reference oracle: the percentile-bootstrap interval that ``run_trials``
     once computed, resampling ``|x - shift|**(1/q)`` from its own generator."""
-    y = np.abs(_draw_outcomes(plan) - plan.true_shift) ** (1.0 / plan.q)
+    y = np.abs(draws(plan)) ** (1.0 / plan.q)
     n = y.size
     rng = np.random.default_rng(seed)
     boot = np.empty(resamples)
@@ -52,6 +58,28 @@ def percentile_bootstrap(plan, resamples, seed):
     low, high = np.percentile(boot, [tail, 100.0 - tail])
     estimate = float(np.mean(y)) ** plan.q
     return min(float(low), estimate), max(float(high), estimate)
+
+
+def src_env():
+    src = str(Path(genfisher.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def peak_rss_mb(trials):
+    """Peak resident memory, in MB, of a fresh interpreter that runs the
+    Gaussian q = 1/2 plan at ``trials`` trials."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource\n"
+         "from genfisher.estimation import TrialPlan, run_trials\n"
+         "from genfisher.probe import ProbeDistribution\n"
+         f"run_trials(TrialPlan(ProbeDistribution.from_shape_energy(2.0, 1.0), 0.3, 0.5, {trials}, 1))\n"
+         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return int(proc.stdout) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def coverage(alpha, q, shift):
@@ -98,7 +126,7 @@ class TestRunTrials:
 
     def test_overflow_message_states_the_largest_deviation(self):
         p = plan(q=1e-9, trials=1000, seed=0)
-        largest = float(np.max(np.abs(_draw_outcomes(p) - p.true_shift)))
+        largest = float(np.max(np.abs(draws(p))))
         with pytest.raises(DomainError, match="^order q = 1e-09 is too small") as info:
             run_trials(p)
         assert str(info.value).endswith(f"largest |x - shift| = {largest:.3g}")
@@ -189,20 +217,21 @@ class TestRunTrials:
 
 
 class TestSampleBits:
-    # Recorded before the bootstrap was replaced: the interval is the only
-    # part of a report that changed, so every other field keeps its bits.
+    # The last bits depend on the arithmetic of the pass: the moments of each
+    # partition's unshifted draws, merged in partition order, and the shift
+    # added to the mean only.
     @pytest.mark.parametrize(
         "alpha, q, shift, trials, seed, expected",
         [
             (2.0, 0.5, 0.3, 300_000, 314, {
-                "empirical_mean": "0x1.3566c73ba6f93p-2",
+                "empirical_mean": "0x1.3566c73ba6f92p-2",
                 "mean_std_error": "0x1.de0752702a5bep-11",
-                "empirical_generalized_error": "0x1.ff6284df1dd42p-2",
+                "empirical_generalized_error": "0x1.ff6284df1dd43p-2",
                 "predicted_mean_error": "0x1.ffffffffffffbp-2",
                 "max_abs_deviation": "0x1.46da32ffb1229p+1",
             }),
             (1.5, 0.25, -0.2, 1_000, 5, {
-                "empirical_mean": "-0x1.ee75a9cb43d52p-3",
+                "empirical_mean": "-0x1.ee75a9cb43d51p-3",
                 "mean_std_error": "0x1.0f0048aa5e3ebp-6",
                 "empirical_generalized_error": "0x1.7675567efbb4ap-1",
                 "predicted_mean_error": "0x1.7534c9eb800fap-1",
@@ -215,6 +244,30 @@ class TestSampleBits:
         got = {name: getattr(report, name).hex() for name in expected}
         assert got == expected
         assert report.trials == trials and report.seed == seed
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("trials", [250_001, 600_000])
+    def test_merged_moments_match_one_array(self, trials):
+        # 250 000 + 1 and 250 000 + 250 000 + 100 000 draws: uneven blocks
+        # exercise the (na - nb) term of the third-moment update
+        p = plan(trials=trials, seed=9)
+        x_moments, y_moments, top = _accumulate(p)
+        x = draws(p)
+        y = np.abs(x) ** (1.0 / p.q)
+        dx, dy = x - np.mean(x), y - np.mean(y)
+        assert x_moments[0] == y_moments[0] == trials
+        assert x_moments[1:] == pytest.approx((np.mean(x), np.sum(dx**2)), rel=1e-12, abs=0.0)
+        assert y_moments[1:] == pytest.approx(
+            (np.mean(y), np.sum(dy**2), np.sum(dy**3)), rel=1e-12, abs=0.0
+        )
+        assert top == np.max(np.abs(x))
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # one partition is held at a time, so 4e6 trials peak within 10 MB
+        # of 1e6; whole arrays would take about 39 MB more per 1e6 trials
+        peak_1m, peak_4m = peak_rss_mb(1_000_000), peak_rss_mb(4_000_000)
+        assert peak_4m - peak_1m <= 10.0, (peak_1m, peak_4m)
 
 
 class TestInterval:
@@ -249,7 +302,7 @@ class TestInterval:
         p = plan(alpha=1.5, q=0.25, shift=0.1, trials=1_000, seed=13)
         report = run_trials(p)
         low, high = percentile_bootstrap(p, 4_000, seed=1_013)
-        y = np.abs(_draw_outcomes(p) - p.true_shift) ** (1.0 / p.q)
+        y = np.abs(draws(p)) ** (1.0 / p.q)
         half = CI_Z * np.std(y, ddof=1) / math.sqrt(y.size)
         normal = (max(y.mean() - half, 0.0) ** p.q, (y.mean() + half) ** p.q)
         corrected = (report.generalized_error_ci_low, report.generalized_error_ci_high)
@@ -284,8 +337,7 @@ def test_import_path_stays_light():
     # and only sampling imports numpy.  ``genfisher.estimation`` itself stays
     # on the import path: ``from genfisher import run_trials`` and the
     # benchmark's tracer look it up in ``sys.modules``.
-    src = str(Path(genfisher.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = src_env()
     for module in ("genfisher", "genfisher.cli"):
         proc = subprocess.run(
             [sys.executable, "-c",

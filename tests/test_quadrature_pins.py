@@ -44,7 +44,15 @@ ROUTES = {
 }
 
 
-@pytest.mark.parametrize("route,alpha,q,eps,value_hex,detail_hex,evals", PINS)
+def pin_id(route, alpha, q, eps, *pinned):
+    """A row's route and point, not its pinned values, so a re-recorded row
+    keeps its test id."""
+    return "-".join(str(v) for v in (route, alpha, q, eps) if v is not None)
+
+
+@pytest.mark.parametrize(
+    "route,alpha,q,eps,value_hex,detail_hex,evals", PINS, ids=[pin_id(*row) for row in PINS]
+)
 def test_route_is_pinned(evaluations, route, alpha, q, eps, value_hex, detail_hex, evals):
     dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
     if route == "mean_energy":

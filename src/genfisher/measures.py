@@ -32,9 +32,22 @@ map on its first panel; the mass scale joins the prefactors in log space
 construction.  The distance route folds the unit-scale probe's integrand
 about the crossing ``e/2``, ``e = |eps|/gamma``, onto one half-line
 measured from the copy at ``e``, and takes the gap between the two log
-densities without cancellation (see ``hellinger_distance``).  A closed value
-that leaves double range, by overflow or by underflow to 0, raises
-OverflowError; a quadrature route's power of its integral ends in
+densities without cancellation (see ``hellinger_distance``).
+
+Each quadrature route declares the map from its integral to the quantity
+as two numbers, a root and a scale: for the scaled integral ``I`` the
+value is ``scale * exp(ln I / root)``.
+
+    route                        root       scale
+    distance, Fisher             1          1
+    sensitivity_quadrature       -1/q       1
+    posterior_width_quadrature   1 - q      1
+    mean_error_quadrature        1/q        1
+    hellinger_linearized         1          (q**(1/q) / 2) |eps|**(1/q)
+    mean_energy_quadrature       1          1/4
+
+A closed value that leaves double range, by overflow or by underflow to 0,
+raises OverflowError; a quadrature route's root of its integral ends in
 ``safe_exp`` instead, so beyond double range it reads 0 or inf.
 
 Weak-signal behaviour: to first order in the shift,
@@ -101,10 +114,10 @@ class MeasureValue:
     """One evaluated measure.
 
     ``quad_detail`` carries the underlying quadrature for quadrature-backed
-    values: the unit-scale kernel's integral times the route's prefactors.
-    For the distance and Fisher quadratures that is ``value`` itself; for
-    the linearized distance, sensitivity, posterior width and mean error it
-    is the integral that ``value`` is a map of.
+    values: the unit-scale kernel's integral times the route's prefactors,
+    ``I``.  The route's declared root and scale give
+    ``value = scale * exp(ln I / root)``: for the distance and Fisher
+    quadratures (root and scale 1) that is ``I`` itself.
     """
 
     quantity: Quantity
@@ -177,15 +190,17 @@ def _quadrature(
     splits: Iterable[float],
     label: str,
     log_scale: float,
-    transform: Callable[[float], float],
+    root: float = 1.0,
+    scale: float = 1.0,
 ) -> MeasureValue:
     """Integrate the unit-scale kernel ``integrand`` over [0, inf) with
-    ``splits`` merged into ``spec``; for its integral ``I`` the value is
-    ``transform(log_scale + log I)`` and ``quad_detail`` holds
-    ``exp(log_scale + log I)``, its error estimate scaled the same way.
-    Raises ``ConvergenceError`` with that result and the mapped best
-    estimate when the quadrature did not converge.  The engine is looked up
-    in this module per call, so wrappers installed on it see every integral.
+    ``splits`` merged into ``spec``; for its integral ``I`` and
+    ``L = log_scale + log I`` the value is ``scale * exp(L / root)`` and
+    ``quad_detail`` holds ``exp(L)``, its error estimate scaled the same
+    way.  Raises ``ConvergenceError`` with that result and the same map of
+    the best estimate when the quadrature did not converge.  The engine is
+    looked up in this module per call, so wrappers installed on it see
+    every integral.
     """
     spec = (spec or QuadratureSpec()).with_splits(splits)
     result = integrate_half_line(integrand, spec)
@@ -193,7 +208,7 @@ def _quadrature(
         log_scale + math.log(v) if v > 0.0 else -math.inf
         for v in (result.value, result.abs_error_estimate)
     )
-    value = transform(log_value)
+    value = scale * safe_exp(log_value / root)
     result = replace(result, value=safe_exp(log_value), abs_error_estimate=safe_exp(log_error))
     if not result.converged:
         raise ConvergenceError(f"{label} did not converge", result, value)
@@ -206,13 +221,14 @@ def _moment(
     p: float,
     c: float,
     log_scale: float,
-    transform: Callable[[float], float],
     spec: QuadratureSpec | None,
     label: str,
+    root: float = 1.0,
+    scale: float = 1.0,
 ) -> MeasureValue:
-    """``transform(log_scale + log I)`` for the moment kernel
+    """``scale * exp((log_scale + log I) / root)`` for the moment kernel
     ``I = int_0^inf s**p exp(-c s**alpha)`` in the folded reduced variable
-    ``s = |x - eps| / gamma``.
+    ``s = |x - eps| / gamma``; ``_quadrature`` applies the map.
 
     Mass scale: with ``b = max(p / alpha, 1)`` and
     ``sigma = (b / c)**(1/alpha)``, ``s = sigma t`` gives
@@ -248,7 +264,7 @@ def _moment(
             return 0.0
 
     log_scale += (p + 1.0) * log_sigma - b
-    return _quadrature(quantity, kernel, spec, (1.0,), label, log_scale, transform)
+    return _quadrature(quantity, kernel, spec, (1.0,), label, log_scale, root, scale)
 
 
 # The distance integrand keeps its constants in closure locals and writes the
@@ -316,7 +332,7 @@ def hellinger_distance(
 
     label = f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
     log_c = ProbeDistribution(alpha, 1.0).log_norm_const
-    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, log_c, safe_exp)
+    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, log_c)
 
 
 def hellinger_linearized(
@@ -327,13 +343,13 @@ def hellinger_linearized(
 ) -> MeasureValue:
     """First-order weak-signal approximation (q**(1/q) / 2) |eps|**(1/q) F_q.
 
-    A linear map of the Fisher route, so it inherits that domain
-    (``alpha > 1 - q``); ``quad_detail`` holds the Fisher integral.  A
+    The Fisher route with that factor as its scale, so it inherits that
+    domain (``alpha > 1 - q``); ``quad_detail`` holds the Fisher integral.  A
     non-finite shift raises DomainError, and a factor in front of F_q beyond
     double range OverflowError, before the quadrature runs."""
     q = _require_order(q)
     factor = math.exp(math.log(q) / q - LN2) * abs(_require_shift(eps)) ** (1.0 / q)
-    return _fisher_route(dist, q, spec, Quantity.DISTANCE, lambda log_f: factor * safe_exp(log_f))
+    return _fisher_route(dist, q, spec, Quantity.DISTANCE, scale=factor)
 
 
 def _fisher_route(
@@ -341,9 +357,11 @@ def _fisher_route(
     q: float,
     spec: QuadratureSpec | None,
     quantity: Quantity,
-    transform: Callable[[float], float] = safe_exp,
+    root: float = 1.0,
+    scale: float = 1.0,
 ) -> MeasureValue:
-    """Quadrature of P * |score|**(1/q), reported as ``transform(ln F_q)``.
+    """Quadrature of P * |score|**(1/q), reported as
+    ``scale * exp(ln F_q / root)``.
 
     With ``x = gamma s`` and the even integrand folded onto [0, inf),
     ``F_q = 2 C gamma (2 alpha / gamma)**(1/q) int s**((alpha-1)/q) exp(-2 s**alpha)``:
@@ -359,7 +377,7 @@ def _fisher_route(
     log_g = math.log(g)
     log_scale = dist.log_norm_const + LN2 + log_g + (LN2 + math.log(a) - log_g) / q
     label = f"Fisher quadrature (alpha={a}, q={q})"
-    return _moment(quantity, a, (a - 1.0) / q, 2.0, log_scale, transform, spec, label)
+    return _moment(quantity, a, (a - 1.0) / q, 2.0, log_scale, spec, label, root, scale)
 
 
 def fisher_quadrature(
@@ -395,9 +413,9 @@ def sensitivity_quadrature(
     spec: QuadratureSpec | None = None,
 ) -> MeasureValue:
     """Minimum detectable shift F_q**(-q) through the quadrature Fisher
-    route, taken from ln F_q so it stays in range where F_q does not;
-    ``quad_detail`` holds the Fisher integral."""
-    return _fisher_route(dist, q, spec, Quantity.EPS_MIN, lambda log_f: safe_exp(-q * log_f))
+    route, its root ``-1/q`` taken from ln F_q so it stays in range where
+    F_q does not; ``quad_detail`` holds the Fisher integral."""
+    return _fisher_route(dist, q, spec, Quantity.EPS_MIN, root=-1.0 / q)
 
 
 def posterior_width_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
@@ -428,7 +446,7 @@ def posterior_width_quadrature(
 ) -> MeasureValue:
     """Posterior width by quadrature of the integral of P**q, which is
     ``2 gamma C**q int exp(-2q s**alpha)`` on the folded reduced variable;
-    ``quad_detail`` holds it, and the width is its 1/(1-q) power taken from
+    ``quad_detail`` holds it, and the width is its root ``1 - q`` taken from
     its logarithm.  Shifting the density cannot change the result."""
     q = _require_order(q)
     if q == 1.0:
@@ -436,8 +454,7 @@ def posterior_width_quadrature(
     log_scale = LN2 + math.log(dist.gamma_scale) + q * dist.log_norm_const
     label = f"posterior width quadrature (alpha={dist.alpha}, q={q})"
     return _moment(
-        Quantity.POSTERIOR_WIDTH, dist.alpha, 0.0, 2.0 * q, log_scale,
-        lambda log_i: safe_exp(log_i / (1.0 - q)), spec, label,
+        Quantity.POSTERIOR_WIDTH, dist.alpha, 0.0, 2.0 * q, log_scale, spec, label, 1.0 - q
     )
 
 
@@ -469,16 +486,13 @@ def mean_error_quadrature(
     ``2 C gamma**(1 + 1/q) int s**(1/q) exp(-2 s**alpha)``, so every finite
     ``eps`` gives the same bits; a non-finite one raises DomainError before
     any evaluation.  ``quad_detail`` holds the moment; the error is its
-    q-th power, taken from its logarithm."""
+    root ``1/q``, taken from its logarithm."""
     q = _require_order(q)
     _require_shift(eps)
     a = dist.alpha
     log_scale = dist.log_norm_const + LN2 + (1.0 + 1.0 / q) * math.log(dist.gamma_scale)
     label = f"mean error quadrature (alpha={a}, q={q})"
-    return _moment(
-        Quantity.MEAN_ERROR, a, 1.0 / q, 2.0, log_scale,
-        lambda log_m: safe_exp(q * log_m), spec, label,
-    )
+    return _moment(Quantity.MEAN_ERROR, a, 1.0 / q, 2.0, log_scale, spec, label, 1.0 / q)
 
 
 def triangle_probe(

@@ -129,7 +129,7 @@ class ProbeDistribution:
 
     def mean_energy_quadrature(self, spec: QuadratureSpec | None = None) -> float:
         """Mean energy by quadrature: one quarter of the classical Fisher
-        information, the q = 1/2 Fisher route mapped by ``F / 4``.
+        information, the q = 1/2 Fisher route with scale ``1/4``.
 
         The energy diverges for ``alpha <= 1/2``, where that route raises
         ``DomainError``.  A non-converged quadrature raises
@@ -138,8 +138,7 @@ class ProbeDistribution:
         """
         from .measures import Quantity, _fisher_route  # measures imports this module
 
-        energy = _fisher_route(self, 0.5, spec, Quantity.FISHER, lambda log_f: safe_exp(log_f) / 4)
-        return energy.value
+        return _fisher_route(self, 0.5, spec, Quantity.FISHER, scale=0.25).value
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values; DomainError if one would pass ``exp(EXP_MAX)``.

@@ -7,10 +7,12 @@ kernel and adds the probe's scale in log space, so the routes keep their
 digits at E = 1e-300 and 1e300.  The moment routes integrate their kernel
 in units of its own mass scale and add that scale in log space too, so at
 q = 1e-3, where the kernel integral itself leaves double range, and at
-q = 1e-300 they read their closed forms.  The two xfails are not about
-double range: a mapped route certifies its integral, not the quantity, and
-the Monte Carlo deviations lose their digits at a large shift.  An
-unexpected pass fails the suite (``xfail_strict``).
+q = 1e-300 they read their closed forms.  The file holds two xfails.  The
+mapped width: a mapped route certifies its integral, not the quantity, so
+just above q = 1 the width reads a converged wrong value.  The linearized
+0*inf: ``hellinger_linearized`` multiplies its factor in front of F_q by
+F_q itself, so where the factor underflows to 0 and F_q overflows to inf it
+reads nan.  An unexpected pass fails the suite (``xfail_strict``).
 """
 
 import math
@@ -23,6 +25,7 @@ from genfisher.measures import (
     fisher_closed,
     fisher_quadrature,
     hellinger_distance,
+    hellinger_linearized,
     posterior_width_closed,
     posterior_width_quadrature,
 )
@@ -141,6 +144,18 @@ def test_posterior_width_just_above_order_one():
     closed = posterior_width_closed(dist, q).value
     assert closed == pytest.approx(35.21198, rel=1e-6, abs=0.0)
     assert posterior_width_quadrature(dist, q).value == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+
+# The linearized distance is (q**(1/q) / 2) |eps|**(1/q) F_q.  At gamma = 1e-200
+# and eps = 1e-300 it is (1/8) 1e-600 4e400 = 5e-201, where the distance route
+# reads 5.0000000000001645e-201, and at zero shift it is 0.  The factor
+# underflows to 0 and F_q overflows to inf, so the product reads nan.
+@pytest.mark.xfail(raises=AssertionError, reason="factor 0 times F_q inf reads nan")
+def test_linearized_distance_with_factor_and_fisher_beyond_double_range():
+    tiny = ProbeDistribution.from_shape_scale(2.0, 1e-200)
+    assert hellinger_linearized(tiny, 1e-300, 0.5).value == pytest.approx(5e-201, rel=1e-9)
+    tinier = ProbeDistribution.from_shape_scale(2.0, 1e-300)
+    assert hellinger_linearized(tinier, 0.0, 0.5).value == 0.0
 
 
 # The deviations |x - shift| come from the unshifted draws, so they are

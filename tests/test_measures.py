@@ -186,8 +186,9 @@ STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
 
 
 class TestFisherMaps:
-    """Each map of the Fisher integral is applied to the value and to the
-    best estimate a ConvergenceError carries, with unchanged bits."""
+    """Each route's declared root and scale map its integral to the value
+    and to the best estimate a ConvergenceError carries, with unchanged
+    bits: the Fisher maps and the width and mean-error roots."""
 
     def test_non_converged_linearization_is_a_distance(self):
         # (q^(1/q)/2) |eps|^(1/q) F_q = (1/8)(1e-6)(4), not F_q = 4 itself
@@ -212,6 +213,16 @@ class TestFisherMaps:
             lambda spec: hellinger_linearized(GAUSS, 1e-3, 0.5, spec),
             "0x1.0c6f7a0b5ed7cp-21",
             "0x1.0c6f7a0b6d840p-21",
+        ),
+        "width": (
+            lambda spec: posterior_width_quadrature(energy_probe(2.0), 0.25, spec),
+            "0x1.943e619f9c47ap+1",
+            "0x1.943e619f9c050p+1",
+        ),
+        "mean_error": (
+            lambda spec: mean_error_quadrature(energy_probe(2.0), 0.3, 2.0, spec),
+            "0x1.5a19d1e3cb0f5p-2",
+            "0x1.5a19d1e3cb0e2p-2",
         ),
     }
 

@@ -171,7 +171,7 @@ class TestMeanEnergy:
         assert info.value.value == pytest.approx(3.0, rel=1e-2)
 
     def test_value_bits(self):
-        # F / 4 maps the value and the best estimate of a starved quadrature
+        # the scale 1/4 maps the value and the best estimate of a starved quadrature
         d = ProbeDistribution.from_shape_energy(2.0, 3.0)
         assert d.mean_energy_quadrature().hex() == "0x1.7ffffffffffe8p+1"
         starved = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)

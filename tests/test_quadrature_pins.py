@@ -5,7 +5,7 @@ Each row fixes, for one (alpha, q[, eps]) point of one quadrature route, the
 reported value and ``quad_detail.value`` bit for bit (``float.hex``) and the
 number of integrand evaluations exactly.  A change to split points, integrand
 arithmetic, the mass scale, the first-panel power map, folding, the log-space
-scale or the final power moves at least one of them.  Probes are
+scale or the route's root and scale moves at least one of them.  Probes are
 energy-normalized at E = 1.
 """
 
@@ -30,6 +30,20 @@ PINS = [
     ("mean_error", 1.5, 0.25, 0.7, "0x1.7534c9eb800f5p-1", "0x1.21140d98a3113p-2", 240),
     ("mean_error", 2.0, 2.0, 0.0, "0x1.5a19d1e3cb0f5p-2", "0x1.29a91ba90e2a0p-1", 240),
     ("mean_error", 0.8, 0.5, -2.0, "0x1.07038dc53ee89p+0", "0x1.0e384d57e8642p+0", 240),
+    # orders whose reciprocal is inexact: eps_min's root -1/q and the mean
+    # error's 1/q round, so these rows fix the last bit of the map itself
+    ("eps_min", 1.5, 0.3, None, "0x1.d209f14612ccfp-2", "0x1.b94f1b90ea088p+3", 240),
+    ("eps_min", 1.5, 3.0, None, "0x1.323175775fea5p-1", "0x1.2fda973daa4c0p+0", 240),
+    ("eps_min", 2.0, 0.3, None, "0x1.a3c6dbe20af2bp-2", "0x1.38a665dcdc330p+4", 240),
+    ("eps_min", 2.0, 3.0, None, "0x1.95f50e4f7a084p-1", "0x1.14970c1558f15p+0", 240),
+    ("width", 1.5, 0.3, None, "0x1.bb09236e2720ep+1", "0x1.314298596de31p+1", 360),
+    ("width", 1.5, 3.0, None, "0x1.9600ccd22d439p+0", "0x1.971e68359ff47p-2", 360),
+    ("width", 2.0, 0.3, None, "0x1.7b19cf7a2fb08p+1", "0x1.11b5dcc555892p+1", 240),
+    ("width", 2.0, 3.0, None, "0x1.a642a0d406117p+0", "0x1.785fb53dcdc04p-2", 240),
+    ("mean_error", 1.5, 0.3, 0.0, "0x1.542c344a06c54p-1", "0x1.060ef653532f9p-2", 240),
+    ("mean_error", 1.5, 3.0, 0.0, "0x1.3a72b8c9442e2p-2", "0x1.596ca3e992925p-1", 240),
+    ("mean_error", 2.0, 0.3, 0.0, "0x1.383dfc40ddc2bp-1", "0x1.89ea0ff3ec4bap-3", 240),
+    ("mean_error", 2.0, 3.0, 0.0, "0x1.42df16685ee67p-2", "0x1.5c7b4a0c3abf5p-1", 240),
     ("mean_energy", 0.8, None, None, "0x1.0000000000209p+0", None, 450),
     ("mean_energy", 2.0, None, None, "0x1.fffffffffffe6p-1", None, 240),
     ("mean_energy", 5.0, None, None, "0x1.fffffffffffe8p-1", None, 240),

@@ -16,11 +16,13 @@ To O(1/n) this is the percentile-bootstrap interval of the same statistic
 (Hall 1992, *The Bootstrap and Edgeworth Expansion*), without its B
 resamples of n values each.
 
-Trials are split into fixed-size partitions and handled one at a time.
+Trials are split into fixed-size partitions, and memory holds one block
+plus one prefetched gamma buffer: while a partition is transformed and
+reduced, one helper thread draws the next partition's gamma variates.
 Each partition's moments come from its unshifted draws ``x - shift``, as a
 mean followed by a centred pass, and are merged into the running totals
 with the pairwise update of Chan, Golub & LeVeque (1979) and Pebay (2008).
-Memory is therefore one partition at any trial count, and the deviations
+Memory therefore does not grow with the trial count, and the deviations
 ``|x - shift|`` are exact at any shift: the shift is added only to the
 reported mean.
 
@@ -37,6 +39,7 @@ report.mean_std_error, plan.true_shift)``, with no second draw.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -121,13 +124,48 @@ class UnbiasednessReport:
 
 
 def _partitions(plan: TrialPlan) -> Iterator[np.ndarray]:
-    """Each partition's unshifted draws, in partition order, one at a time."""
+    """Each partition's unshifted draws, in partition order.
+
+    Partition k's gamma variates, then its transform, fill one of two
+    buffers allocated here on the calling thread (so no block lives in a
+    helper's malloc arena); each yielded array is valid until the next one
+    is requested.  While partition k is transformed here and reduced by the
+    caller, one helper thread draws partition k + 1's gamma variates into
+    the other buffer; partition 1's draw also overlaps partition 0's, which
+    is drawn here.  The draw releases the GIL and cannot fail for a valid
+    probe, whose shape ``1/alpha`` is positive.  Each partition keeps its own
+    stream, so every value has the bits of ``sample(rng_k, m)``.  Closing the
+    generator waits for the helper.
+    """
+    import threading
+
     import numpy as np  # only sampling needs numpy; keep it off the import path
 
+    dist = plan.distribution
+    shape = 1.0 / dist.alpha
     n_parts = (plan.trials + PARTITION_SIZE - 1) // PARTITION_SIZE
-    for k, child in enumerate(np.random.SeedSequence(plan.master_seed).spawn(n_parts)):
-        m = min(PARTITION_SIZE, plan.trials - k * PARTITION_SIZE)
-        yield plan.distribution.sample(np.random.default_rng(child), m)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(plan.master_seed).spawn(n_parts)]
+    sizes = [min(PARTITION_SIZE, plan.trials - k * PARTITION_SIZE) for k in range(n_parts)]
+    bufs = [np.empty(m) for m in sizes[:2]]
+
+    def draw_ahead(k):
+        thread = threading.Thread(
+            target=rngs[k].standard_gamma, args=(shape,), kwargs={"out": bufs[k % 2][: sizes[k]]}
+        )
+        thread.start()
+        return thread
+
+    helper = draw_ahead(1) if n_parts > 1 else None
+    try:
+        rngs[0].standard_gamma(shape, out=bufs[0])
+        for k in range(n_parts):
+            yield dist._from_gamma(rngs[k], bufs[k % 2][: sizes[k]])
+            if helper is not None:
+                helper.join()
+                helper = draw_ahead(k + 2) if k + 2 < n_parts else None
+    finally:
+        if helper is not None:
+            helper.join()
 
 
 def _moments(v: np.ndarray, third: bool) -> tuple[float, ...]:
@@ -137,9 +175,11 @@ def _moments(v: np.ndarray, third: bool) -> tuple[float, ...]:
 
     m = float(np.mean(v))
     d = v - m
+    if not third:
+        d *= d
+        return v.size, m, float(np.sum(d))
     d2 = d * d
-    moments = (v.size, m, float(np.sum(d2)))
-    return moments + (float(np.dot(d2, d)),) if third else moments
+    return v.size, m, float(np.sum(d2)), float(np.dot(d2, d))
 
 
 def _merge(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
@@ -191,18 +231,20 @@ def _accumulate(plan: TrialPlan) -> tuple[tuple[float, ...], tuple[float, ...], 
     log_n = math.log(plan.trials)
     x_moments = y_moments = None
     top = 0.0
-    for x in _partitions(plan):
-        deviations = np.abs(x)
-        top = max(top, float(np.max(deviations)))
-        if top > 0.0 and 3.0 * math.log(top) / plan.q + log_n >= EXP_MAX:
-            raise DomainError(
-                f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows at the largest "
-                f"|x - shift| = {top:.3g}"
-            )
-        xm = _moments(x, third=False)
-        ym = _moments(deviations ** (1.0 / plan.q), third=True)
-        x_moments = xm if x_moments is None else _merge(x_moments, xm)
-        y_moments = ym if y_moments is None else _merge(y_moments, ym)
+    with closing(_partitions(plan)) as partitions:
+        for x in partitions:
+            xm = _moments(x, third=False)
+            np.abs(x, out=x)  # from here on x holds |x - shift|, then its 1/q-th power
+            top = max(top, float(np.max(x)))
+            if top > 0.0 and 3.0 * math.log(top) / plan.q + log_n >= EXP_MAX:
+                raise DomainError(
+                    f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows at the largest "
+                    f"|x - shift| = {top:.3g}"
+                )
+            x **= 1.0 / plan.q
+            ym = _moments(x, third=True)
+            x_moments = xm if x_moments is None else _merge(x_moments, xm)
+            y_moments = ym if y_moments is None else _merge(y_moments, ym)
     return x_moments, y_moments, top
 
 

@@ -147,7 +147,17 @@ class ProbeDistribution:
         ``g`` a standard gamma variate of shape ``1/alpha``: by change of
         variables the gamma density maps exactly onto the probe density.
         The gamma draw happens before the sign draw; keep that order for
-        stream-for-stream reproducibility.
+        stream-for-stream reproducibility.  The transform is
+        ``_from_gamma``, which callers that draw ``g`` themselves (the
+        Monte Carlo prefetch) share.
+        """
+        if n < 1:
+            raise DomainError(f"sample count must be at least 1, got {n}")
+        return self._from_gamma(rng, rng.standard_gamma(1.0 / self.alpha, size=n))
+
+    def _from_gamma(self, rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
+        """The draws for standard gamma variates ``g`` of shape ``1/alpha``,
+        written over ``g``; the signs, and any patch, come from ``rng``.
 
         At large ``alpha`` the shape ``1/alpha`` is so small that ``g`` often
         falls below the smallest normal double and comes out 0 or subnormal.
@@ -159,20 +169,23 @@ class ProbeDistribution:
         """
         import numpy as np  # only sampling needs numpy; keep it off the import path
 
-        if n < 1:
-            raise DomainError(f"sample count must be at least 1, got {n}")
-        g = rng.standard_gamma(1.0 / self.alpha, size=n)
         top = float(g.max())  # the largest |draw| is gamma * (top / 2)**(1/alpha)
         if top > 0.0 and math.log(0.5 * top) / self.alpha + math.log(self.gamma_scale) >= EXP_MAX:
             raise DomainError(
                 f"shape alpha = {self.alpha} is too small to sample at gamma = "
                 f"{self.gamma_scale}: a draw overflows double range"
             )
-        signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        x = signs * self.gamma_scale * (0.5 * g) ** (1.0 / self.alpha)
+        signs = 2.0 * rng.integers(0, 2, size=g.size)
+        signs -= 1.0
+        signs *= self.gamma_scale
         tiny = np.finfo(float).tiny
-        if g.min() < tiny:  # patch in place: the common path allocates nothing extra
-            low = g < tiny
+        low = g < tiny if g.min() < tiny else None  # read before g is overwritten
+        # in place, the same roundings as sign * gamma * (0.5 * g)**(1/alpha):
+        # the ** operator keeps numpy's sqrt and square paths
+        g *= 0.5
+        g **= 1.0 / self.alpha
+        g *= signs
+        if low is not None:
             uniform = rng.random(np.count_nonzero(low))
-            x[low] = signs[low] * self.gamma_scale * ((0.5 * tiny) ** (1.0 / self.alpha) * uniform)
-        return x
+            g[low] = signs[low] * ((0.5 * tiny) ** (1.0 / self.alpha) * uniform)
+        return g

@@ -1,6 +1,7 @@
-"""Default verify and sweep runs: output bytes and quadrature work are pinned.
+"""Default verify and sweep runs, and the benchmark's seeded simulate run:
+output bytes and quadrature work are pinned.
 
-Each default run writes a file with a fixed sha256 and makes a fixed number of
+Each of these runs writes a file with a fixed sha256 and makes a fixed number of
 adaptive quadrature calls and integrand evaluations, counted through
 ``numerics._adaptive``.  A change to integrand arithmetic, split points,
 tolerances or report formatting moves at least one of them; such a change is
@@ -29,11 +30,16 @@ DEFAULT_RUNS = [
      "95760c3e3285a94c27318f85ca32771f8f81fb1fb1a9196088f6c96d88c741cf", 180, 50_940),
     (["sweep", "--quantity", "fisher"],
      "770eaf69c0b7f1ef091b0880d4732ef6a072e5980df5fdebf573ee2ade478112", 180, 56_820),
+    # four partitions, so every prefetched gamma buffer is in the bytes
+    (["simulate", "--alpha", "2", "--q", "0.5", "--eps", "0.3", "--trials", "1000000", "--seed", "1"],
+     "ebb294be92d5f6889d176557abdfe5d552c6715dcba5dbca13848081ee997314", 0, 0),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, sha256, calls, evals", DEFAULT_RUNS, ids=[run[0][-1] for run in DEFAULT_RUNS]
+    "argv, sha256, calls, evals",
+    DEFAULT_RUNS,
+    ids=[argv[0] if argv[0] == "simulate" else argv[-1] for argv, *_ in DEFAULT_RUNS],
 )
 def test_default_run_is_pinned(tmp_path, capsys, evaluations, argv, sha256, calls, evals):
     out = tmp_path / "out"

@@ -6,6 +6,7 @@ import os
 import statistics
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -16,15 +17,15 @@ import genfisher
 from genfisher.estimation import (
     CI_COVERAGE,
     CI_Z,
+    PARTITION_SIZE,
     TrialPlan,
     TrialReport,
     _accumulate,
-    _partitions,
     run_trials,
     three_sigma_check,
 )
 from genfisher.measures import mean_error_closed
-from genfisher.numerics import DomainError
+from genfisher.numerics import EXP_MAX, DomainError
 from genfisher.probe import ProbeDistribution
 
 
@@ -40,8 +41,16 @@ def plan(alpha=2.0, energy=1.0, shift=0.3, q=0.5, trials=1_000_000, seed=42, boo
 
 
 def draws(plan):
-    """Oracle: every unshifted draw ``x - shift`` of the plan in one array."""
-    return np.concatenate(list(_partitions(plan)))
+    """Oracle: every unshifted draw ``x - shift`` of the plan in one array,
+    one serial ``sample`` call per partition stream, with no helper thread."""
+    n_parts = (plan.trials + PARTITION_SIZE - 1) // PARTITION_SIZE
+    children = np.random.SeedSequence(plan.master_seed).spawn(n_parts)
+    return np.concatenate([
+        plan.distribution.sample(
+            np.random.default_rng(child), min(PARTITION_SIZE, plan.trials - k * PARTITION_SIZE)
+        )
+        for k, child in enumerate(children)
+    ])
 
 
 def percentile_bootstrap(plan, resamples, seed):
@@ -270,6 +279,33 @@ class TestStreaming:
         assert peak_4m - peak_1m <= 10.0, (peak_1m, peak_4m)
 
 
+class TestHelperThread:
+    def test_overflow_on_a_later_partition_leaves_no_thread(self):
+        # Seed 0, 600 000 trials: the first partition's largest deviation
+        # (2.17) keeps the sum of cubes in range at q = 0.0037 and the
+        # second's (2.54) does not, so the error is raised while the third
+        # partition's gamma variates may still be drawn on the helper.
+        p = plan(q=0.0037, trials=600_000, seed=0)
+        deviations = np.abs(draws(p))
+        first = float(deviations[:PARTITION_SIZE].max())
+        top = max(first, float(deviations[PARTITION_SIZE : 2 * PARTITION_SIZE].max()))
+        log_n = math.log(p.trials)
+        assert 3.0 * math.log(first) / p.q + log_n < EXP_MAX <= 3.0 * math.log(top) / p.q + log_n
+        before = threading.active_count()
+        with pytest.raises(DomainError) as info:
+            run_trials(p)
+        assert str(info.value) == (
+            "order q = 0.0037 is too small: |x - shift|**(1/q) overflows at the largest "
+            f"|x - shift| = {top:.3g}"
+        )
+        assert threading.active_count() == before
+
+    def test_run_leaves_no_thread(self):
+        before = threading.active_count()
+        run_trials(plan(trials=600_000, seed=0))
+        assert threading.active_count() == before
+
+
 class TestInterval:
     def test_z_is_the_normal_quantile(self):
         assert CI_Z == pytest.approx(
@@ -334,15 +370,17 @@ class TestInterval:
 
 def test_import_path_stays_light():
     # The interval's z is a constant, so no statistics package is imported,
-    # and only sampling imports numpy.  ``genfisher.estimation`` itself stays
-    # on the import path: ``from genfisher import run_trials`` and the
-    # benchmark's tracer look it up in ``sys.modules``.
+    # only sampling imports numpy, and the gamma prefetch uses ``threading``
+    # (already loaded), not ``concurrent.futures``, whose import is slow.
+    # ``genfisher.estimation`` itself stays on the import path: ``from
+    # genfisher import run_trials`` and the benchmark's tracer look it up in
+    # ``sys.modules``.
     env = src_env()
     for module in ("genfisher", "genfisher.cli"):
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys, {module}; "
-             "print(sorted({'numpy', 'scipy', 'statistics'} & set(sys.modules)), "
+             "print(sorted({'numpy', 'scipy', 'statistics', 'concurrent.futures'} & set(sys.modules)), "
              "'genfisher.estimation' in sys.modules)"],
             env=env, capture_output=True, text=True, timeout=60,
         )

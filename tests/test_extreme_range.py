@@ -7,12 +7,15 @@ kernel and adds the probe's scale in log space, so the routes keep their
 digits at E = 1e-300 and 1e300.  The moment routes integrate their kernel
 in units of its own mass scale and add that scale in log space too, so at
 q = 1e-3, where the kernel integral itself leaves double range, and at
-q = 1e-300 they read their closed forms.  The file holds two xfails.  The
+q = 1e-300 they read their closed forms.  The file holds five xfails.  The
 mapped width: a mapped route certifies its integral, not the quantity, so
 just above q = 1 the width reads a converged wrong value.  The linearized
 0*inf: ``hellinger_linearized`` multiplies its factor in front of F_q by
 F_q itself, so where the factor underflows to 0 and F_q overflows to inf it
-reads nan.  An unexpected pass fails the suite (``xfail_strict``).
+reads nan.  The tiny-order spike (three xfails): at q = 1e-10 the Fisher
+and mean-error kernels are spikes narrower than the node spacing of the
+first panels, so both integrals read a converged 0.  An unexpected pass
+fails the suite (``xfail_strict``).
 """
 
 import math
@@ -26,8 +29,12 @@ from genfisher.measures import (
     fisher_quadrature,
     hellinger_distance,
     hellinger_linearized,
+    mean_error_closed,
+    mean_error_quadrature,
     posterior_width_closed,
     posterior_width_quadrature,
+    sensitivity_closed,
+    sensitivity_quadrature,
 )
 from genfisher.probe import ProbeDistribution
 
@@ -156,6 +163,37 @@ def test_linearized_distance_with_factor_and_fisher_beyond_double_range():
     assert hellinger_linearized(tiny, 1e-300, 0.5).value == pytest.approx(5e-201, rel=1e-9)
     tinier = ProbeDistribution.from_shape_scale(2.0, 1e-300)
     assert hellinger_linearized(tinier, 0.0, 0.5).value == 0.0
+
+
+# At q = 1e-10 the Fisher kernel (p = (alpha - 1)/q) and the mean-error
+# kernel (p = 1/q), t**p exp(-b (t**alpha - 1)) with b = p / alpha, are spikes
+# of width about 1/(alpha sqrt(b)), near 1e-5 here, at t = 1.  The first
+# panels' nodes miss them, so each integral reads a converged 0: F**-q is inf
+# and M**q is 0.  The width (p = 0) has no spike and reads its closed form.
+@pytest.mark.xfail(raises=AssertionError, reason="kernel spike between nodes: converged inf")
+def test_sensitivity_at_tiny_order_resolves_the_kernel_spike():
+    dist = ProbeDistribution.from_shape_energy(2.0, 1.0)
+    closed = sensitivity_closed(dist, 1e-10).value
+    assert closed == pytest.approx(8.243606e-6, rel=1e-6, abs=0.0)
+    assert sensitivity_quadrature(dist, 1e-10).value == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="kernel spike between nodes: converged 0.0")
+def test_mean_error_at_tiny_order_resolves_the_kernel_spike():
+    dist = ProbeDistribution.from_shape_energy(2.0, 1.0)
+    closed = mean_error_closed(dist, 1e-10).value
+    assert closed == pytest.approx(30326.53, rel=1e-6, abs=0.0)
+    value = mean_error_quadrature(dist, 0.0, 1e-10).value
+    assert value == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="kernel spike between nodes: two parity FAILs")
+def test_verify_at_tiny_order_resolves_the_kernel_spike(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    rc = main(["verify", "--alphas", "2", "--qs", "1e-10", "--out", str(out)])
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8").endswith("overall: PASS\n")
+    assert rc == 0
 
 
 # The deviations |x - shift| come from the unshifted draws, so they are

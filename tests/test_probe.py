@@ -1,5 +1,6 @@
 """Probe distribution: construction, density, score, energy, sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -249,6 +250,20 @@ class TestSampling:
         y_mean = y.mean()
         se = q * y_mean ** (q - 1.0) * y.std(ddof=1) / math.sqrt(n)
         assert abs(y_mean**q - mean_error_closed(d, q).value) <= 5.0 * se
+
+    # sha256 of the draws' bytes: the in-place transform rounds as
+    # sign * gamma * (g / 2)**(1/alpha) does; at alpha = 300 the tiny-g patch
+    # redraws part of the sample
+    @pytest.mark.parametrize(
+        "alpha, sha256",
+        [
+            (2.0, "139a8c79209aa0abd2ff049ef2062c349cd072e96286b461af60dfa41c44417b"),
+            (300.0, "d6970e30c07126b85089bf1a7173acc1b1f0efd14d222641d1f0046358037451"),
+        ],
+    )
+    def test_draws_keep_their_bits(self, alpha, sha256):
+        x = ProbeDistribution.from_shape_scale(alpha, 1.0).sample(np.random.default_rng(7), 100_000)
+        assert hashlib.sha256(x.tobytes()).hexdigest() == sha256
 
     def test_rejects_empty_draw(self):
         d = ProbeDistribution.from_shape_scale(1.0, 1.0)

@@ -61,7 +61,7 @@ from pathlib import Path
 
 from . import measures
 from .estimation import TrialPlan, run_trials, three_sigma_check
-from .numerics import ConvergenceError, DomainError, IntegrandError, QuadratureSpec, log_gamma
+from .numerics import ConvergenceError, DomainError, IntegrandError, log_gamma
 from .probe import ProbeDistribution
 
 __all__ = [
@@ -390,11 +390,9 @@ def _distance_closed(alpha: float, q: float, closed, energy: float, tol: float) 
 
 
 def _linearization(alpha: float, q: float) -> tuple[bool, str]:
-    # Pure relative tolerance so the tiny q = 1/4 distance is still resolved.
-    tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-7)
     dist = ProbeDistribution.from_shape_scale(alpha, 1.0)
     ratio = (
-        measures.hellinger_distance(dist, 1e-3, q, tight).value
+        measures.hellinger_distance(dist, 1e-3, q).value
         / measures.hellinger_linearized(dist, 1e-3, q).value
     )
     return 0.99 <= ratio <= 1.01, f"ratio={ratio:.6f}"

@@ -179,7 +179,9 @@ def _moments(v: np.ndarray, third: bool) -> tuple[float, ...]:
         d *= d
         return v.size, m, float(np.sum(d))
     d2 = d * d
-    return v.size, m, float(np.sum(d2)), float(np.dot(d2, d))
+    s2 = float(np.sum(d2))
+    d2 *= d  # numpy's pairwise sum, not a BLAS dot, so M3 ignores the thread count
+    return v.size, m, s2, float(np.sum(d2))
 
 
 def _merge(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:

@@ -16,7 +16,7 @@ Every piece is seeded with ``INITIAL_PANELS`` uniform panels, evaluated with
 the embedded 7/15-point Gauss-Kronrod pair, and refined globally: the panel
 carrying the largest error estimate is bisected until
 
-    total_error <= max(abs_tol, rel_tol * |value|),
+    total_error <= rel_tol * |value|,
 
 the evaluation budget is exhausted, or no further bisection can help (panels
 narrower than ``MIN_PANEL_WIDTH`` are frozen but keep contributing their
@@ -104,20 +104,19 @@ MIN_PANEL_WIDTH = 1e-300
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, budget, and split points for one integration.
+    """Relative tolerance, budget, and split points for one integration.
 
     ``split_points`` lists interior locations where the integrand may be
     singular or non-smooth; the domain is always subdivided there.
     """
 
-    abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_evaluations: int = 2_000_000
     split_points: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0) or not (self.rel_tol > 0.0):
-            raise DomainError("abs_tol and rel_tol must be strictly positive")
+        if not (self.rel_tol > 0.0):
+            raise DomainError("rel_tol must be strictly positive")
         if self.max_evaluations < 1:
             raise DomainError("max_evaluations must be at least 1")
         pts = tuple(float(p) for p in self.split_points)
@@ -128,7 +127,7 @@ class QuadratureSpec:
     def with_splits(self, extra: Sequence[float]) -> "QuadratureSpec":
         """Copy of this spec with additional split points merged in."""
         merged = tuple(sorted(set(self.split_points) | {float(p) for p in extra}))
-        return QuadratureSpec(self.abs_tol, self.rel_tol, self.max_evaluations, merged)
+        return QuadratureSpec(self.rel_tol, self.max_evaluations, merged)
 
 
 @dataclass(frozen=True)
@@ -256,7 +255,7 @@ def _adaptive(pieces, spec: QuadratureSpec) -> QuadratureResult:
             heapq.heappush(heap, (-err, counter, pa, pb, value, fn))
             counter += 1
     while True:
-        target = max(spec.abs_tol, spec.rel_tol * abs(total))
+        target = spec.rel_tol * abs(total)
         if total_err <= target:
             return QuadratureResult(total, total_err, True, evals)
         if frozen_err > target or not heap or evals + 2 * _EVALS_PER_PANEL > budget:

@@ -275,7 +275,7 @@ class TestSweepCommand:
     def test_no_converge_row_records_best_estimate(self, monkeypatch, quantity):
         # a starved default spec makes every quadrature stop short; the row
         # still carries the correctly folded and powered best estimate
-        starved = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
+        starved = QuadratureSpec(rel_tol=1e-15, max_evaluations=100)
         monkeypatch.setattr(measures, "QuadratureSpec", lambda: starved)
         config = SweepConfig(quantity, (0.25, 2.0), 1.0, AlphaGrid(1.0, 2.0, 2), "unused.csv")
         rows = run_sweep(config)

@@ -21,15 +21,15 @@ from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "6755d4ffe18b938a7c111ea3e2372be9965b14f6c020ffe81f069ff556e3dcce", 133, 58_290),
+    (["verify"], "46ae8dd0b4ae91a3affebae7cc35dc92675fc3d96e3468cacf0cb70699ed7d6f", 133, 58_650),
     (["sweep", "--quantity", "eps_min"],
-     "2afd7259ab3c926e33aa206d4059af80cd9204a1d4f3c68278f6b23fce4bf2c9", 180, 56_820),
+     "b6e0d9016969691c7f2aba5ff93e8ebebb0ceb12099d442603945370a9e5ce25", 180, 57_330),
     (["sweep", "--quantity", "posterior_width"],
      "c0f85084fb35c19fdea396720b5bc8e4d5c08b2328df2201ba92832d18f004cb", 180, 55_350),
     (["sweep", "--quantity", "mean_error"],
      "95760c3e3285a94c27318f85ca32771f8f81fb1fb1a9196088f6c96d88c741cf", 180, 50_940),
     (["sweep", "--quantity", "fisher"],
-     "770eaf69c0b7f1ef091b0880d4732ef6a072e5980df5fdebf573ee2ade478112", 180, 56_820),
+     "a86cdc783e61389dc7b7686457f09440216177bdc09e6904da39324a653128e6", 180, 57_330),
     # four partitions, so every prefetched gamma buffer is in the bytes
     (["simulate", "--alpha", "2", "--q", "0.5", "--eps", "0.3", "--trials", "1000000", "--seed", "1"],
      "ebb294be92d5f6889d176557abdfe5d552c6715dcba5dbca13848081ee997314", 0, 0),
@@ -82,7 +82,7 @@ def test_runs_without_numpy(tmp_path, argv, sha256):
 # codes are those of tests/test_cli.py::OUT_OF_RANGE.
 OUT_OF_RANGE_RUNS = [
     (["verify", "--alphas", "2", "--qs", "1e-3"], 0,
-     "614098400fcc896c1a48855a42e858640a7a42af4faae6488c28d6f14133f95b"),
+     "874a6be25989465926c01dceae048ea00981dfb0fad452aa25908e44e05c9f3b"),
     (["verify", "--energy", "1e-300"], 0,
      "83d5a80b2971e2b4a7d80852db8a108af87d74c21193047c81d46b027da95fe4"),
     (["sweep", "--quantity", "fisher", "--q", "1e-3"], 1,

@@ -272,6 +272,25 @@ class TestStreaming:
         )
         assert top == np.max(np.abs(x))
 
+    def test_third_moment_ignores_the_blas_thread_count(self):
+        # A BLAS dot splits its sum by thread: at seed 0 the merged M3 read
+        # 0x1.e7ea5cafcac04p+16 on one OpenBLAS thread and ...c02p+16 on two.
+        script = (
+            "from genfisher.estimation import TrialPlan, _accumulate\n"
+            "from genfisher.probe import ProbeDistribution\n"
+            "p = TrialPlan(ProbeDistribution.from_shape_energy(2.0, 1.0), 0.3, 0.5, 1_000_000, 0)\n"
+            "print(_accumulate(p)[1][3].hex())"
+        )
+        m3 = set()
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env={**src_env(), "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            m3.add(proc.stdout.strip())
+        assert len(m3) == 1, m3
+
     def test_peak_memory_does_not_grow_with_trials(self):
         # one partition is held at a time, so 4e6 trials peak within 10 MB
         # of 1e6; whole arrays would take about 39 MB more per 1e6 trials

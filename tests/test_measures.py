@@ -94,7 +94,7 @@ class TestLinearization:
         assert hellinger_linearized(GAUSS, 0.0, 0.5).value == 0.0
 
     def test_ratio_approaches_one_monotonically(self):
-        tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-9)
+        tight = QuadratureSpec(rel_tol=1e-9)
         ratios = []
         for eps in (0.1, 0.01, 0.001):
             d = hellinger_distance(LAPLACE, eps, 2.0, tight).value
@@ -106,7 +106,7 @@ class TestLinearization:
     @pytest.mark.parametrize("alpha,q", [(1.0, 0.5), (2.0, 0.5), (2.0, 2.0), (1.5, 0.25)])
     def test_ratio_within_one_percent_at_weak_signal(self, alpha, q):
         dist = ProbeDistribution.from_shape_scale(alpha, 1.0)
-        tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-7)
+        tight = QuadratureSpec(rel_tol=1e-7)
         ratio = (
             hellinger_distance(dist, 1e-3, q, tight).value
             / hellinger_linearized(dist, 1e-3, q).value
@@ -182,7 +182,7 @@ class TestPowerRange:
 
 # A 100-evaluation spec: every Fisher route stops at 90 evaluations, within
 # 2e-9 of the converged integral, and raises ConvergenceError.
-STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
+STARVED = QuadratureSpec(rel_tol=1e-15, max_evaluations=100)
 
 
 class TestFisherMaps:
@@ -402,7 +402,7 @@ class TestParityGrid:
 class TestNonConvergedEstimate:
     """A starved quadrature still reports a correctly scaled best estimate."""
 
-    STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-15, max_evaluations=100)
+    STARVED = QuadratureSpec(rel_tol=1e-15, max_evaluations=100)
 
     @pytest.mark.parametrize(
         "quadrature,closed,q",

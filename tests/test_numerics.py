@@ -105,16 +105,14 @@ class TestRealLine:
         assert res.value == pytest.approx(2.5066282746, abs=1e-9)
 
     def test_converged_meets_requested_tolerance(self):
-        spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+        spec = QuadratureSpec(rel_tol=1e-11)
         res = integrate_real_line(lambda x: math.exp(-x * x), spec)
         assert res.converged
-        assert res.abs_error_estimate <= max(
-            spec.abs_tol, spec.rel_tol * abs(res.value)
-        )
+        assert res.abs_error_estimate <= spec.rel_tol * abs(res.value)
         assert res.evaluations > 0
 
     def test_budget_exhaustion_returns_best_estimate(self):
-        spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14, max_evaluations=100)
+        spec = QuadratureSpec(rel_tol=1e-14, max_evaluations=100)
         res = integrate_real_line(lambda x: math.exp(-x * x), spec)
         assert not res.converged
         assert res.value == pytest.approx(SQRT_PI, rel=1e-3)
@@ -140,7 +138,7 @@ class TestRealLine:
         vg = integrate_real_line(g, spec)
         assert combo.converged and vf.converged and vg.converged
         assert combo.value == pytest.approx(
-            a * vf.value + b * vg.value, abs=10.0 * spec.abs_tol
+            a * vf.value + b * vg.value, rel=10.0 * spec.rel_tol
         )
 
     @pytest.mark.parametrize(
@@ -177,6 +175,17 @@ class TestHalfLine:
         with pytest.raises(DomainError):
             integrate_half_line(lambda t: math.exp(-t), QuadratureSpec(split_points=(-1.0,)))
 
+    @pytest.mark.parametrize("c", [2.0**-40, 2.0**-600], ids=["2^-40", "2^-600"])
+    def test_scaled_integrand_takes_the_same_path(self, c):
+        # The stopping rule is relative only: an integrand scaled by a power
+        # of two refines the same panels and returns the scaled value exactly.
+        unit = integrate_half_line(lambda t: t**-0.5 * math.exp(-t))
+        scaled = integrate_half_line(lambda t: c * (t**-0.5 * math.exp(-t)))
+        assert unit.converged and scaled.converged
+        assert scaled.value == c * unit.value
+        assert scaled.evaluations == unit.evaluations
+        assert scaled.value == pytest.approx(c * SQRT_PI, rel=1e-9)
+
     def test_interior_split_accepted(self):
         res = integrate_half_line(
             lambda t: math.exp(-t), QuadratureSpec(split_points=(0.0, 1.0, 10.0))
@@ -199,8 +208,8 @@ class TestQuadratureSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"abs_tol": 0.0},
-            {"abs_tol": -1e-9},
+            {"rel_tol": -1e-9},
+            {"rel_tol": float("nan")},
             {"rel_tol": 0.0},
             {"max_evaluations": 0},
             {"split_points": (float("inf"),)},
@@ -212,10 +221,9 @@ class TestQuadratureSpec:
             QuadratureSpec(**kwargs)
 
     def test_with_splits_merges_and_sorts(self):
-        spec = QuadratureSpec(split_points=(1.0, -2.0))
+        spec = QuadratureSpec(rel_tol=1e-6, max_evaluations=500, split_points=(1.0, -2.0))
         merged = spec.with_splits((0.0, 1.0))
-        assert merged.split_points == (-2.0, 0.0, 1.0)
-        assert merged.abs_tol == spec.abs_tol
+        assert merged == QuadratureSpec(1e-6, 500, (-2.0, 0.0, 1.0))
 
 
 def _panels(seed, lo, hi, count):

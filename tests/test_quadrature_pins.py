@@ -17,7 +17,7 @@ from genfisher.probe import ProbeDistribution
 # (route, alpha, q, eps, value hex, quad_detail.value hex, evaluations)
 PINS = [
     ("distance", 2.0, 0.5, 0.1, "0x1.46dcb6c16ba7ap-8", "0x1.46dcb6c16ba7ap-8", 480),
-    ("distance", 0.8, 0.25, 0.7, "0x1.1a56b0625dc39p-9", "0x1.1a56b0625dc39p-9", 690),
+    ("distance", 0.8, 0.25, 0.7, "0x1.1a56b0627a65ep-9", "0x1.1a56b0627a65ep-9", 780),
     ("distance", 5.0, 2.0, 0.5, "0x1.8184ff6832cb1p-2", "0x1.8184ff6832cb1p-2", 810),
     ("fisher", 2.0, 0.5, None, "0x1.fffffffffffe6p+1", "0x1.fffffffffffe6p+1", 240),
     ("fisher", 1.5, 0.25, None, "0x1.b2b94e4481e36p+4", "0x1.b2b94e4481e36p+4", 240),

@@ -161,15 +161,17 @@ def fisher_gamma_argument(alpha: float, q: float) -> float:
     return (alpha + q - 1.0) / (alpha * q)
 
 
+def _require_fisher_domain(alpha: float, q: float) -> None:
+    """F_q is finite only for alpha > 1 - q: below it ``P |score|**(1/q)``
+    is not integrable at the origin."""
+    if alpha <= 1.0 - q:
+        raise DomainError(f"F_q needs alpha > 1 - q; got alpha = {alpha}, q = {q}")
+
+
 def _log_fisher_closed(dist: ProbeDistribution, q: float) -> float:
-    """Log of the closed Fisher form, valid for alpha > max(1 - q, 1/2)."""
+    """Log of the closed Fisher form, valid for alpha > 1 - q."""
     a = dist.alpha
-    bound = max(1.0 - q, 0.5)
-    if a <= bound:
-        raise DomainError(
-            f"closed Fisher form needs alpha > max(1 - q, 1/2) = {bound}; "
-            f"got alpha = {a}, q = {q}"
-        )
+    _require_fisher_domain(a, q)
     ln_scale = math.log(a) + LN2 / a - math.log(dist.gamma_scale)
     return ln_scale / q + log_gamma(fisher_gamma_argument(a, q)) - log_gamma(1.0 / a)
 
@@ -243,8 +245,13 @@ def _moment(
     smooth exponential ``m tau**(n-1) exp(-b (tau**(alpha m) - 1))``,
     bounded even where ``t**p`` is singular; where ``e**b`` overflows it is
     taken in log form, ``m exp((n-1) ln tau - b (tau**(alpha m) - 1))``.
-    Beyond 1 the kernel is taken in log form, so a large ``p`` cannot
-    overflow before the exponential decays.
+    Beyond 1 it substitutes ``u = t**alpha`` (``u = 1`` at the split) and
+    integrates the gamma integrand ``(1/alpha) u**e exp(-b (u - 1))``,
+    ``e = (p + 1)/alpha - 1`` (DLMF 5.2.1), in log form: no power of the
+    variable sits in the exponent, so nothing overflows before the
+    exponential decays, and at small ``alpha`` the tail decays like
+    ``e**-u``, where in ``t`` the same mass reaches out to ``t ~ 1e16``
+    (``alpha = 0.1``).
     """
     b = max(p / alpha, 1.0)
     log_sigma = (math.log(b) - math.log(c)) / alpha
@@ -252,16 +259,14 @@ def _moment(
     m = n / (p + 1.0)
     k, am = n - 1, alpha * m
     log_head = b > EXP_MAX
+    e = (p + 1.0) / alpha - 1.0
 
     def kernel(t: float) -> float:
         if t < 1.0:
             if log_head:
                 return m * math.exp(k * math.log(t) - b * (t**am - 1.0))
             return m * t**k * math.exp(-b * (t**am - 1.0))
-        try:
-            return safe_exp(p * math.log(t) - b * (t**alpha - 1.0))
-        except OverflowError:  # t**alpha beyond double range: exp(-inf)
-            return 0.0
+        return safe_exp(e * math.log(t) - b * (t - 1.0)) / alpha
 
     log_scale += (p + 1.0) * log_sigma - b
     return _quadrature(quantity, kernel, spec, (1.0,), label, log_scale, root, scale)
@@ -370,10 +375,7 @@ def _fisher_route(
     """
     q = _require_order(q)
     a, g = dist.alpha, dist.gamma_scale
-    if a <= 1.0 - q:
-        raise DomainError(
-            f"Fisher integrand not integrable: needs alpha > 1 - q; got alpha = {a}, q = {q}"
-        )
+    _require_fisher_domain(a, q)
     log_g = math.log(g)
     log_scale = dist.log_norm_const + LN2 + log_g + (LN2 + math.log(a) - log_g) / q
     label = f"Fisher quadrature (alpha={a}, q={q})"
@@ -396,7 +398,7 @@ def fisher_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
         F_q = (alpha 2**(1/alpha) / gamma)**(1/q)
               * Gamma((alpha + q - 1) / (alpha q)) / Gamma(1/alpha),
 
-    valid for alpha > max(1 - q, 1/2)."""
+    valid for alpha > 1 - q."""
     q = _require_order(q)
     return _closed(Quantity.FISHER, _log_fisher_closed(dist, q))
 

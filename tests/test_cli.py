@@ -513,6 +513,15 @@ class TestConfigFile:
         cfg.write_text("alpha = 2\ntrials = 2000\nseed = 3\nbootstrap = 50\n", encoding="utf-8")
         assert main(["simulate", "--config", str(cfg), *out]) == 2
 
+    def test_energy_in_file_clashes_with_gamma_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("energy = 2\n", encoding="utf-8")
+        out = tmp_path / "x.json"
+        argv = ["simulate", "--alpha", "2", "--gamma", "1", "--trials", "100"]
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: --energy and --gamma are mutually exclusive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["verify", "sweep", "simulate", "surface"])
     def test_malformed_value_names_its_flag(self, tmp_path, capsys, command):
         cfg = tmp_path / "bad.cfg"

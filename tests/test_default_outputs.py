@@ -21,15 +21,15 @@ from genfisher.cli import main
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "46ae8dd0b4ae91a3affebae7cc35dc92675fc3d96e3468cacf0cb70699ed7d6f", 133, 58_650),
+    (["verify"], "f108b3a6106480ccbd6dd1a996f0776ba5c70c1bbce4ae7a4c23985ae1387094", 133, 58_230),
     (["sweep", "--quantity", "eps_min"],
-     "b6e0d9016969691c7f2aba5ff93e8ebebb0ceb12099d442603945370a9e5ce25", 180, 57_330),
+     "8235887349b9a95ea0e765d1cc286a805740df3c2ed602ece9d6fb58f061a796", 180, 51_960),
     (["sweep", "--quantity", "posterior_width"],
-     "c0f85084fb35c19fdea396720b5bc8e4d5c08b2328df2201ba92832d18f004cb", 180, 55_350),
+     "53c73c4a8b77c894e6a5ea19f3f9f237f507a72b7ad20423f4adbab24861989d", 180, 51_300),
     (["sweep", "--quantity", "mean_error"],
-     "95760c3e3285a94c27318f85ca32771f8f81fb1fb1a9196088f6c96d88c741cf", 180, 50_940),
+     "269be2867ef7b81f802e94cc6d93359f0f100b2066ff22be0c55ec9be0661f35", 180, 47_430),
     (["sweep", "--quantity", "fisher"],
-     "a86cdc783e61389dc7b7686457f09440216177bdc09e6904da39324a653128e6", 180, 57_330),
+     "cf47d09e2fe8f30cb36305b903f3bc467bc8aa467ff4aa6b505a83743e47f79c", 180, 51_960),
     # four partitions, so every prefetched gamma buffer is in the bytes
     (["simulate", "--alpha", "2", "--q", "0.5", "--eps", "0.3", "--trials", "1000000", "--seed", "1"],
      "ebb294be92d5f6889d176557abdfe5d552c6715dcba5dbca13848081ee997314", 0, 0),
@@ -82,13 +82,13 @@ def test_runs_without_numpy(tmp_path, argv, sha256):
 # codes are those of tests/test_cli.py::OUT_OF_RANGE.
 OUT_OF_RANGE_RUNS = [
     (["verify", "--alphas", "2", "--qs", "1e-3"], 0,
-     "874a6be25989465926c01dceae048ea00981dfb0fad452aa25908e44e05c9f3b"),
+     "5cab83aa4135cc4d138c9bd957b281d1b04d51561ddd2da66f7f61205815ac23"),
     (["verify", "--energy", "1e-300"], 0,
-     "83d5a80b2971e2b4a7d80852db8a108af87d74c21193047c81d46b027da95fe4"),
+     "3c4cb84d378f6327beab90454d1e1a4da6174a9beb818a07410ce7d53752b1e6"),
     (["sweep", "--quantity", "fisher", "--q", "1e-3"], 1,
      "8963133fbba418f4de980acd3ee54546d482d0af60b7a075c5ad46cb226c307e"),
     (["sweep", "--quantity", "fisher", "--energy", "1e300"], 0,
-     "8d66e09b67b4c53396e22f393406b5ca9731432e957a56b95f636127ebd1356c"),
+     "bc256f753103b02cb1ff9e6a119a1766c060d99d82fe03a28123c4532836b207"),
 ]
 
 

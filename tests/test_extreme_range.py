@@ -12,10 +12,10 @@ mapped width: a mapped route certifies its integral, not the quantity, so
 just above q = 1 the width reads a converged wrong value.  The linearized
 0*inf: ``hellinger_linearized`` multiplies its factor in front of F_q by
 F_q itself, so where the factor underflows to 0 and F_q overflows to inf it
-reads nan.  The tiny-order spike (three xfails): at q = 1e-10 the Fisher
+reads nan.  The tiny-order spike (three xfails): at q = 1e-12 the Fisher
 and mean-error kernels are spikes narrower than the node spacing of the
-first panels, so both integrals read a converged 0.  An unexpected pass
-fails the suite (``xfail_strict``).
+first panels, so both integrals read a converged 0; at q = 1e-10 the same
+checks pass.  An unexpected pass fails the suite (``xfail_strict``).
 """
 
 import math
@@ -165,32 +165,42 @@ def test_linearized_distance_with_factor_and_fisher_beyond_double_range():
     assert hellinger_linearized(tinier, 0.0, 0.5).value == 0.0
 
 
-# At q = 1e-10 the Fisher kernel (p = (alpha - 1)/q) and the mean-error
+# At tiny orders the Fisher kernel (p = (alpha - 1)/q) and the mean-error
 # kernel (p = 1/q), t**p exp(-b (t**alpha - 1)) with b = p / alpha, are spikes
-# of width about 1/(alpha sqrt(b)), near 1e-5 here, at t = 1.  The first
-# panels' nodes miss them, so each integral reads a converged 0: F**-q is inf
-# and M**q is 0.  The width (p = 0) has no spike and reads its closed form.
-@pytest.mark.xfail(raises=AssertionError, reason="kernel spike between nodes: converged inf")
-def test_sensitivity_at_tiny_order_resolves_the_kernel_spike():
-    dist = ProbeDistribution.from_shape_energy(2.0, 1.0)
-    closed = sensitivity_closed(dist, 1e-10).value
-    assert closed == pytest.approx(8.243606e-6, rel=1e-6, abs=0.0)
-    assert sensitivity_quadrature(dist, 1e-10).value == pytest.approx(closed, rel=1e-6, abs=0.0)
+# of width about 1/(alpha sqrt(b)) at t = 1.  At q = 1e-10 (width near 1e-5)
+# F**-q and M**q read their closed forms to 6.9e-11, though each integral
+# converges to half its value: the q-th root turns that into q ln 2.  At
+# q = 1e-12 the first panels' nodes miss the spike, so each integral reads a
+# converged 0: F**-q is inf and M**q is 0.  The width (p = 0) has no spike
+# and reads its closed form.
+SPIKE = pytest.mark.xfail(raises=AssertionError, reason="kernel spike between nodes")
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="kernel spike between nodes: converged 0.0")
-def test_mean_error_at_tiny_order_resolves_the_kernel_spike():
+@pytest.mark.parametrize(
+    "q, expected", [(1e-10, 8.243606e-6), pytest.param(1e-12, 8.243606e-7, marks=SPIKE)]
+)
+def test_sensitivity_at_tiny_order_reads_the_closed_form(q, expected):
     dist = ProbeDistribution.from_shape_energy(2.0, 1.0)
-    closed = mean_error_closed(dist, 1e-10).value
-    assert closed == pytest.approx(30326.53, rel=1e-6, abs=0.0)
-    value = mean_error_quadrature(dist, 0.0, 1e-10).value
+    closed = sensitivity_closed(dist, q).value
+    assert closed == pytest.approx(expected, rel=1e-6, abs=0.0)
+    assert sensitivity_quadrature(dist, q).value == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "q, expected", [(1e-10, 30326.53), pytest.param(1e-12, 303265.33, marks=SPIKE)]
+)
+def test_mean_error_at_tiny_order_reads_the_closed_form(q, expected):
+    dist = ProbeDistribution.from_shape_energy(2.0, 1.0)
+    closed = mean_error_closed(dist, q).value
+    assert closed == pytest.approx(expected, rel=1e-6, abs=0.0)
+    value = mean_error_quadrature(dist, 0.0, q).value
     assert value == pytest.approx(closed, rel=1e-6, abs=0.0)
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="kernel spike between nodes: two parity FAILs")
-def test_verify_at_tiny_order_resolves_the_kernel_spike(tmp_path, capsys):
+@pytest.mark.parametrize("q", ["1e-10", pytest.param("1e-12", marks=SPIKE)])
+def test_verify_at_tiny_order_passes(tmp_path, capsys, q):
     out = tmp_path / "report.txt"
-    rc = main(["verify", "--alphas", "2", "--qs", "1e-10", "--out", str(out)])
+    rc = main(["verify", "--alphas", "2", "--qs", q, "--out", str(out)])
     capsys.readouterr()
     assert out.read_text(encoding="utf-8").endswith("overall: PASS\n")
     assert rc == 0

@@ -193,6 +193,15 @@ class TestHalfLine:
         assert res.converged
         assert res.value == pytest.approx(1.0, rel=1e-10)
 
+    def test_frozen_panels_stop_far_below_the_budget(self):
+        # 1/x diverges at the origin: bisection reaches panels narrower than
+        # MIN_PANEL_WIDTH, which are frozen with their error, and once that
+        # error alone exceeds the target the engine stops unconverged
+        spec = QuadratureSpec(split_points=(1.0,))
+        res = integrate_half_line(lambda x: 1.0 / x if x < 1.0 else 0.0, spec)
+        assert not res.converged
+        assert res.evaluations < spec.max_evaluations // 10
+
     def test_tail_node_at_infinity_is_an_integrand_error(self):
         tail = numerics._tail(lambda x: 1.0, 2.0, 1.0)
         with pytest.raises(IntegrandError, match="beyond the tail map's resolution"):

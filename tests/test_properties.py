@@ -105,15 +105,15 @@ def test_distance_converges_within_a_small_budget(alpha, q, log10_gamma, log10_r
 
 
 # Converged is not enough: within 10 000 evaluations each value must agree
-# with its closed form.  The closed Fisher form needs alpha > 1/2 as well as
-# the route's alpha > 1 - q; the width's power 1/(1-q) multiplies the
-# integral's error near q = 1 (ROADMAP item 9), so |1 - q| >= 0.05.  The
-# first two examples are small-shape, small-order mean errors whose mass lies
-# far beyond the split at 4 gamma: an unfolded real-line route read them
-# 3.8 % and 4.1 % low.  The last two lie outside the drawn orders: a width
-# whose mass sits far below the split at s = 1, which read 18 % high when the
-# kernel was integrated in s rather than at its mass scale, and a mean error
-# at q = 1e-3, whose moment int s**1000 exp(-2 s**0.4) overflowed.
+# with its closed form.  The Fisher forms need alpha > 1 - q; the width's
+# power 1/(1-q) multiplies the integral's error near q = 1 (ROADMAP item 9),
+# so |1 - q| >= 0.05.  The first two examples are small-shape, small-order
+# mean errors whose mass lies far beyond the split at 4 gamma: an unfolded
+# real-line route read them 3.8 % and 4.1 % low.  The last two lie outside
+# the drawn orders: a width whose mass sits far below the split at s = 1,
+# which read 18 % high when the kernel was integrated in s rather than at its
+# mass scale, and a mean error at q = 1e-3, whose moment
+# int s**1000 exp(-2 s**0.4) overflowed.
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(
     log10_alpha=st.floats(math.log10(0.3), math.log10(200.0)),
@@ -128,7 +128,7 @@ def test_moment_routes_match_closed_forms(log10_alpha, log10_q, log10_gamma):
     alpha, q = 10.0**log10_alpha, 10.0**log10_q
     dist = ProbeDistribution.from_shape_scale(alpha, 10.0**log10_gamma)
     budget = QuadratureSpec(max_evaluations=10_000)
-    if alpha > max(1.0 - q, 0.5):
+    if alpha > 1.0 - q:
         assert fisher_quadrature(dist, q, budget).value == pytest.approx(
             fisher_closed(dist, q).value, rel=1e-8, abs=0.0
         )

@@ -61,7 +61,7 @@ from pathlib import Path
 
 from . import measures
 from .estimation import TrialPlan, run_trials, three_sigma_check
-from .numerics import ConvergenceError, DomainError, IntegrandError, log_gamma
+from .numerics import ConvergenceError, DomainError, log_gamma
 from .probe import ProbeDistribution
 
 __all__ = [
@@ -121,6 +121,7 @@ _DISTANCE_CLOSED = {
     (2.0, 1.0): lambda r: math.erf(r / math.sqrt(2.0)),
 }
 _DISTANCE_SHIFTS = (0.1, 0.7)
+_SPACINGS = ("log", "linear")
 
 
 class ConfigError(ValueError, argparse.ArgumentTypeError):
@@ -149,8 +150,8 @@ class AlphaGrid:
             raise ConfigError("alpha grid maximum must be finite and exceed the minimum")
         if self.count < 2:
             raise ConfigError(f"alpha grid needs at least 2 points, got {self.count}")
-        if self.spacing not in ("log", "linear"):
-            raise ConfigError(f"alpha grid spacing must be 'log' or 'linear', got {self.spacing!r}")
+        if self.spacing not in _SPACINGS:
+            raise ConfigError(f"alpha grid spacing must be one of {_SPACINGS}, got {self.spacing!r}")
 
     def points(self) -> list[float]:
         lo, hi, n = self.min, self.max, self.count
@@ -202,9 +203,15 @@ class SweepRow:
     status: str
 
 
-# Numeric failures that read no_converge in a sweep row and FAIL on a verify
-# line; ``_check`` reads a DomainError and an OverflowError before them.
-_NUMERIC_ERRORS = (ConvergenceError, IntegrandError, ValueError, ArithmeticError)
+# Failures that give a point a status (``_status``), caught first; then the
+# numeric failures that read no_converge in a sweep row and FAIL in verify.
+_STATUS_ERRORS = (DomainError, OverflowError)
+_NUMERIC_ERRORS = (ConvergenceError, ValueError, ArithmeticError)
+
+
+def _status(exc: Exception) -> str:
+    """out_of_domain for a DomainError, out_of_range for an OverflowError."""
+    return "out_of_domain" if isinstance(exc, DomainError) else "out_of_range"
 
 
 def _integral(route, dist: ProbeDistribution, q: float) -> tuple[float, float, bool]:
@@ -230,10 +237,9 @@ def _sweep_row(
 ) -> SweepRow:
     """Closed and quadrature values of ``quantity`` at one (alpha, q) point.
 
-    A DomainError from the probe or the closed form gives out_of_domain, an
-    OverflowError from the closed value out_of_range, and neither runs
-    ``integral(route, dist, q)``; the row reads the route's value or its
-    integral, and a non-converged quadrature reads no_converge.
+    A failure of the probe or the closed value gives the row its
+    ``_status`` and runs no ``integral(route, dist, q)``; the row reads the
+    route's value or its integral, a non-converged quadrature no_converge.
     """
     closed_form, route, reads_integral = _ROUTES[quantity]
     gamma = None
@@ -241,10 +247,8 @@ def _sweep_row(
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
         gamma = dist.gamma_scale
         closed = closed_form(dist, q).value
-    except DomainError:
-        return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_domain")
-    except OverflowError:
-        return SweepRow(alpha, q, energy, gamma, None, None, None, "out_of_range")
+    except _STATUS_ERRORS as exc:
+        return SweepRow(alpha, q, energy, gamma, None, None, None, _status(exc))
     value, integral_value, converged = integral(route, dist, q)
     quad = integral_value if reads_integral else value
     rel = abs(closed - quad) / abs(closed)
@@ -283,9 +287,8 @@ def surface_to_csv(
     x_max: float,
     x_count: int,
 ) -> str:
-    """Density surface rows (ln alpha, x, pdf), alpha-major."""
-    if alpha_grid.min <= 0.5:
-        raise DomainError("surface needs alpha > 1/2 throughout (energy normalization)")
+    """Density surface rows (ln alpha, x, pdf), alpha-major; a shape at or
+    below 1/2 raises the probe's DomainError (energy normalization)."""
     if x_count < 2 or not (-math.inf < x_min < x_max < math.inf):
         raise ConfigError("surface x range needs finite x_min < x_max and at least 2 points")
     lines = ["ln_alpha,x,pdf"]
@@ -300,15 +303,13 @@ def surface_to_csv(
 
 def _check(label: str, evaluate, *args) -> tuple[bool | None, str]:
     """(ok, line) of ``label`` from the check ``evaluate(*args)``'s (ok,
-    detail), ok None for a line without a PASS/FAIL verdict.  A DomainError
-    reads out_of_domain, an OverflowError out_of_range, another numeric
-    failure is a FAIL line carrying the exception text."""
+    detail), ok None for a line without a PASS/FAIL verdict.  A failure
+    reads its ``_status``; another numeric failure is a FAIL line carrying
+    the exception text."""
     try:
         ok, detail = evaluate(*args)
-    except DomainError:
-        ok, detail = None, "out_of_domain"
-    except OverflowError:
-        ok, detail = None, "out_of_range"
+    except _STATUS_ERRORS as exc:
+        ok, detail = None, _status(exc)
     except _NUMERIC_ERRORS as exc:
         ok, detail = False, f"error={type(exc).__name__}: {exc}"
     verdict = "" if ok is None else " PASS" if ok else " FAIL"
@@ -630,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha-max", type=float, default=grid.max, help="largest shape")
         p.add_argument("--alpha-count", type=int, default=grid.count, help="number of shapes")
         p.add_argument(
-            "--alpha-spacing", choices=("log", "linear"), default=grid.spacing, help="shape spacing"
+            "--alpha-spacing", choices=_SPACINGS, default=grid.spacing, help="shape spacing"
         )
 
     p = add_command(

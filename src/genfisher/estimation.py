@@ -43,7 +43,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .measures import mean_error_closed
+from .measures import _require_order, _require_shift, mean_error_closed
 from .numerics import EXP_MAX, DomainError
 from .probe import ProbeDistribution
 
@@ -89,8 +89,7 @@ class TrialPlan:
     bootstrap_resamples: int = 500
 
     def __post_init__(self):
-        if not (self.q > 0.0) or not math.isfinite(self.q):
-            raise DomainError(f"order q must be positive, got {self.q}")
+        _require_order(self.q)
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
         if self.master_seed < 0:
@@ -99,8 +98,7 @@ class TrialPlan:
             raise DomainError(
                 f"bootstrap_resamples must be at least 100, got {self.bootstrap_resamples}"
             )
-        if not math.isfinite(self.true_shift):
-            raise DomainError("true_shift must be finite")
+        _require_shift(self.true_shift)
 
 
 @dataclass(frozen=True)

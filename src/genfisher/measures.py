@@ -168,9 +168,17 @@ def _require_fisher_domain(alpha: float, q: float) -> None:
         raise DomainError(f"F_q needs alpha > 1 - q; got alpha = {alpha}, q = {q}")
 
 
+def _require_width_order(q: float) -> float:
+    """The width's exponent ``1/(1 - q)`` needs a positive order q != 1."""
+    q = _require_order(q)
+    if q == 1.0:
+        raise DomainError("posterior width is undefined at q = 1")
+    return q
+
+
 def _log_fisher_closed(dist: ProbeDistribution, q: float) -> float:
-    """Log of the closed Fisher form, valid for alpha > 1 - q."""
-    a = dist.alpha
+    """Log of the closed Fisher form, valid for q > 0 and alpha > 1 - q."""
+    q, a = _require_order(q), dist.alpha
     _require_fisher_domain(a, q)
     ln_scale = math.log(a) + LN2 / a - math.log(dist.gamma_scale)
     return ln_scale / q + log_gamma(fisher_gamma_argument(a, q)) - log_gamma(1.0 / a)
@@ -302,11 +310,11 @@ def hellinger_distance(
     ``-2q lo expm1(alpha log1p(d/s))``, free of the cancellation in
     ``u**alpha - v**alpha``.  The term is
     ``exp(-2 lo + log(-expm1(gap))/q)``.  Where the farther copy is at
-    least twice as far (``d >= s``) the gap is taken as the plain
-    difference of the two powers, which then cancels at most
-    ``1/(2**alpha - 1)`` and stays exact when ``lo`` underflows; a gap
-    beyond double range leaves the nearer bump alone.  A non-finite shift
-    raises DomainError before any evaluation.
+    least twice as far (``d >= s``), or ``lo`` underflows to 0, the gap is
+    the plain difference of the two powers, which then cancels at most
+    ``1/(2**alpha - 1)``.  A power beyond double range leaves the nearer
+    bump alone, ``exp(-2 lo)``, which is 0 where ``lo`` itself overflows.
+    A non-finite shift raises DomainError before any evaluation.
     """
     q, eps = _require_order(q), _require_shift(eps)
     alpha, e = dist.alpha, abs(eps) / dist.gamma_scale
@@ -315,12 +323,10 @@ def hellinger_distance(
     splits = (1.0, 4.0, half) if half < 4.0 else (1.0, 4.0)
 
     def bump(s: float, d: float) -> float:
+        lo = math.inf
         try:
             lo = math.pow(s, alpha)
-        except OverflowError:
-            return 0.0
-        try:
-            if d < s:
+            if d < s and lo > 0.0:
                 gap = -two_q * lo * math.expm1(alpha * math.log1p(d / s))
             else:
                 gap = two_q * (lo - math.pow(s + d, alpha))
@@ -399,13 +405,11 @@ def fisher_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
               * Gamma((alpha + q - 1) / (alpha q)) / Gamma(1/alpha),
 
     valid for alpha > 1 - q."""
-    q = _require_order(q)
     return _closed(Quantity.FISHER, _log_fisher_closed(dist, q))
 
 
 def sensitivity_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
     """Minimum detectable shift eps_min = F_q**(-q), closed form."""
-    q = _require_order(q)
     return _closed(Quantity.EPS_MIN, -q * _log_fisher_closed(dist, q))
 
 
@@ -417,6 +421,7 @@ def sensitivity_quadrature(
     """Minimum detectable shift F_q**(-q) through the quadrature Fisher
     route, its root ``-1/q`` taken from ln F_q so it stays in range where
     F_q does not; ``quad_detail`` holds the Fisher integral."""
+    q = _require_order(q)
     return _fisher_route(dist, q, spec, Quantity.EPS_MIN, root=-1.0 / q)
 
 
@@ -426,9 +431,7 @@ def posterior_width_closed(dist: ProbeDistribution, q: float) -> MeasureValue:
         width = q**(-1/(alpha (1-q))) * 2 Gamma(1/alpha) gamma / (alpha 2**(1/alpha)),
 
     undefined at q = 1 (exponent 1/(1-q))."""
-    q = _require_order(q)
-    if q == 1.0:
-        raise DomainError("posterior width is undefined at q = 1")
+    q = _require_width_order(q)
     a, g = dist.alpha, dist.gamma_scale
     log_w = (
         -math.log(q) / (a * (1.0 - q))
@@ -450,9 +453,7 @@ def posterior_width_quadrature(
     ``2 gamma C**q int exp(-2q s**alpha)`` on the folded reduced variable;
     ``quad_detail`` holds it, and the width is its root ``1 - q`` taken from
     its logarithm.  Shifting the density cannot change the result."""
-    q = _require_order(q)
-    if q == 1.0:
-        raise DomainError("posterior width is undefined at q = 1")
+    q = _require_width_order(q)
     log_scale = LN2 + math.log(dist.gamma_scale) + q * dist.log_norm_const
     label = f"posterior width quadrature (alpha={dist.alpha}, q={q})"
     return _moment(
@@ -489,8 +490,7 @@ def mean_error_quadrature(
     ``eps`` gives the same bits; a non-finite one raises DomainError before
     any evaluation.  ``quad_detail`` holds the moment; the error is its
     root ``1/q``, taken from its logarithm."""
-    q = _require_order(q)
-    _require_shift(eps)
+    q, eps = _require_order(q), _require_shift(eps)
     a = dist.alpha
     log_scale = dist.log_norm_const + LN2 + (1.0 + 1.0 / q) * math.log(dist.gamma_scale)
     label = f"mean error quadrature (alpha={a}, q={q})"
@@ -512,7 +512,6 @@ def triangle_probe(
     numerical noise.  T is a true metric at q = 1/2; elsewhere
     violations do occur (the scan in the verification report finds them).
     """
-    q = _require_order(q)
     if len(shifts) != 3:
         raise DomainError(f"triangle probe needs exactly three shifts, got {len(shifts)}")
     s1, s2, s3 = sorted(float(s) for s in shifts)

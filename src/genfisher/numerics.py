@@ -115,8 +115,8 @@ class QuadratureSpec:
     split_points: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0):
-            raise DomainError("rel_tol must be strictly positive")
+        if not (0.0 < self.rel_tol < math.inf):
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_evaluations < 1:
             raise DomainError("max_evaluations must be at least 1")
         pts = tuple(float(p) for p in self.split_points)

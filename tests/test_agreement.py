@@ -18,9 +18,16 @@ elementary forms at q = 1/2 and 1.  Failures are listed by (alpha, q, r).
 Small shifts, where the distance is of order r, are where a tolerance that
 does not scale with the value shows.
 
+Large shapes: past alpha ~ 1023, ``alpha ln 2`` leaves exp's range.  The
+q = 1 distance at alpha in {2000, 1e4, 1e6} agrees with ``P`` to 0.15; to
+1e-8 it does not yet (a strict xfail): a residual of about
+``-0.049/(alpha r)`` is left, unresolved mass at the cliff ``s ~ 1``
+(ROADMAP item 14).
+
 Neither grid is ever narrowed to pass.
 """
 
+import functools
 import math
 
 import mpmath
@@ -131,3 +138,31 @@ def test_distance_agrees_with_its_reference():
                 failures.append(f"{point}: {value!r} against reference {expected!r}")
     assert checked > 0
     assert failures == [], f"{len(failures)} of {checked} points:\n" + "\n".join(failures)
+
+
+LARGE_ALPHAS = (2000.0, 1e4, 1e6)
+LARGE_SHIFTS = (1e-4, 1e-2, 0.1, 1.0)
+
+
+@functools.cache
+def _large_shape_errors():
+    """(alpha, r) -> relative error of the q = 1 distance against ``P``."""
+    errors = {}
+    for alpha in LARGE_ALPHAS:
+        dist = ProbeDistribution.from_shape_scale(alpha, 1.0)
+        for r in LARGE_SHIFTS:
+            value = hellinger_distance(dist, r, 1.0).value
+            with mpmath.workdps(40):
+                expected = float(_q1_distance(alpha, mpmath.mpf(r)))
+            errors[alpha, r] = value / expected - 1.0
+    return errors
+
+
+@pytest.mark.parametrize("bound", [
+    0.15,
+    pytest.param(REL, marks=pytest.mark.xfail(
+        strict=True, reason="residual -0.049/(alpha r) at the cliff s ~ 1, ROADMAP item 14")),
+])
+def test_distance_at_large_shapes(bound):
+    failures = {point: e for point, e in _large_shape_errors().items() if not abs(e) <= bound}
+    assert failures == {}

@@ -649,6 +649,24 @@ def test_overflowing_simulate_order_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# Arguments outside the domain of the object they build: the probe owns
+# alpha > 1/2 (energy normalization), measures the order and the shift.
+DOMAIN_EDGES = {
+    "surface_alpha_half": ["surface", "--alpha-min", "0.5"],
+    "simulate_zero_order": ["simulate", "--alpha", "2", "--q", "0"],
+    "simulate_nan_shift": ["simulate", "--alpha", "2", "--eps", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", list(DOMAIN_EDGES))
+def test_argument_outside_its_domain_is_usage_error(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    assert main(DOMAIN_EDGES[case] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_with_no_row_in_domain_fails(tmp_path):
     # every shape is at or below 1/2, so no row can be energy-normalized; the
     # CSV still says so row by row
@@ -712,7 +730,8 @@ def test_out_of_range_rows_run_no_quadrature(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("quadrature ran for an out_of_range row")
 
-    monkeypatch.setattr(measures, "fisher_quadrature", forbidden)
+    # the fisher route is sensitivity_quadrature -> _fisher_route
+    monkeypatch.setattr(measures, "_fisher_route", forbidden)
     config = SweepConfig("fisher", (1e-3,), 1.0, AlphaGrid(1.5, 3.0, 2), "unused.csv")
     rows = run_sweep(config)
     assert [r.status for r in rows] == ["out_of_range", "out_of_range"]

@@ -5,7 +5,8 @@ exponential (alpha = 1) through the Gaussian (alpha = 2) toward a square
 pulse.  Holding the mean energy fixed while varying alpha is what makes
 the family interesting for probing shifts: the script tabulates the
 density at fixed unit energy, round-trips the energy through quadrature,
-and checks the exact gamma-transform sampler against the density.
+and checks the exact scale-mixture sampler (one gamma variate and one
+uniform per draw) against the density.
 """
 
 import math

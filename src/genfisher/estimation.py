@@ -18,7 +18,9 @@ resamples of n values each.
 
 Trials are split into fixed-size partitions, and memory holds one block
 plus one prefetched gamma buffer: while a partition is transformed and
-reduced, one helper thread draws the next partition's gamma variates.
+reduced, one helper thread draws the next partition's Gamma(1 + 1/alpha)
+variates; the transform draws one uniform per trial (see
+``ProbeDistribution.sample``).
 Each partition's moments come from its unshifted draws ``x - shift``, as a
 mean followed by a centred pass, and are merged into the running totals
 with the pairwise update of Chan, Golub & LeVeque (1979) and Pebay (2008).
@@ -131,16 +133,16 @@ def _partitions(plan: TrialPlan) -> Iterator[np.ndarray]:
     caller, one helper thread draws partition k + 1's gamma variates into
     the other buffer; partition 1's draw also overlaps partition 0's, which
     is drawn here.  The draw releases the GIL and cannot fail for a valid
-    probe, whose shape ``1/alpha`` is positive.  Each partition keeps its own
-    stream, so every value has the bits of ``sample(rng_k, m)``.  Closing the
-    generator waits for the helper.
+    probe, whose gamma shape ``1 + 1/alpha`` is at least 1.  Each partition
+    keeps its own stream, so every value has the bits of ``sample(rng_k, m)``.
+    Closing the generator waits for the helper.
     """
     import threading
 
     import numpy as np  # only sampling needs numpy; keep it off the import path
 
     dist = plan.distribution
-    shape = 1.0 / dist.alpha
+    shape = 1.0 + 1.0 / dist.alpha
     n_parts = (plan.trials + PARTITION_SIZE - 1) // PARTITION_SIZE
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(plan.master_seed).spawn(n_parts)]
     sizes = [min(PARTITION_SIZE, plan.trials - k * PARTITION_SIZE) for k in range(n_parts)]

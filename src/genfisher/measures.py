@@ -157,7 +157,14 @@ def _require_shift(eps: float) -> float:
 
 
 def fisher_gamma_argument(alpha: float, q: float) -> float:
-    """Gamma argument of the closed Fisher form: (alpha + q - 1) / (alpha * q)."""
+    """Gamma argument of the closed Fisher form: (alpha + q - 1) / (alpha * q).
+
+    Raises ``DomainError`` under the closed form's rules: a positive finite
+    order and shape, and alpha > 1 - q."""
+    q = _require_order(q)
+    if not (0.0 < alpha < math.inf):
+        raise DomainError(f"shape alpha must be positive and finite, got {alpha}")
+    _require_fisher_domain(alpha, q)
     return (alpha + q - 1.0) / (alpha * q)
 
 
@@ -178,10 +185,10 @@ def _require_width_order(q: float) -> float:
 
 def _log_fisher_closed(dist: ProbeDistribution, q: float) -> float:
     """Log of the closed Fisher form, valid for q > 0 and alpha > 1 - q."""
-    q, a = _require_order(q), dist.alpha
-    _require_fisher_domain(a, q)
+    a = dist.alpha
+    argument = fisher_gamma_argument(a, q)  # checks the order and the domain
     ln_scale = math.log(a) + LN2 / a - math.log(dist.gamma_scale)
-    return ln_scale / q + log_gamma(fisher_gamma_argument(a, q)) - log_gamma(1.0 / a)
+    return ln_scale / q + log_gamma(argument) - log_gamma(1.0 / a)
 
 
 def _closed(quantity: Quantity, log_value: float) -> MeasureValue:

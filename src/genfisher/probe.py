@@ -143,49 +143,39 @@ class ProbeDistribution:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values; DomainError if one would pass ``exp(EXP_MAX)``.
 
-        Uses the exact transform x = sign * gamma * (g / 2)**(1/alpha) with
-        ``g`` a standard gamma variate of shape ``1/alpha``: by change of
-        variables the gamma density maps exactly onto the probe density.
-        The gamma draw happens before the sign draw; keep that order for
-        stream-for-stream reproducibility.  The transform is
-        ``_from_gamma``, which callers that draw ``g`` themselves (the
-        Monte Carlo prefetch) share.
+        Uses the exact uniform scale mixture x = gamma * v * (y / 2)**(1/alpha)
+        with ``y`` a standard gamma variate of shape ``1 + 1/alpha`` and ``v``
+        uniform on (-1, 1).  It holds because
+        ``exp(-|w|**alpha) = integral of 1{|w| < y**(1/alpha)} exp(-y) dy``:
+        given ``y``, ``w`` is uniform on ``+-y**(1/alpha)``, and ``y`` has the
+        Gamma(1 + 1/alpha) law (Walker & Gutierrez-Pena 1999).  A shape of at
+        least 1 keeps numpy's gamma sampler off its slow small-shape path, and
+        ``y`` cannot underflow.  The gamma draw happens before the uniform
+        draw; keep that order for stream-for-stream reproducibility.  The
+        transform is ``_from_gamma``, which callers that draw ``y`` themselves
+        (the Monte Carlo prefetch) share.
         """
         if n < 1:
             raise DomainError(f"sample count must be at least 1, got {n}")
-        return self._from_gamma(rng, rng.standard_gamma(1.0 / self.alpha, size=n))
+        return self._from_gamma(rng, rng.standard_gamma(1.0 + 1.0 / self.alpha, size=n))
 
-    def _from_gamma(self, rng: np.random.Generator, g: np.ndarray) -> np.ndarray:
-        """The draws for standard gamma variates ``g`` of shape ``1/alpha``,
-        written over ``g``; the signs, and any patch, come from ``rng``.
-
-        At large ``alpha`` the shape ``1/alpha`` is so small that ``g`` often
-        falls below the smallest normal double and comes out 0 or subnormal.
-        Such entries are redrawn from their exact conditional law: for
-        ``g < tiny``, ``exp(-g)`` is 1 in double arithmetic, so ``g`` has the
-        CDF ``(g/tiny)**(1/alpha)`` there and ``(g/2)**(1/alpha)`` is
-        ``(tiny/2)**(1/alpha)`` times a uniform variate, drawn after the
-        signs.  Nothing extra is drawn when no entry falls that low.
-        """
-        import numpy as np  # only sampling needs numpy; keep it off the import path
-
-        top = float(g.max())  # the largest |draw| is gamma * (top / 2)**(1/alpha)
+    def _from_gamma(self, rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
+        """The draws for standard gamma variates ``y`` of shape ``1 + 1/alpha``,
+        written over ``y``; the uniforms ``u`` come from ``rng``, one per draw,
+        and each draw is ``gamma * (2u - 1) * (y / 2)**(1/alpha)``."""
+        top = float(y.max())  # the largest |draw| is at most gamma * (top / 2)**(1/alpha)
         if top > 0.0 and math.log(0.5 * top) / self.alpha + math.log(self.gamma_scale) >= EXP_MAX:
             raise DomainError(
                 f"shape alpha = {self.alpha} is too small to sample at gamma = "
                 f"{self.gamma_scale}: a draw overflows double range"
             )
-        signs = 2.0 * rng.integers(0, 2, size=g.size)
-        signs -= 1.0
-        signs *= self.gamma_scale
-        tiny = np.finfo(float).tiny
-        low = g < tiny if g.min() < tiny else None  # read before g is overwritten
-        # in place, the same roundings as sign * gamma * (0.5 * g)**(1/alpha):
+        v = rng.random(y.size)
+        v *= 2.0
+        v -= 1.0
+        v *= self.gamma_scale
+        # in place, the same roundings as (gamma * (2u - 1)) * (0.5 * y)**(1/alpha):
         # the ** operator keeps numpy's sqrt and square paths
-        g *= 0.5
-        g **= 1.0 / self.alpha
-        g *= signs
-        if low is not None:
-            uniform = rng.random(np.count_nonzero(low))
-            g[low] = signs[low] * ((0.5 * tiny) ** (1.0 / self.alpha) * uniform)
-        return g
+        y *= 0.5
+        y **= 1.0 / self.alpha
+        y *= v
+        return y

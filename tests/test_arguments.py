@@ -32,21 +32,20 @@ CALLS = {
     "mean_error_closed": lambda q, eps: measures.mean_error_closed(GAUSS, q),
     "mean_error_quadrature": lambda q, eps: measures.mean_error_quadrature(GAUSS, eps, q),
     "triangle_probe": lambda q, eps: measures.triangle_probe(GAUSS, q, (0.0, 0.5, eps)),
+    "fisher_gamma_argument": lambda q, eps: measures.fisher_gamma_argument(2.0, q),
     "TrialPlan": lambda q, eps: TrialPlan(GAUSS, eps, q, 100, 0),
 }
 TAKES_SHIFT = ("hellinger_distance", "hellinger_linearized", "mean_error_quadrature",
                "triangle_probe", "TrialPlan")
 BAD_ORDERS = (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)
 BAD_SHIFTS = (math.nan, math.inf, -math.inf)
-# fisher_gamma_argument is a formula in (alpha, q), not a measure of a probe
-FORMULAS = {"fisher_gamma_argument"}
 
 
 def test_table_names_every_public_measure_function():
     functions = {
         name for name in measures.__all__ if inspect.isfunction(getattr(measures, name))
     }
-    assert functions - FORMULAS == set(CALLS) - {"TrialPlan"}
+    assert functions == set(CALLS) - {"TrialPlan"}
 
 
 @pytest.mark.parametrize("q", BAD_ORDERS, ids=repr)
@@ -61,6 +60,14 @@ def test_invalid_order_is_out_of_domain(entry, q):
 def test_invalid_shift_is_out_of_domain(entry, eps):
     with pytest.raises(DomainError):
         CALLS[entry](0.5, eps)
+
+
+# fisher_gamma_argument takes the shape itself: it must be positive and
+# finite, and above 1 - q as for the closed Fisher form
+@pytest.mark.parametrize("alpha", (0.0, -1.0, math.nan, math.inf, 0.5, 0.3), ids=repr)
+def test_invalid_fisher_shape_is_out_of_domain(alpha):
+    with pytest.raises(DomainError):
+        measures.fisher_gamma_argument(alpha, 0.5)
 
 
 @pytest.mark.parametrize("rel_tol", (0.0, -1.0, math.nan, math.inf), ids=repr)

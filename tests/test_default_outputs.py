@@ -32,7 +32,7 @@ DEFAULT_RUNS = [
      "cf47d09e2fe8f30cb36305b903f3bc467bc8aa467ff4aa6b505a83743e47f79c", 180, 51_960),
     # four partitions, so every prefetched gamma buffer is in the bytes
     (["simulate", "--alpha", "2", "--q", "0.5", "--eps", "0.3", "--trials", "1000000", "--seed", "1"],
-     "ebb294be92d5f6889d176557abdfe5d552c6715dcba5dbca13848081ee997314", 0, 0),
+     "3162fe57dba2ca3e5183fa1cf43d516fdc3bcf049e04df95526cc31165103a1b", 0, 0),
 ]
 
 

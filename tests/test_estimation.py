@@ -91,15 +91,15 @@ def peak_rss_mb(trials):
     return int(proc.stdout) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
-def coverage(alpha, q, shift):
-    """Share of seeds 0-999 (2000 trials each) whose 99% interval covers the
-    closed mean error."""
+def coverage(alpha, q, shift, seeds=1000):
+    """Share of seeds 0 to ``seeds`` - 1 (2000 trials each) whose 99% interval
+    covers the closed mean error."""
     dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
     covered = 0
-    for seed in range(1000):
+    for seed in range(seeds):
         r = run_trials(TrialPlan(dist, shift, q, 2_000, seed, 100))
         covered += r.generalized_error_ci_low <= r.predicted_mean_error <= r.generalized_error_ci_high
-    return covered / 1000
+    return covered / seeds
 
 
 class TestValidation:
@@ -233,18 +233,18 @@ class TestSampleBits:
         "alpha, q, shift, trials, seed, expected",
         [
             (2.0, 0.5, 0.3, 300_000, 314, {
-                "empirical_mean": "0x1.3566c73ba6f92p-2",
-                "mean_std_error": "0x1.de0752702a5bep-11",
-                "empirical_generalized_error": "0x1.ff6284df1dd43p-2",
+                "empirical_mean": "0x1.32c0568719492p-2",
+                "mean_std_error": "0x1.df6713a249d50p-11",
+                "empirical_generalized_error": "0x1.006cd380e3a82p-1",
                 "predicted_mean_error": "0x1.ffffffffffffbp-2",
-                "max_abs_deviation": "0x1.46da32ffb1229p+1",
+                "max_abs_deviation": "0x1.29036231e54eap+1",
             }),
             (1.5, 0.25, -0.2, 1_000, 5, {
-                "empirical_mean": "-0x1.ee75a9cb43d51p-3",
-                "mean_std_error": "0x1.0f0048aa5e3ebp-6",
-                "empirical_generalized_error": "0x1.7675567efbb4ap-1",
+                "empirical_mean": "-0x1.bfefddb32779cp-3",
+                "mean_std_error": "0x1.08ad3816a8c32p-6",
+                "empirical_generalized_error": "0x1.6cb98523895d6p-1",
                 "predicted_mean_error": "0x1.7534c9eb800fap-1",
-                "max_abs_deviation": "0x1.224d44a0d565ep+1",
+                "max_abs_deviation": "0x1.0e05228b41f41p+1",
             }),
         ],
     )
@@ -300,11 +300,11 @@ class TestStreaming:
 
 class TestHelperThread:
     def test_overflow_on_a_later_partition_leaves_no_thread(self):
-        # Seed 0, 600 000 trials: the first partition's largest deviation
-        # (2.17) keeps the sum of cubes in range at q = 0.0037 and the
-        # second's (2.54) does not, so the error is raised while the third
+        # Seed 1, 600 000 trials: the first partition's largest deviation
+        # (2.23) keeps the sum of cubes in range at q = 0.0037 and the
+        # second's (2.47) does not, so the error is raised while the third
         # partition's gamma variates may still be drawn on the helper.
-        p = plan(q=0.0037, trials=600_000, seed=0)
+        p = plan(q=0.0037, trials=600_000, seed=1)
         deviations = np.abs(draws(p))
         first = float(deviations[:PARTITION_SIZE].max())
         top = max(first, float(deviations[PARTITION_SIZE : 2 * PARTITION_SIZE].max()))
@@ -379,12 +379,16 @@ class TestInterval:
 
     @pytest.mark.xfail(
         raises=AssertionError,
-        reason="q = 1/4: the Cornish-Fisher interval covers on 96.9% of seeds; "
-        "Hall's transformation should lift it above 98%",
+        reason="q = 1/4: the Cornish-Fisher interval covers on 97.9% of seeds 0-3999; "
+        "Hall's transformation should lift it above the 98.5% floor",
     )
     def test_coverage_at_quarter_order_reaches_the_three_sigma_floor(self):
-        # 0.98 is three binomial sigmas below 0.99 over 1000 seeds
-        assert coverage(1.5, 0.25, -0.2) >= 0.98
+        # three binomial sigmas below 0.99 over 4000 seeds, about 0.9853.
+        # Over 1000 seeds the floor would be 0.98, and a true coverage near
+        # 0.977 would pass it by stream noise about three times in ten.
+        seeds = 4000
+        floor = CI_COVERAGE - 3.0 * math.sqrt(CI_COVERAGE * (1.0 - CI_COVERAGE) / seeds)
+        assert coverage(1.5, 0.25, -0.2, seeds) >= floor
 
 
 def test_import_path_stays_light():

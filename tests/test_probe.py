@@ -239,9 +239,10 @@ class TestSampling:
 
     @pytest.mark.parametrize("alpha", [1000.0, 1e5])
     def test_large_shape_draws_do_not_collapse(self, alpha):
-        # standard_gamma(1/alpha) underflows to 0 for about half the draws at
-        # alpha = 1000 and nearly all at 1e5; the generalized error of order
-        # 1/2 must still match its closed form
+        # a direct transform of standard_gamma(1/alpha) would see it underflow
+        # to 0 for about half the draws at alpha = 1000 and nearly all at 1e5;
+        # no draw may be 0, and the generalized error of order 1/2 must still
+        # match its closed form
         d = ProbeDistribution.from_shape_energy(alpha, 1.0)
         n, q = 200_000, 0.5
         x = d.sample(np.random.default_rng(3), n)
@@ -252,18 +253,30 @@ class TestSampling:
         assert abs(y_mean**q - mean_error_closed(d, q).value) <= 5.0 * se
 
     # sha256 of the draws' bytes: the in-place transform rounds as
-    # sign * gamma * (g / 2)**(1/alpha) does; at alpha = 300 the tiny-g patch
-    # redraws part of the sample
+    # (gamma * (2u - 1)) * (y / 2)**(1/alpha) does.  At alpha = 300 the
+    # exponent 1/alpha is far from numpy's sqrt and square paths, and the
+    # gamma shape 1 + 1/alpha sits just above 1
     @pytest.mark.parametrize(
         "alpha, sha256",
         [
-            (2.0, "139a8c79209aa0abd2ff049ef2062c349cd072e96286b461af60dfa41c44417b"),
-            (300.0, "d6970e30c07126b85089bf1a7173acc1b1f0efd14d222641d1f0046358037451"),
+            (2.0, "c60dc4600d494c02a474d24dd6c56d069fee5a6493198b656cbe711b06bc3d98"),
+            (300.0, "1c286b000c90f6d5558a3a2d93851090cdfbc3faa0372de969c368c6436d2f37"),
         ],
     )
     def test_draws_keep_their_bits(self, alpha, sha256):
         x = ProbeDistribution.from_shape_scale(alpha, 1.0).sample(np.random.default_rng(7), 100_000)
         assert hashlib.sha256(x.tobytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0, 300.0, 1e5])
+    def test_draws_are_the_uniform_scale_mixture(self, alpha):
+        # one Gamma(1 + 1/alpha) variate, then one uniform, per draw: a twin
+        # generator rebuilds every bit, so no shape below 1 is ever drawn
+        gamma, n = 1.3, 10_001
+        x = ProbeDistribution.from_shape_scale(alpha, gamma).sample(np.random.default_rng(5), n)
+        twin = np.random.default_rng(5)
+        y = twin.standard_gamma(1.0 + 1.0 / alpha, n)
+        u = twin.random(n)
+        assert np.array_equal(x, (gamma * (2.0 * u - 1.0)) * (0.5 * y) ** (1.0 / alpha))
 
     def test_rejects_empty_draw(self):
         d = ProbeDistribution.from_shape_scale(1.0, 1.0)

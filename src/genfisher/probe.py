@@ -141,7 +141,9 @@ class ProbeDistribution:
         return _fisher_route(self, 0.5, spec, Quantity.FISHER, scale=0.25).value
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` independent values; DomainError if one would pass ``exp(EXP_MAX)``.
+        """Draw ``n`` independent values; DomainError if one would pass
+        ``exp(EXP_MAX)``, or its power ``(y / 2)**(1/alpha)`` would before the
+        scale joins it.
 
         Uses the exact uniform scale mixture x = gamma * v * (y / 2)**(1/alpha)
         with ``y`` a standard gamma variate of shape ``1 + 1/alpha`` and ``v``
@@ -163,12 +165,16 @@ class ProbeDistribution:
         """The draws for standard gamma variates ``y`` of shape ``1 + 1/alpha``,
         written over ``y``; the uniforms ``u`` come from ``rng``, one per draw,
         and each draw is ``gamma * (2u - 1) * (y / 2)**(1/alpha)``."""
-        top = float(y.max())  # the largest |draw| is at most gamma * (top / 2)**(1/alpha)
-        if top > 0.0 and math.log(0.5 * top) / self.alpha + math.log(self.gamma_scale) >= EXP_MAX:
-            raise DomainError(
-                f"shape alpha = {self.alpha} is too small to sample at gamma = "
-                f"{self.gamma_scale}: a draw overflows double range"
-            )
+        # the largest |draw| is at most gamma * (top / 2)**(1/alpha), and the
+        # power is taken before gamma joins it: neither may pass exp(EXP_MAX)
+        top = float(y.max())
+        if top > 0.0:
+            log_power = math.log(0.5 * top) / self.alpha
+            if log_power + max(math.log(self.gamma_scale), 0.0) >= EXP_MAX:
+                raise DomainError(
+                    f"shape alpha = {self.alpha} is too small to sample at gamma = "
+                    f"{self.gamma_scale}: a draw overflows double range"
+                )
         v = rng.random(y.size)
         v *= 2.0
         v -= 1.0

@@ -501,8 +501,14 @@ def _reference_distance(dist, eps, q):
     # the folded integrand of the unit-scale probe without its constant, in the
     # reduced variable s: g(s) = f(e + s) + f(e - s) [s < e/2] with
     # e = |eps| / gamma; each term sits a distance s from the nearer copy and
-    # s + d from the farther
+    # s + d from the farther.  For q > 1 and a crossing h = e/2 below 4, the
+    # piece [b, h), b = 1 if h > 1 else 0, is taken in x with
+    # h - s = (h - b) ((h - x) / (h - b))**n, n = ceil(q), times the Jacobian
+    # n ((h - x) / (h - b))**(n - 1), and the fold's d = e - 2s is 2 (h - s)
     e, a = abs(eps) / dist.gamma_scale, dist.alpha
+    h = 0.5 * e
+    n = math.ceil(q)
+    b = 1.0 if h > 1.0 else 0.0
 
     def term(s, d):
         try:
@@ -518,9 +524,13 @@ def _reference_distance(dist, eps, q):
             return safe_exp(-2.0 * lo)
         return 0.0 if gap == 0.0 else safe_exp(-2.0 * lo + math.log(-math.expm1(gap)) / q)
 
-    def f(s):
-        near = term(s, e)
-        return near + term(s, e - 2.0 * s) if s < 0.5 * e else near
+    def f(x):
+        if q > 1.0 and h < 4.0 and b <= x < h:
+            r = (h - x) / (h - b)
+            t = (h - b) * r**n
+            return n * r ** (n - 1) * (term(h - t, e) + term(h - t, 2.0 * t))
+        near = term(x, e)
+        return near + term(x, e - 2.0 * x) if x < h else near
 
     return f
 
@@ -596,6 +606,9 @@ class TestIntegrandBits:
 
     def _assert_matches(self, monkeypatch, route, alpha, q, points):
         measure, reference, _ = self.ROUTES[route]
+        self._assert_integrand(monkeypatch, measure, reference, alpha, q, points)
+
+    def _assert_integrand(self, monkeypatch, measure, reference, alpha, q, points):
         captured = []
 
         def capture(f, spec):
@@ -616,6 +629,22 @@ class TestIntegrandBits:
     def test_integrand_matches_reference(self, monkeypatch, route, alpha, q):
         points = self.ROUTES[route][2](energy_probe(alpha))
         self._assert_matches(monkeypatch, route, alpha, q, points)
+
+    # the distance's mapped piece [b, h) at q > 1: below the crossing
+    # h = 0.35 (b = 0) and h = 1.5 (b = 1), and past both; at h = 4.25 the
+    # guard h < 4 leaves the same arguments unmapped
+    MAPPED = (1e-300, 1e-12, 0.1, 0.3, 0.35 - 1e-12, 0.5, 1.0, 1.2, 1.5 - 1e-12, 1.5, 2.0, 3.9, 4.2)
+
+    @pytest.mark.parametrize("alpha", [0.8, 2.0, 100.0])
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    @pytest.mark.parametrize("shift", [0.7, 3.0, 8.5])
+    def test_distance_mapped_piece_matches_reference(self, monkeypatch, shift, q, alpha):
+        self._assert_integrand(
+            monkeypatch,
+            lambda d, q: hellinger_distance(d, shift * d.gamma_scale, q),
+            lambda d, q: _reference_distance(d, shift * d.gamma_scale, q),
+            alpha, q, self.MAPPED,
+        )
 
     # e**b overflows for the mean error at b = 1/(alpha q) = 1250 and for the
     # Fisher route at b = (alpha - 1)/(alpha q) = 5000; the log form needs

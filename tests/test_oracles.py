@@ -110,12 +110,28 @@ def test_quadrature_routes_match_mpmath(alpha, q, energy):
         assert abs(value / float(oracle[name]) - 1.0) <= ROUTE_REL, name
 
 
-# (alpha, q, eps) for the distance, either sign of the shift; the last four
+
+def _at_reduced_shift(alpha, q, r):
+    """(alpha, q, eps) for the reduced shift ``r = eps / gamma`` at E = 1."""
+    return alpha, q, r * ProbeDistribution.from_shape_energy(alpha, 1.0).gamma_scale
+
+
+# (alpha, q, eps) for the distance, either sign of the shift; the next four
 # are large shapes and orders, where the two log densities differ by less than
-# their own rounding near each bump's centre
+# their own rounding near each bump's centre.  The last seven, at q > 1, put
+# the crossing r/2 where the distance maps its singular piece [b, r/2):
+# below 1 (b = 0), in (1, 4) (b = 1, one at non-integer q), and on each side
+# of the guard r/2 < 4, beyond which nothing is mapped.
 DISTANCE_POINTS = [
     (2.0, 0.5, 0.1), (0.8, 0.25, 0.7), (5.0, 2.0, 0.5), (1.0, 4.0, -0.3),
     (10.0, 4.0, 0.01), (20.0, 4.0, 0.01), (20.0, 4.0, 0.1), (17.009, 2.962, 0.01),
+] + [
+    _at_reduced_shift(*point)
+    for point in [
+        (0.6, 3.0, 0.4), (20.0, 4.0, 1.2),
+        (2.0, 2.0, 3.0), (1.0, 1.5, 2.5), (0.8, 10.0, 3.0),
+        (2.0, 2.0, 7.9), (2.0, 2.0, 8.5),
+    ]
 ]
 DISTANCE_REL = 1e-9
 
@@ -136,7 +152,7 @@ def _distance_oracle(alpha, q, eps, gamma):
 
 def _distance_case(alpha, q, eps, energy):
     suffix = "" if energy == 1.0 else f"-E{energy:g}"
-    return pytest.param(alpha, q, eps, energy, id=f"{alpha}-{q}-{eps}{suffix}")
+    return pytest.param(alpha, q, eps, energy, id=f"{alpha}-{q}-{eps:.6g}{suffix}")
 
 
 # At E = 1e12 the scale is near 1e-6, so the first four shifts lie 1e5 to 1e6

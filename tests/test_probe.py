@@ -283,11 +283,13 @@ class TestSampling:
         with pytest.raises(DomainError):
             d.sample(np.random.default_rng(0), 0)
 
-    @pytest.mark.parametrize("alpha, gamma", [(0.001, 1.0), (2.0, 1e308)])
+    @pytest.mark.parametrize("alpha, gamma", [(0.001, 1.0), (2.0, 1e308), (0.005, 1e-300)])
     def test_overflowing_draw_is_a_domain_error(self, alpha, gamma):
         # at alpha = 0.001 every draw is (g/2)**1000 with g near 1000; at
-        # gamma = 1e308 the scale alone is at the edge.  A typed error, not
-        # inf draws and a numpy warning (warnings are errors here).
+        # gamma = 1e308 the scale alone is at the edge.  At alpha = 0.005 and
+        # gamma = 1e-300 a draw near gamma * 100**200 = 1e100 is in range, but
+        # the power (g/2)**200 overflows before gamma joins it.  A typed
+        # error, not inf draws and a numpy warning (warnings are errors here).
         d = ProbeDistribution.from_shape_scale(alpha, gamma)
         with pytest.raises(DomainError, match="too small to sample") as info:
             d.sample(np.random.default_rng(0), 1000)

@@ -4,8 +4,9 @@ same points as when these numbers were recorded.
 Each row fixes, for one (alpha, q[, eps]) point of one quadrature route, the
 reported value and ``quad_detail.value`` bit for bit (``float.hex``) and the
 number of integrand evaluations exactly.  A change to split points, integrand
-arithmetic, the mass scale, the first-panel power map, folding, the log-space
-scale or the route's root and scale moves at least one of them.  Probes are
+arithmetic, the mass scale, the first-panel power map, folding, the
+distance's crossing map, the log-space scale or the route's root and scale
+moves at least one of them.  Probes are
 energy-normalized at E = 1.
 """
 
@@ -18,7 +19,8 @@ from genfisher.probe import ProbeDistribution
 PINS = [
     ("distance", 2.0, 0.5, 0.1, "0x1.46dcb6c16ba7ap-8", "0x1.46dcb6c16ba7ap-8", 480),
     ("distance", 0.8, 0.25, 0.7, "0x1.1a56b0627a65ep-9", "0x1.1a56b0627a65ep-9", 780),
-    ("distance", 5.0, 2.0, 0.5, "0x1.8184ff6832cb1p-2", "0x1.8184ff6832cb1p-2", 810),
+    # q > 1: the crossing's piece is integrated under its power map
+    ("distance", 5.0, 2.0, 0.5, "0x1.8184ff6832707p-2", "0x1.8184ff6832707p-2", 480),
     ("fisher", 2.0, 0.5, None, "0x1.fffffffffffe4p+1", "0x1.fffffffffffe4p+1", 270),
     ("fisher", 1.5, 0.25, None, "0x1.b2b94e4481e36p+4", "0x1.b2b94e4481e36p+4", 270),
     ("fisher", 0.8, 2.0, None, "0x1.5cd6df642e291p+0", "0x1.5cd6df642e291p+0", 480),

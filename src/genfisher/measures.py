@@ -321,17 +321,22 @@ def hellinger_distance(
     q > 1 that made the engine bisect that piece 8 to 18 extra times.  When
     the crossing ``h = e/2`` is a split (``h < 4``), the piece ``[b, h)``,
     ``b = 1`` if ``h > 1`` else 0 (the split just below ``h``), is taken in
-    ``x`` with ``h - s = w ((h - x)/w)**n``, ``w = h - b``, ``n = ceil(q)``,
-    and Jacobian ``n ((h - x)/w)**(n - 1)``: the term times the Jacobian
-    goes like ``(h - x)**(n/q + n - 1)``, with ``n/q >= 1``, and the fold's
-    distance ``d = 2 (h - s)`` is taken from the map itself, not from the
-    cancelling ``e - 2s``.  The map is a bijection of ``[b, h)`` onto
-    itself, so the integral and the split points are those of ``s``.  Past
-    the guard ``h < 4`` no split sits at the crossing and nothing is
-    mapped.  At q <= 1 the term vanishes at least linearly, ``n = 1``
-    makes the map the identity, and it is not applied, so every q <= 1
-    integrand keeps its bits.  ``s**alpha`` is taken once per point for both
-    terms.
+    ``x`` with ``h - s = w ((h - x)/w)**n``, ``w = h - b``,
+    ``n = min(ceil(q), 4)``, and Jacobian ``n ((h - x)/w)**(n - 1)``: the
+    term times the Jacobian goes like ``(h - x)**(n/q + n - 1)``, whose
+    exponent is at least 1 (at least 3 once the power is capped), and the
+    fold's distance ``d = 2 (h - s)`` is taken from the map itself, not from
+    the cancelling ``e - 2s``.  The cap keeps the piece's mass on the
+    panels: a power ``r**n`` crowds most of ``[b, h)`` into
+    ``x - b < w/n``, and at ``q = 1e5`` with ``n = ceil(q)`` every
+    Gauss-Kronrod node of the first panel missed it, so the piece read 0
+    and the integral converged without it.  The map is a bijection of
+    ``[b, h)`` onto itself, so the integral and the split points are those
+    of ``s``.  Past the guard ``h < 4`` no split sits at the crossing and
+    nothing is mapped.  At q <= 1 the term vanishes at least linearly,
+    ``n = 1`` makes the map the identity, and it is not applied, so every
+    q <= 1 integrand keeps its bits.  ``s**alpha`` is taken once per point
+    for both terms.
 
     Gap: at a point a distance ``s`` from the nearer copy and ``s + d``
     from the farther one, ``lo = s**alpha`` and the log-density gap is
@@ -349,11 +354,19 @@ def hellinger_distance(
     half = 0.5 * e
     two_q = 2.0 * q
     splits = (1.0, 4.0, half) if half < 4.0 else (1.0, 4.0)
-    n = math.ceil(q) if half < 4.0 else 1
+    n = min(math.ceil(q), 4) if half < 4.0 else 1
     base = 1.0 if half > 1.0 else 0.0
     w = half - base
 
+    def power(s: float) -> float:
+        try:
+            return math.pow(s, alpha)
+        except OverflowError:
+            return math.inf
+
     def bump(s: float, lo: float, d: float) -> float:
+        if lo == math.inf:
+            return 0.0
         try:
             if d < s and lo > 0.0:
                 gap = -two_q * lo * math.expm1(alpha * math.log1p(d / s))
@@ -366,24 +379,17 @@ def hellinger_distance(
         return safe_exp(-2.0 * lo + math.log(-math.expm1(gap)) / q)
 
     def folded(s: float, d: float) -> float:
-        try:
-            lo = math.pow(s, alpha)
-        except OverflowError:
-            return 0.0
+        lo = power(s)
         return bump(s, lo, e) + bump(s, lo, d)
 
     def integrand(x: float) -> float:
-        if x < half:
-            if n > 1 and x >= base:
-                r = (half - x) / w
-                t = w * r**n  # half - s, whose double is the fold's d
-                return n * r ** (n - 1) * folded(half - t, 2.0 * t)
-            return folded(x, e - 2.0 * x)
-        try:
-            lo = math.pow(x, alpha)
-        except OverflowError:
-            return 0.0
-        return bump(x, lo, e)
+        if x >= half:
+            return bump(x, power(x), e)
+        if n > 1 and x >= base:
+            r = (half - x) / w
+            t = w * r**n  # half - s, whose double is the fold's d
+            return n * r ** (n - 1) * folded(half - t, 2.0 * t)
+        return folded(x, e - 2.0 * x)
 
     label = f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
     log_c = ProbeDistribution(alpha, 1.0).log_norm_const

@@ -118,10 +118,12 @@ def _at_reduced_shift(alpha, q, r):
 
 # (alpha, q, eps) for the distance, either sign of the shift; the next four
 # are large shapes and orders, where the two log densities differ by less than
-# their own rounding near each bump's centre.  The last seven, at q > 1, put
+# their own rounding near each bump's centre.  The last nine, at q > 1, put
 # the crossing r/2 where the distance maps its singular piece [b, r/2):
-# below 1 (b = 0), in (1, 4) (b = 1, one at non-integer q), and on each side
-# of the guard r/2 < 4, beyond which nothing is mapped.
+# below 1 (b = 0), in (1, 4) (b = 1, one at non-integer q), on each side
+# of the guard r/2 < 4, beyond which nothing is mapped, and at an order
+# above the map's capped power 4, where a power ceil(q) crowded the whole
+# piece next to b, between the Gauss-Kronrod nodes, and the piece read 0.
 DISTANCE_POINTS = [
     (2.0, 0.5, 0.1), (0.8, 0.25, 0.7), (5.0, 2.0, 0.5), (1.0, 4.0, -0.3),
     (10.0, 4.0, 0.01), (20.0, 4.0, 0.01), (20.0, 4.0, 0.1), (17.009, 2.962, 0.01),
@@ -131,6 +133,7 @@ DISTANCE_POINTS = [
         (0.6, 3.0, 0.4), (20.0, 4.0, 1.2),
         (2.0, 2.0, 3.0), (1.0, 1.5, 2.5), (0.8, 10.0, 3.0),
         (2.0, 2.0, 7.9), (2.0, 2.0, 8.5),
+        (2.0, 1e5, 3.0), (2.0, 1e5, 0.7),
     ]
 ]
 DISTANCE_REL = 1e-9

@@ -63,7 +63,7 @@ shift or a factor beyond double range raises before any quadrature runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -77,6 +77,7 @@ from .numerics import (
     integrate_half_line,
     log_gamma,
     safe_exp,
+    tail_node_error,
 )
 from .probe import ProbeDistribution
 
@@ -209,30 +210,34 @@ def _quadrature(
     integrand: Callable[[float], float],
     spec: QuadratureSpec | None,
     splits: Iterable[float],
-    label: str,
+    label: Callable[[], str],
     log_scale: float,
     root: float = 1.0,
     scale: float = 1.0,
+    tail: Callable[[float], Callable[[float], float]] | None = None,
 ) -> MeasureValue:
     """Integrate the unit-scale kernel ``integrand`` over [0, inf) with
-    ``splits`` merged into ``spec``; for its integral ``I`` and
+    ``splits`` merged into ``spec``, its last piece built by ``tail`` when
+    given (see ``integrate_half_line``); for its integral ``I`` and
     ``L = log_scale + log I`` the value is ``scale * exp(L / root)`` and
     ``quad_detail`` holds ``exp(L)``, its error estimate scaled the same
     way.  Raises ``ConvergenceError`` with that result and the same map of
-    the best estimate when the quadrature did not converge.  The engine is
-    looked up in this module per call, so wrappers installed on it see
-    every integral.
+    the best estimate when the quadrature did not converge; ``label()``
+    names the integral there.  The engine is looked up in this module per
+    call, so wrappers installed on it see every integral.
     """
     spec = (spec or QuadratureSpec()).with_splits(splits)
-    result = integrate_half_line(integrand, spec)
+    result = integrate_half_line(integrand, spec, tail)
     log_value, log_error = (
         log_scale + math.log(v) if v > 0.0 else -math.inf
         for v in (result.value, result.abs_error_estimate)
     )
     value = scale * safe_exp(log_value / root)
-    result = replace(result, value=safe_exp(log_value), abs_error_estimate=safe_exp(log_error))
+    result = QuadratureResult(
+        safe_exp(log_value), safe_exp(log_error), result.converged, result.evaluations
+    )
     if not result.converged:
-        raise ConvergenceError(f"{label} did not converge", result, value)
+        raise ConvergenceError(f"{label()} did not converge", result, value)
     return MeasureValue(quantity, value, Method.QUADRATURE, result)
 
 
@@ -243,7 +248,7 @@ def _moment(
     c: float,
     log_scale: float,
     spec: QuadratureSpec | None,
-    label: str,
+    label: Callable[[], str],
     root: float = 1.0,
     scale: float = 1.0,
 ) -> MeasureValue:
@@ -259,36 +264,76 @@ def _moment(
     scale; it is split there only, and ``(p + 1) ln sigma - b`` joins
     ``log_scale``.
 
-    On ``t < 1`` the kernel substitutes ``t = tau**m``, ``n = ceil(p + 1)``,
+    The engine gets the kernel as two integrands, each chosen once per
+    integral, so an evaluation is one Python call.  The head, on
+    ``t < 1``, substitutes ``t = tau**m``, ``n = ceil(p + 1)``,
     ``m = n / (p + 1)``: the first panel integrates the integer power times
     smooth exponential ``m tau**(n-1) exp(-b (tau**(alpha m) - 1))``,
     bounded even where ``t**p`` is singular; where ``e**b`` overflows it is
-    taken in log form, ``m exp((n-1) ln tau - b (tau**(alpha m) - 1))``.
-    Beyond 1 it substitutes ``u = t**alpha`` (``u = 1`` at the split) and
-    integrates the gamma integrand ``(1/alpha) u**e exp(-b (u - 1))``,
-    ``e = (p + 1)/alpha - 1`` (DLMF 5.2.1), in log form: no power of the
-    variable sits in the exponent, so nothing overflows before the
-    exponential decays, and at small ``alpha`` the tail decays like
-    ``e**-u``, where in ``t`` the same mass reaches out to ``t ~ 1e16``
-    (``alpha = 0.1``).
+    taken in log form, ``m exp((n-1) ln tau - b (tau**(alpha m) - 1))``,
+    and otherwise the power is dropped at ``n = 1`` and is ``tau`` itself
+    at ``n = 2``, both exact.  Beyond 1 the kernel substitutes
+    ``u = t**alpha`` (``u = 1`` at the split) and integrates the gamma
+    integrand ``(1/alpha) u**e exp(-b (u - 1))``, ``e = (p + 1)/alpha - 1``
+    (DLMF 5.2.1), in log form: no power of the variable sits in the
+    exponent, so nothing overflows before the exponential decays, and at
+    small ``alpha`` the tail decays like ``e**-u``, where in ``t`` the same
+    mass reaches out to ``t ~ 1e16`` (``alpha = 0.1``).  The tail, from the
+    last split ``a`` on, is written out in the half-line map's variable,
+    ``u = a + r/(1 - r)`` with Jacobian ``1/(1 - r)**2`` and ``safe_exp``'s
+    overflow to inf inline: the bits of the generic map composed with the
+    gamma integrand.  The head takes the gamma integrand itself at
+    ``t >= 1``, which a caller's split beyond 1 puts in the head's pieces.
     """
     b = max(p / alpha, 1.0)
     log_sigma = (math.log(b) - math.log(c)) / alpha
     n = math.ceil(p + 1.0)
     m = n / (p + 1.0)
-    k, am = n - 1, alpha * m
-    log_head = b > EXP_MAX
+    k, am, nb = n - 1, alpha * m, -b
     e = (p + 1.0) / alpha - 1.0
+    exp, log = math.exp, math.log
 
-    def kernel(t: float) -> float:
-        if t < 1.0:
-            if log_head:
-                return m * math.exp(k * math.log(t) - b * (t**am - 1.0))
-            return m * t**k * math.exp(-b * (t**am - 1.0))
-        return safe_exp(e * math.log(t) - b * (t - 1.0)) / alpha
+    def gamma_form(u: float) -> float:
+        return safe_exp(e * log(u) + nb * (u - 1.0)) / alpha
+
+    if b > EXP_MAX:
+        def head(t: float) -> float:
+            if t < 1.0:
+                return m * exp(k * log(t) + nb * (t**am - 1.0))
+            return gamma_form(t)
+    elif k == 0:
+        def head(t: float) -> float:
+            if t < 1.0:
+                return m * exp(nb * (t**am - 1.0))
+            return gamma_form(t)
+    elif k == 1:
+        def head(t: float) -> float:
+            if t < 1.0:
+                return m * t * exp(nb * (t**am - 1.0))
+            return gamma_form(t)
+    else:
+        def head(t: float) -> float:
+            if t < 1.0:
+                return m * t**k * exp(nb * (t**am - 1.0))
+            return gamma_form(t)
+
+    def tail(a: float) -> Callable[[float], float]:
+        def mapped(r: float) -> float:
+            w = 1.0 - r
+            try:
+                u = a + r / w
+            except ZeroDivisionError:
+                raise tail_node_error(r, a) from None
+            try:
+                v = exp(e * log(u) + nb * (u - 1.0))
+            except OverflowError:
+                v = math.inf
+            return v / alpha / (w * w)
+
+        return mapped
 
     log_scale += (p + 1.0) * log_sigma - b
-    return _quadrature(quantity, kernel, spec, (1.0,), label, log_scale, root, scale)
+    return _quadrature(quantity, head, spec, (1.0,), label, log_scale, root, scale, tail)
 
 
 # The distance integrand keeps its constants in closure locals and writes the
@@ -391,7 +436,7 @@ def hellinger_distance(
             return n * r ** (n - 1) * folded(half - t, 2.0 * t)
         return folded(x, e - 2.0 * x)
 
-    label = f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
+    label = lambda: f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
     log_c = ProbeDistribution(alpha, 1.0).log_norm_const
     return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, log_c)
 
@@ -434,7 +479,7 @@ def _fisher_route(
     _require_fisher_domain(a, q)
     log_g = math.log(g)
     log_scale = dist.log_norm_const + LN2 + log_g + (LN2 + math.log(a) - log_g) / q
-    label = f"Fisher quadrature (alpha={a}, q={q})"
+    label = lambda: f"Fisher quadrature (alpha={a}, q={q})"
     return _moment(quantity, a, (a - 1.0) / q, 2.0, log_scale, spec, label, root, scale)
 
 
@@ -505,7 +550,7 @@ def posterior_width_quadrature(
     its logarithm.  Shifting the density cannot change the result."""
     q = _require_width_order(q)
     log_scale = LN2 + math.log(dist.gamma_scale) + q * dist.log_norm_const
-    label = f"posterior width quadrature (alpha={dist.alpha}, q={q})"
+    label = lambda: f"posterior width quadrature (alpha={dist.alpha}, q={q})"
     return _moment(
         Quantity.POSTERIOR_WIDTH, dist.alpha, 0.0, 2.0 * q, log_scale, spec, label, 1.0 - q
     )
@@ -543,7 +588,7 @@ def mean_error_quadrature(
     q, eps = _require_order(q), _require_shift(eps)
     a = dist.alpha
     log_scale = dist.log_norm_const + LN2 + (1.0 + 1.0 / q) * math.log(dist.gamma_scale)
-    label = f"mean error quadrature (alpha={a}, q={q})"
+    label = lambda: f"mean error quadrature (alpha={a}, q={q})"
     return _moment(Quantity.MEAN_ERROR, a, 1.0 / q, 2.0, log_scale, spec, label, 1.0 / q)
 
 

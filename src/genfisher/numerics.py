@@ -10,11 +10,15 @@ cell ``[0, 1)`` by the rational change of variable
     x = a + t / (1 - t),        dx = dt / (1 - t)**2,
 
 and ``(-inf, b]`` by its mirror image ``x = b - t / (1 - t)``.  This map is
-fixed (never tuned per integrand) so that results are reproducible.
+fixed (never tuned per integrand) so that results are reproducible.  A
+half-line caller may give its last piece already in the map's variable
+(``integrate_half_line``'s ``tail``), written out in one function instead
+of composed through the generic map.
 
-Every piece is seeded with ``INITIAL_PANELS`` uniform panels, evaluated with
-the embedded 7/15-point Gauss-Kronrod pair, and refined globally: the panel
-carrying the largest error estimate is bisected until
+Every piece is seeded with ``INITIAL_PANELS`` uniform panels (fewer when the
+budget is short, never fewer than one per piece), evaluated with the embedded
+7/15-point Gauss-Kronrod pair, and refined globally: the panel carrying the
+largest error estimate is bisected until
 
     total_error <= rel_tol * |value|,
 
@@ -44,6 +48,7 @@ __all__ = [
     "integrate_real_line",
     "integrate_half_line",
     "safe_exp",
+    "tail_node_error",
 ]
 
 
@@ -233,10 +238,17 @@ def _adaptive(pieces, spec: QuadratureSpec) -> QuadratureResult:
     """Globally adaptive refinement over transformed pieces.
 
     ``pieces`` is a list of ``(integrand, lo, hi)`` with finite bounds; the
-    integrands already include any change-of-variable Jacobian.
+    integrands already include any change-of-variable Jacobian.  A budget
+    below one panel per piece raises DomainError before any evaluation.
     """
     budget = spec.max_evaluations
-    n_init = max(1, min(INITIAL_PANELS, budget // (_EVALS_PER_PANEL * len(pieces))))
+    minimum = _EVALS_PER_PANEL * len(pieces)
+    if budget < minimum:
+        raise DomainError(
+            f"max_evaluations = {budget} is below the minimum {minimum}: one "
+            f"{_EVALS_PER_PANEL}-point panel for each of {len(pieces)} pieces"
+        )
+    n_init = min(INITIAL_PANELS, budget // minimum)
     heap: list = []
     total = 0.0
     total_err = 0.0
@@ -252,8 +264,13 @@ def _adaptive(pieces, spec: QuadratureSpec) -> QuadratureResult:
             evals += _EVALS_PER_PANEL
             total += value
             total_err += err
-            heapq.heappush(heap, (-err, counter, pa, pb, value, fn))
+            heap.append((-err, counter, pa, pb, value, fn))
             counter += 1
+    # Seed panels that already converge need no heap.  Keys are unique, so
+    # heapify pops in the same order as pushing one panel at a time.
+    if total_err <= spec.rel_tol * abs(total):
+        return QuadratureResult(total, total_err, True, evals)
+    heapq.heapify(heap)
     while True:
         target = spec.rel_tol * abs(total)
         if total_err <= target:
@@ -276,12 +293,21 @@ def _adaptive(pieces, spec: QuadratureSpec) -> QuadratureResult:
         counter += 1
 
 
+def tail_node_error(t: float, anchor: float) -> IntegrandError:
+    """The error for a tail node ``t`` that rounds onto 1, which the map
+    sends to infinity: refinement has chased the integrand's mass past what
+    the map can resolve."""
+    return IntegrandError(
+        f"tail node t = {t!r} maps to infinity beyond anchor {anchor!r}: the "
+        "integrand's mass lies beyond the tail map's resolution"
+    )
+
+
 def _tail(f: Callable[[float], float], anchor: float, sign: float) -> Callable[[float], float]:
     """``f`` on ``anchor + sign * [0, inf)``, mapped onto [0, 1).
 
-    A node that rounds onto t = 1 maps to infinity: refinement has chased
-    the integrand's mass past what the map can resolve, and that raises
-    IntegrandError."""
+    A node that rounds onto t = 1 raises ``tail_node_error``; a
+    ZeroDivisionError raised by ``f`` itself passes through."""
 
     def transformed(t: float) -> float:
         u = 1.0 - t
@@ -290,10 +316,7 @@ def _tail(f: Callable[[float], float], anchor: float, sign: float) -> Callable[[
         except ZeroDivisionError:
             if u != 0.0:
                 raise
-            raise IntegrandError(
-                f"tail node t = {t!r} maps to infinity beyond anchor {anchor!r}: the "
-                "integrand's mass lies beyond the tail map's resolution"
-            ) from None
+            raise tail_node_error(t, anchor) from None
 
     return transformed
 
@@ -317,12 +340,20 @@ def integrate_real_line(
 
 
 def integrate_half_line(
-    f: Callable[[float], float], spec: QuadratureSpec | None = None
+    f: Callable[[float], float],
+    spec: QuadratureSpec | None = None,
+    tail: Callable[[float], Callable[[float], float]] | None = None,
 ) -> QuadratureResult:
     """Integrate ``f`` over [0, inf); ``f`` may be singular at 0.
 
     The origin is always a panel endpoint, so the integrand is never
     evaluated exactly there unless a node rounds onto it.
+
+    ``tail``, when given, builds the last piece ``[a, inf)``, ``a`` the
+    last split point (0 when there is none), in the map's variable:
+    ``tail(a)(t)`` must equal ``f(a + t / (1 - t)) / (1 - t)**2`` on
+    [0, 1) and raise ``tail_node_error(t, a)`` where a node rounds onto
+    t = 1.  ``f`` is then evaluated below ``a`` only.
     """
     spec = spec or QuadratureSpec()
     if any(p < 0.0 for p in spec.split_points):
@@ -331,6 +362,6 @@ def integrate_half_line(
     pieces = []
     for lo, hi in zip(points, points[1:]):
         pieces.append((f, lo, hi))
-    pieces.append((_tail(f, points[-1], 1.0), 0.0, 1.0))
+    last = tail(points[-1]) if tail else _tail(f, points[-1], 1.0)
+    pieces.append((last, 0.0, 1.0))
     return _adaptive(pieces, spec)
-

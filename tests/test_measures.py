@@ -1,10 +1,11 @@
 """Closed forms vs quadrature oracles for the five order-q measures."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from genfisher import measures
+from genfisher import measures, numerics
 from genfisher.measures import (
     MeasureValue,
     Method,
@@ -27,6 +28,7 @@ from genfisher.numerics import (
     EXP_MAX,
     ConvergenceError,
     DomainError,
+    IntegrandError,
     QuadratureResult,
     QuadratureSpec,
     integrate_real_line,
@@ -566,7 +568,10 @@ class TestIntegrandBits:
     """Each route's integrand equals, bit for bit, its plain composition in
     the folded reduced variable: the distance's with its gap written out,
     the Fisher, width and mean-error routes' of the moment kernel at its
-    mass scale, first-panel power map and its log form included."""
+    mass scale, first-panel power map and its log form included.  The
+    moment routes hand the engine their tail as well, already in the
+    half-line map's variable; it equals the generic map of the plain
+    kernel."""
 
     # 0, tiny and moderate arguments, the cusp at the reduced shift 0.7, and
     # far tails; for alpha = 100 the power s**alpha overflows from s ~ 1.2e3 on
@@ -609,27 +614,42 @@ class TestIntegrandBits:
         measure, reference, _ = self.ROUTES[route]
         self._assert_integrand(monkeypatch, measure, reference, alpha, q, points)
 
-    def _assert_integrand(self, monkeypatch, measure, reference, alpha, q, points):
+    @staticmethod
+    def _capture(monkeypatch, measure, alpha, q):
+        """What ``measure`` hands the engine: integrand, spec and tail."""
         captured = []
 
-        def capture(f, spec):
-            captured.append(f)
+        def capture(f, spec, tail=None):
+            captured.append((f, spec, tail))
             return QuadratureResult(1.0, 0.0, True, 0)
 
         monkeypatch.setattr(measures, "integrate_half_line", capture)
-        dist = energy_probe(alpha)
-        measure(dist, q)
-        (integrand,) = captured
-        expected = reference(dist, q)
+        measure(energy_probe(alpha), q)
+        (handed,) = captured
+        return handed
+
+    def _assert_integrand(self, monkeypatch, measure, reference, alpha, q, points):
+        integrand, spec, tail = self._capture(monkeypatch, measure, alpha, q)
+        expected = reference(energy_probe(alpha), q)
         for x in points:
             assert integrand(x).hex() == expected(x).hex(), x
+        if tail is not None:
+            # the tail at the last split, against the generic map of the
+            # plain kernel, on the grid's points below 1 and next to 1
+            anchor = spec.split_points[-1]
+            mapped, plain = tail(anchor), numerics._tail(expected, anchor, 1.0)
+            for t in [x for x in points if x < 1.0] + [1.0 - 1e-12]:
+                assert mapped(t).hex() == plain(t).hex(), t
+        return tail
 
     @pytest.mark.parametrize("alpha", [0.8, 2.0, 100.0])
     @pytest.mark.parametrize("q", [0.25, 0.5, 2.0])
     @pytest.mark.parametrize("route", list(ROUTES))
     def test_integrand_matches_reference(self, monkeypatch, route, alpha, q):
         points = self.ROUTES[route][2](energy_probe(alpha))
-        self._assert_matches(monkeypatch, route, alpha, q, points)
+        measure, reference, _ = self.ROUTES[route]
+        tail = self._assert_integrand(monkeypatch, measure, reference, alpha, q, points)
+        assert (tail is None) == (route == "distance")
 
     # the distance's mapped piece [b, h) at q > 1: below the crossing
     # h = 0.35 (b = 0) and h = 1.5 (b = 1), and past both; at h = 4.25 the
@@ -653,6 +673,49 @@ class TestIntegrandBits:
     @pytest.mark.parametrize("route, alpha, q", [("mean_error", 0.8, 1e-3), ("fisher", 2.0, 1e-4)])
     def test_log_form_first_panel_matches_reference(self, monkeypatch, route, alpha, q):
         self._assert_matches(monkeypatch, route, alpha, q, self.REDUCED[1:])
+
+    # a tail node that rounds onto t = 1 maps to infinity: the route's tail
+    # raises the generic map's IntegrandError, text and all
+    @pytest.mark.parametrize("route", ["fisher", "width", "mean_error"])
+    def test_tail_node_at_infinity_raises_the_generic_error(self, monkeypatch, route):
+        measure, reference, _ = self.ROUTES[route]
+        _, _, tail = self._capture(monkeypatch, measure, 2.0, 0.5)
+        with pytest.raises(IntegrandError) as got:
+            tail(1.0)(1.0)
+        with pytest.raises(IntegrandError) as want:
+            numerics._tail(reference(energy_probe(2.0), 0.5), 1.0, 1.0)(1.0)
+        assert str(got.value) == str(want.value)
+
+    # only the map's own division by zero becomes IntegrandError; one raised
+    # by the kernel's arithmetic, here a stand-in exp, passes through
+    def test_kernel_division_by_zero_passes_through_the_tail(self, monkeypatch):
+        def exp(x):
+            raise ZeroDivisionError("raised by the kernel")
+
+        fake = {name: getattr(math, name) for name in dir(math) if not name.startswith("_")}
+        monkeypatch.setattr(measures, "math", SimpleNamespace(**{**fake, "exp": exp}))
+        _, _, tail = self._capture(monkeypatch, posterior_width_quadrature, 2.0, 0.5)
+        with pytest.raises(ZeroDivisionError, match="raised by the kernel"):
+            tail(1.0)(0.5)
+
+    # a caller's split beyond 1 puts part of the kernel's gamma side in the
+    # head's pieces and moves the tail's anchor there
+    def test_split_beyond_one_moves_the_tail_anchor(self, monkeypatch):
+        spec = QuadratureSpec(split_points=(3.0,))
+        measure = lambda d, q: fisher_quadrature(d, q, spec)
+        head, merged, tail = self._capture(monkeypatch, measure, 0.8, 0.25)
+        assert merged.split_points == (1.0, 3.0)
+        reference = _reference_kernel((0.8 - 1.0) / 0.25, 0.8)
+        plain = numerics._tail(reference, 3.0, 1.0)
+        for t in self.HALF_LINE[:6] + (1.0 - 1e-12,):
+            assert tail(3.0)(t).hex() == plain(t).hex(), t
+        for x in (1.0, 1.5, 3.0 - 1e-12):
+            assert head(x).hex() == reference(x).hex(), x
+
+    def test_split_beyond_one_keeps_the_value(self):
+        dist = energy_probe(0.8)
+        got = fisher_quadrature(dist, 0.25, QuadratureSpec(split_points=(3.0,)))
+        assert got.value == pytest.approx(fisher_closed(dist, 0.25).value, rel=1e-9)
 
     def test_grid_reaches_the_overflowing_power(self):
         with pytest.raises(OverflowError):

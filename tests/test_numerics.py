@@ -1,5 +1,6 @@
 """Quadrature engine and log-gamma checks against hand-computable integrals."""
 
+import heapq
 import math
 import random
 
@@ -212,6 +213,34 @@ class TestHalfLine:
         with pytest.raises(ZeroDivisionError):
             tail(0.5)
 
+    def test_caller_tail_is_built_at_the_last_split(self):
+        # a hand-written tail with the generic map's bits: the same result,
+        # and the builder is called with the last split only
+        def f(x):
+            return math.exp(-x) * (1.0 + x * x)
+
+        anchors = []
+
+        def tail(a):
+            anchors.append(a)
+
+            def mapped(t):
+                u = 1.0 - t
+                return f(a + t / u) / (u * u)
+
+            return mapped
+
+        spec = QuadratureSpec(split_points=(2.0, 0.5))
+        assert integrate_half_line(f, spec, tail) == integrate_half_line(f, spec)
+        assert anchors == [2.0]
+
+    def test_caller_tail_errors_pass_through(self):
+        def tail(a):
+            return lambda t: 1.0 / 0.0
+
+        with pytest.raises(ZeroDivisionError):
+            integrate_half_line(lambda x: math.exp(-x), None, tail)
+
 
 class TestQuadratureSpec:
     @pytest.mark.parametrize(
@@ -249,19 +278,20 @@ def _panels(seed, lo, hi, count):
 
 
 def _capture_integrand(route, alpha, q):
-    """The integrand a measure route hands to the quadrature engine."""
+    """The integrand a measure route hands to the quadrature engine, and
+    its tail builder (None when the engine maps ``integrand`` itself)."""
     captured = []
 
-    def capture(f, spec):
-        captured.append(f)
+    def capture(f, spec, tail=None):
+        captured.append((f, tail))
         return QuadratureResult(1.0, 0.0, True, 0)
 
     dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measures, "integrate_half_line", capture)
         route(dist, q)
-    (integrand,) = captured
-    return integrand
+    (pair,) = captured
+    return pair
 
 
 class TestPanelKernel:
@@ -325,10 +355,12 @@ class TestPanelKernel:
     @pytest.mark.parametrize("alpha, q", [(0.8, 0.25), (2.0, 0.5), (5.0, 2.0)])
     @pytest.mark.parametrize("route", list(MEASURES))
     def test_measure_integrands_match_loop_form(self, route, alpha, q):
-        f = _capture_integrand(self.MEASURES[route], alpha, q)
+        f, tail = _capture_integrand(self.MEASURES[route], alpha, q)
         panels = _panels(8, 0.0, 4.0, 30) + [(0.0, 0.7), (0.7, 1.4)]
         self.assert_same_bits(f, panels)
         self.assert_same_bits(numerics._tail(f, 4.0, 1.0), _panels(9, 0.0, 1.0, 20))
+        if tail is not None:
+            self.assert_same_bits(tail(1.0), _panels(10, 0.0, 1.0, 20))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("node", range(numerics._EVALS_PER_PANEL))
@@ -358,3 +390,112 @@ class TestPanelKernel:
         want = reference_gk_panel(f, 0.0, 1.0)
         assert not all(math.isfinite(v) for v in got)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def reference_adaptive(pieces, spec):
+    """Reference oracle: ``numerics._adaptive`` as it was before seed panels
+    that already converge returned without a heap, kept to pin its
+    results."""
+    budget = spec.max_evaluations
+    n_init = max(1, min(numerics.INITIAL_PANELS, budget // (15 * len(pieces))))
+    heap = []
+    total = total_err = frozen_err = 0.0
+    evals = counter = 0
+    for fn, lo, hi in pieces:
+        width = hi - lo
+        for i in range(n_init):
+            pa = lo + width * i / n_init
+            pb = lo + width * (i + 1) / n_init
+            value, err = numerics._gk_panel(fn, pa, pb)
+            evals += 15
+            total += value
+            total_err += err
+            heapq.heappush(heap, (-err, counter, pa, pb, value, fn))
+            counter += 1
+    while True:
+        target = spec.rel_tol * abs(total)
+        if total_err <= target:
+            return QuadratureResult(total, total_err, True, evals)
+        if frozen_err > target or not heap or evals + 30 > budget:
+            return QuadratureResult(total, total_err, False, evals)
+        neg_err, _, pa, pb, value, fn = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        if pb - pa < numerics.MIN_PANEL_WIDTH or not (pa < mid < pb):
+            frozen_err += -neg_err
+            continue
+        v_lo, e_lo = numerics._gk_panel(fn, pa, mid)
+        v_hi, e_hi = numerics._gk_panel(fn, mid, pb)
+        evals += 30
+        total += v_lo + v_hi - value
+        total_err += e_lo + e_hi + neg_err
+        heapq.heappush(heap, (-e_lo, counter, pa, mid, v_lo, fn))
+        counter += 1
+        heapq.heappush(heap, (-e_hi, counter, mid, pb, v_hi, fn))
+        counter += 1
+
+
+def _result_bits(r):
+    return r.value.hex(), r.abs_error_estimate.hex(), r.converged, r.evaluations
+
+
+class TestAdaptive:
+    """The early exit for seed panels that already converge returns the heap
+    loop's result, and a budget below one panel per piece is refused."""
+
+    CUSP = (lambda x: abs(x - 0.37) ** 0.3, 0.0, 1.0)
+    SMOOTH = (lambda x: math.exp(-x), 0.0, 1.0)
+    # (pieces, spec, evaluations): converged on the seed panels, refined,
+    # and stopped by the budget
+    CASES = {
+        "seed": ([SMOOTH, SMOOTH], QuadratureSpec(), 240),
+        "refined": ([SMOOTH, CUSP], QuadratureSpec(), 930),
+        "budget": ([CUSP], QuadratureSpec(rel_tol=1e-14, max_evaluations=300), 300),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_heap_loop(self, case):
+        pieces, spec, evaluations = self.CASES[case]
+        got = numerics._adaptive(pieces, spec)
+        assert _result_bits(got) == _result_bits(reference_adaptive(pieces, spec))
+        assert got.converged == (case != "budget")
+        assert got.evaluations == evaluations
+
+    @pytest.mark.parametrize("alpha, q", [(0.8, 0.25), (2.0, 0.5), (5.0, 2.0), (2.0, 1e-4)])
+    @pytest.mark.parametrize("route", list(TestPanelKernel.MEASURES))
+    def test_matches_the_heap_loop_on_measure_integrands(self, route, alpha, q):
+        f, tail = _capture_integrand(TestPanelKernel.MEASURES[route], alpha, q)
+        last = tail(1.0) if tail else numerics._tail(f, 1.0, 1.0)
+        pieces = [(f, 0.0, 1.0), (last, 0.0, 1.0)]
+        for spec in (QuadratureSpec(), QuadratureSpec(rel_tol=1e-14, max_evaluations=400)):
+            got = numerics._adaptive(pieces, spec)
+            assert _result_bits(got) == _result_bits(reference_adaptive(pieces, spec))
+
+    @pytest.mark.parametrize(
+        "integrate, splits, budget, minimum",
+        [
+            (integrate_real_line, (), 1, 30),
+            (integrate_real_line, (0.0, 1.0), 44, 45),
+            (integrate_half_line, (1.0, 2.0, 3.0), 10, 60),
+            (integrate_half_line, (), 14, 15),
+        ],
+    )
+    def test_budget_below_one_panel_per_piece_raises(self, integrate, splits, budget, minimum):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return math.exp(-x * x)
+
+        spec = QuadratureSpec(max_evaluations=budget, split_points=splits)
+        with pytest.raises(DomainError, match=f"below the minimum {minimum}"):
+            integrate(f, spec)
+        assert calls == []
+        # at the minimum itself the seed is one panel per piece, within budget
+        at_minimum = integrate(f, QuadratureSpec(max_evaluations=minimum, split_points=splits))
+        assert at_minimum.evaluations == minimum
+
+    @pytest.mark.parametrize("budget", [30, 59, 60, 61, 119, 240, 241, 300])
+    def test_evaluations_stay_within_the_budget(self, budget):
+        spec = QuadratureSpec(rel_tol=1e-15, max_evaluations=budget)
+        res = integrate_real_line(lambda x: abs(x - 0.3) ** 0.5 * math.exp(-x * x), spec)
+        assert res.evaluations <= budget

@@ -21,8 +21,11 @@ fails writes no file.
 
 Each sweep quantity has one closed form and one quadrature route; ``eps_min``
 and ``fisher`` read one Fisher route, ``eps_min`` its value F_q**(-q) and
-``fisher`` its integral F_q, in ``sweep`` and ``verify`` alike, and
-``verify``'s parity lines run each distinct (route, probe, q) integral once.
+``fisher`` its integral F_q, in ``sweep`` and ``verify`` alike.  Each command
+runs each distinct moment integral once: its kernel depends on the shape and
+the power alone (``measures.shared_integrals``), so the width's integrals at
+one shape, or the Fisher route's and the mean error's at alpha = 2, share a
+run, and nothing is kept once the command returns.
 Every quadrature route integrates a unit-scale kernel on one folded
 half-line, so by construction the distance is even in the shift and depends
 on the scale only through eps / gamma, and the mean error is independent of
@@ -51,7 +54,6 @@ keys, so identical inputs produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -228,18 +230,13 @@ def _integral(route, dist: ProbeDistribution, q: float) -> tuple[float, float, b
 
 
 def _sweep_row(
-    quantity: str,
-    alpha: float,
-    q: float,
-    energy: float,
-    parity_tol: float,
-    integral=_integral,
+    quantity: str, alpha: float, q: float, energy: float, parity_tol: float
 ) -> SweepRow:
     """Closed and quadrature values of ``quantity`` at one (alpha, q) point.
 
     A failure of the probe or the closed value gives the row its
-    ``_status`` and runs no ``integral(route, dist, q)``; the row reads the
-    route's value or its integral, a non-converged quadrature no_converge.
+    ``_status`` and runs no quadrature route; the row reads the route's
+    value or its integral, a non-converged quadrature no_converge.
     """
     closed_form, route, reads_integral = _ROUTES[quantity]
     gamma = None
@@ -249,13 +246,14 @@ def _sweep_row(
         closed = closed_form(dist, q).value
     except _STATUS_ERRORS as exc:
         return SweepRow(alpha, q, energy, gamma, None, None, None, _status(exc))
-    value, integral_value, converged = integral(route, dist, q)
+    value, integral_value, converged = _integral(route, dist, q)
     quad = integral_value if reads_integral else value
     rel = abs(closed - quad) / abs(closed)
     status = "ok" if converged and rel <= parity_tol else "no_converge"
     return SweepRow(alpha, q, energy, gamma, closed, quad, rel, status)
 
 
+@measures.shared_integrals()
 def run_sweep(config: SweepConfig, parity_tol: float = _PARITY_TOL) -> list[SweepRow]:
     """One row per (alpha, q), alpha-major; out-of-domain points are explicit
     rows, never skipped.  Raises ConfigError, as ``verify_report`` does, for a
@@ -341,9 +339,9 @@ def _eq6_argument(tolerance: float) -> tuple[bool, list[str]]:
 
 
 def _parity(
-    quantity: str, alpha: float, q: float, energy: float, tol: float, integral
+    quantity: str, alpha: float, q: float, energy: float, tol: float
 ) -> tuple[bool | None, str]:
-    row = _sweep_row(quantity, alpha, q, energy, tol, integral)
+    row = _sweep_row(quantity, alpha, q, energy, tol)
     if row.status in ("out_of_domain", "out_of_range"):
         return None, row.status
     return row.status == "ok", (
@@ -405,6 +403,7 @@ def _triangle(alpha: float, q: float, triple, energy: float) -> tuple[None, str]
     return None, f"lhs={_fmt(rep.lhs)} rhs={_fmt(rep.rhs)} {tag}"
 
 
+@measures.shared_integrals()
 def verify_report(
     alphas=_VERIFY_ALPHAS,
     qs=_VERIFY_QS,
@@ -421,18 +420,13 @@ def verify_report(
         )
     anchor_ok, eq6_lines = _eq6_argument(tolerance)
 
-    # One outcome per (route, probe, q) for this call: the eps_min and
-    # fisher lines at a point share one Fisher quadrature, whichever runs
-    # it first.
-    integral = functools.cache(_integral)
-
     # Closed-form / quadrature parity over the grid.  A grid where no line
     # has a verdict checked no closed form and fails, as a sweep with no
     # value does.
     checks = [
         _check(
             f"parity {quantity} alpha={alpha:g} q={q:g}",
-            _parity, quantity, alpha, q, energy, tolerance, integral,
+            _parity, quantity, alpha, q, energy, tolerance,
         )
         for quantity in QUANTITIES
         for alpha in alphas

@@ -63,9 +63,11 @@ shift or a factor beyond double range raises before any quadrature runs.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .numerics import (
     EXP_MAX,
@@ -205,29 +207,69 @@ def _closed(quantity: Quantity, log_value: float) -> MeasureValue:
     return MeasureValue(quantity, value, Method.CLOSED_FORM)
 
 
+# Engine outcomes of the running command, one per (kernel, merged spec);
+# None outside ``shared_integrals``.
+_RUNS: ContextVar[dict | None] = ContextVar("genfisher_runs", default=None)
+
+
+@contextmanager
+def shared_integrals() -> Iterator[None]:
+    """Inside the block, each distinct moment integral runs the engine once.
+
+    The moment routes' integral depends on the shape and the power only
+    (see ``_moment``), so the width at alpha = 1 and the Fisher route there,
+    or the Fisher route at alpha = 2 and the mean error at the same order,
+    read one run.  The outcomes are dropped when the block exits, however
+    it exits, so nothing outlives it; ``cli.run_sweep`` and
+    ``cli.verify_report`` each run in one such block."""
+    token = _RUNS.set({})
+    try:
+        yield
+    finally:
+        _RUNS.reset(token)
+
+
 def _quadrature(
     quantity: Quantity,
     integrand: Callable[[float], float],
-    spec: QuadratureSpec | None,
-    splits: Iterable[float],
+    spec: QuadratureSpec,
     label: Callable[[], str],
     log_scale: float,
     root: float = 1.0,
     scale: float = 1.0,
     tail: Callable[[float], Callable[[float], float]] | None = None,
+    kernel: tuple | None = None,
 ) -> MeasureValue:
-    """Integrate the unit-scale kernel ``integrand`` over [0, inf) with
-    ``splits`` merged into ``spec``, its last piece built by ``tail`` when
-    given (see ``integrate_half_line``); for its integral ``I`` and
-    ``L = log_scale + log I`` the value is ``scale * exp(L / root)`` and
-    ``quad_detail`` holds ``exp(L)``, its error estimate scaled the same
-    way.  Raises ``ConvergenceError`` with that result and the same map of
-    the best estimate when the quadrature did not converge; ``label()``
-    names the integral there.  The engine is looked up in this module per
-    call, so wrappers installed on it see every integral.
+    """Integrate the unit-scale kernel ``integrand`` over [0, inf) under
+    ``spec``, the route's split points already merged in, its last piece
+    built by ``tail`` when given (see ``integrate_half_line``); for its
+    integral ``I`` and ``L = log_scale + log I`` the value is
+    ``scale * exp(L / root)`` and ``quad_detail`` holds ``exp(L)``, its
+    error estimate scaled the same way.  Raises ``ConvergenceError`` with
+    that result and the same map of the best estimate when the quadrature
+    did not converge; ``label()`` names the integral there.
+
+    Engine contract: ``integrate_half_line`` is looked up in this module
+    when it runs, so wrappers installed on it see every integral that
+    runs.  ``kernel`` declares the identity of ``integrand`` and ``tail``:
+    inside ``shared_integrals`` the engine's raw result, or the exception
+    it raised, is kept under ``(kernel, spec)`` and handed to every later
+    caller with that key, which then applies its own map and label.
     """
-    spec = (spec or QuadratureSpec()).with_splits(splits)
-    result = integrate_half_line(integrand, spec, tail)
+    runs = None if kernel is None else _RUNS.get()
+    if runs is None:
+        result = integrate_half_line(integrand, spec, tail)
+    else:
+        key = (kernel, spec)
+        if key not in runs:
+            try:
+                runs[key] = integrate_half_line(integrand, spec, tail)
+            except Exception as exc:
+                runs[key] = exc
+                raise
+        result = runs[key]
+        if isinstance(result, Exception):
+            raise result.with_traceback(None)
     log_value, log_error = (
         log_scale + math.log(v) if v > 0.0 else -math.inf
         for v in (result.value, result.abs_error_estimate)
@@ -239,6 +281,10 @@ def _quadrature(
     if not result.converged:
         raise ConvergenceError(f"{label()} did not converge", result, value)
     return MeasureValue(quantity, value, Method.QUADRATURE, result)
+
+
+# The moment routes' split at the kernel's peak, merged into the default spec.
+_MOMENT_SPEC = QuadratureSpec(split_points=(1.0,))
 
 
 def _moment(
@@ -262,7 +308,8 @@ def _moment(
     The kernel in ``t`` peaks at ``t = 1`` (for ``p / alpha < 1`` that is
     its e-fold edge) at a value of order 1, whatever the order or the
     scale; it is split there only, and ``(p + 1) ln sigma - b`` joins
-    ``log_scale``.
+    ``log_scale``.  The integral in ``t`` thus depends on ``(alpha, p)``
+    and the spec alone, which ``_quadrature`` is given as its identity.
 
     The engine gets the kernel as two integrands, each chosen once per
     integral, so an evaluation is one Python call.  The head, on
@@ -333,7 +380,8 @@ def _moment(
         return mapped
 
     log_scale += (p + 1.0) * log_sigma - b
-    return _quadrature(quantity, head, spec, (1.0,), label, log_scale, root, scale, tail)
+    spec = _MOMENT_SPEC if spec is None else spec.with_splits((1.0,))
+    return _quadrature(quantity, head, spec, label, log_scale, root, scale, tail, (alpha, p))
 
 
 # The distance integrand keeps its constants in closure locals and writes the
@@ -438,7 +486,8 @@ def hellinger_distance(
 
     label = lambda: f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
     log_c = ProbeDistribution(alpha, 1.0).log_norm_const
-    return _quadrature(Quantity.DISTANCE, integrand, spec, splits, label, log_c)
+    spec = (spec or QuadratureSpec()).with_splits(splits)
+    return _quadrature(Quantity.DISTANCE, integrand, spec, label, log_c)
 
 
 def hellinger_linearized(

@@ -131,12 +131,32 @@ class TestVerifyCommand:
         assert len(lines) == 4 and all(l.endswith(f" {verdict}") for l in lines)
         assert ok == (verdict == "PASS")
 
-    def test_eps_min_and_fisher_lines_share_one_fisher_quadrature(self, fisher_routes):
-        # E = 2 keeps the grid probe apart from the gamma = 1 probes of the
-        # eq6 anchor and the linearization checks
-        report, ok = verify_report(alphas=(2.0,), qs=(0.5,), energy=2.0)
+    def test_eps_min_and_fisher_lines_share_one_fisher_quadrature(self, monkeypatch):
+        # Both lines read the Fisher route at the point; the engine runs
+        # once, under the first of them.  The mean error line reads the same
+        # kernel (alpha, p) = (2, 4), p = (alpha - 1)/q = 1/q, which no other
+        # check of this report integrates.
+        route, engine = measures._fisher_route, measures.integrate_half_line
+        reads, inside, runs = [], [], []
+
+        def reading(dist, q, *args, **kwargs):
+            reads.append((dist, q))
+            inside.append((dist, q))
+            try:
+                return route(dist, q, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counting(*args):
+            runs.extend(inside[-1:])
+            return engine(*args)
+
+        monkeypatch.setattr(measures, "_fisher_route", reading)
+        monkeypatch.setattr(measures, "integrate_half_line", counting)
+        report, ok = verify_report(alphas=(2.0,), qs=(0.25,))
         assert ok
-        assert fisher_routes.count((ProbeDistribution.from_shape_energy(2.0, 2.0), 0.5)) == 1
+        point = (ProbeDistribution.from_shape_energy(2.0, 1.0), 0.25)
+        assert reads.count(point) == 2 and runs.count(point) == 1
         parity = [l for l in report.splitlines() if l.startswith("parity ")]
         assert len(parity) == 4 and all(l.endswith(" PASS") for l in parity)
 
@@ -150,6 +170,18 @@ class TestVerifyCommand:
         (eps_min,) = [l for l in lines if l.startswith("parity eps_min alpha=2 q=0.001: ")]
         assert "closed=" in eps_min and "quadrature=" in eps_min
         assert fisher_routes.count((ProbeDistribution.from_shape_energy(2.0, 1.0), 1e-3)) == 1
+
+    def test_a_report_that_raises_drops_its_integrals(self, monkeypatch):
+        seen = []
+
+        def failing(*args):
+            seen.append(measures._RUNS.get())
+            raise RuntimeError("triangle scan broke")
+
+        monkeypatch.setattr(measures, "triangle_probe", failing)
+        with pytest.raises(RuntimeError, match="triangle scan broke"):
+            verify_report(alphas=(2.0,), qs=(0.5,))
+        assert seen[0] and measures._RUNS.get() is None
 
     @pytest.mark.parametrize("key", ["energy", "tolerance"])
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
@@ -271,12 +303,22 @@ class TestSweepCommand:
             if r[-1] == "ok":
                 assert float(r[6]) <= 1e-6
 
+    def test_no_integral_outlives_a_sweep(self, evaluations):
+        # the width's power is 0 at every order: one run per shape, and
+        # again in the next sweep
+        qs = (0.25, 0.5, 2.0)
+        config = SweepConfig("posterior_width", qs, 1.0, cli.default_alpha_grid(qs), "unused.csv")
+        first = run_sweep(config)
+        assert len(evaluations) == 60
+        assert run_sweep(config) == first and len(evaluations) == 120
+        assert measures._RUNS.get() is None
+
     @pytest.mark.parametrize("quantity", ["eps_min", "posterior_width", "mean_error", "fisher"])
     def test_no_converge_row_records_best_estimate(self, monkeypatch, quantity):
         # a starved default spec makes every quadrature stop short; the row
         # still carries the correctly folded and powered best estimate
-        starved = QuadratureSpec(rel_tol=1e-15, max_evaluations=100)
-        monkeypatch.setattr(measures, "QuadratureSpec", lambda: starved)
+        starved = QuadratureSpec(rel_tol=1e-15, max_evaluations=100, split_points=(1.0,))
+        monkeypatch.setattr(measures, "_MOMENT_SPEC", starved)
         config = SweepConfig(quantity, (0.25, 2.0), 1.0, AlphaGrid(1.0, 2.0, 2), "unused.csv")
         rows = run_sweep(config)
         assert [r.status for r in rows] == ["no_converge"] * 4

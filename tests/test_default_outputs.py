@@ -24,11 +24,11 @@ from genfisher.probe import ProbeDistribution
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "74f22f18cd249fc24b679c69a3caeca947307d3a6aa68bade2f051cce283d199", 133, 48_960),
+    (["verify"], "74f22f18cd249fc24b679c69a3caeca947307d3a6aa68bade2f051cce283d199", 101, 39_720),
     (["sweep", "--quantity", "eps_min"],
      "8235887349b9a95ea0e765d1cc286a805740df3c2ed602ece9d6fb58f061a796", 180, 51_960),
     (["sweep", "--quantity", "posterior_width"],
-     "53c73c4a8b77c894e6a5ea19f3f9f237f507a72b7ad20423f4adbab24861989d", 180, 51_300),
+     "53c73c4a8b77c894e6a5ea19f3f9f237f507a72b7ad20423f4adbab24861989d", 60, 17_100),
     (["sweep", "--quantity", "mean_error"],
      "269be2867ef7b81f802e94cc6d93359f0f100b2066ff22be0c55ec9be0661f35", 180, 47_430),
     (["sweep", "--quantity", "fisher"],

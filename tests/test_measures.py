@@ -493,6 +493,64 @@ class TestTriangleProbe:
         assert bits(rep) == bits(expected)
 
 
+class TestSharedIntegrals:
+    """Inside ``shared_integrals`` a moment integral runs the engine once
+    per (shape, power, spec); every reader maps the one raw result itself."""
+
+    @staticmethod
+    def widths(d, spec=None):
+        return [posterior_width_quadrature(d, q, spec) for q in (0.25, 0.5, 2.0)]
+
+    @staticmethod
+    def bits(m):
+        r = m.quad_detail
+        return [float.hex(x) for x in (m.value, r.value, r.abs_error_estimate)], r.evaluations
+
+    def test_widths_at_one_shape_share_one_run(self, evaluations):
+        d = energy_probe(1.7)
+        alone = self.widths(d)
+        assert len(evaluations) == 3
+        with measures.shared_integrals():
+            shared = self.widths(d)
+            assert len(evaluations) == 4
+            # a caller's own spec is another integral
+            tight = self.widths(d, QuadratureSpec(rel_tol=1e-12))
+            assert len(evaluations) == 5
+        assert [self.bits(m) for m in shared] == [self.bits(m) for m in alone]
+        assert [self.bits(m) for m in tight] != [self.bits(m) for m in alone]
+
+    @pytest.mark.parametrize("alpha, runs", [(2.0, 1), (3.0, 2)])
+    def test_fisher_and_mean_error_share_a_run_only_at_one_power(
+        self, evaluations, alpha, runs
+    ):
+        # the Fisher power (alpha - 1)/q equals the mean error's 1/q at alpha = 2
+        d = energy_probe(alpha)
+        with measures.shared_integrals():
+            shared = [fisher_quadrature(d, 0.5), mean_error_quadrature(d, 0.0, 0.5)]
+        assert len(evaluations) == runs
+        alone = [fisher_quadrature(d, 0.5), mean_error_quadrature(d, 0.0, 0.5)]
+        assert [self.bits(m) for m in shared] == [self.bits(m) for m in alone]
+
+    def test_an_engine_failure_runs_once_and_reaches_every_reader(self, monkeypatch):
+        # below one 15-point panel per piece the engine raises DomainError
+        starved, d = QuadratureSpec(max_evaluations=20), energy_probe(2.0)
+        with pytest.raises(DomainError) as fresh:
+            posterior_width_quadrature(d, 0.5, starved)
+        engine, calls = measures.integrate_half_line, []
+
+        def counting(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(measures, "integrate_half_line", counting)
+        with measures.shared_integrals():
+            for q in (0.25, 2.0):
+                with pytest.raises(DomainError) as shared:
+                    posterior_width_quadrature(d, q, starved)
+                assert str(shared.value) == str(fresh.value)
+        assert len(calls) == 1
+
+
 class TestMeasureValue:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):

@@ -237,7 +237,7 @@ def _quadrature(
     log_scale: float,
     root: float = 1.0,
     scale: float = 1.0,
-    tail: Callable[[float], Callable[[float], float]] | None = None,
+    tail: Callable[[float], Callable[[float], float] | None] | None = None,
     kernel: tuple | None = None,
 ) -> MeasureValue:
     """Integrate the unit-scale kernel ``integrand`` over [0, inf) under
@@ -385,9 +385,8 @@ def _moment(
 
 
 # The distance integrand keeps its constants in closure locals and writes the
-# folded gap out in place: a probe method call per evaluation cost more than
-# the quadrature engine itself (tests/test_measures.py compares the integrand
-# with its plain composition).
+# folded gap out in place, one Python call per term (tests/test_measures.py
+# compares it with its plain composition).
 def hellinger_distance(
     dist: ProbeDistribution,
     eps: float,
@@ -407,87 +406,115 @@ def hellinger_distance(
     distance ``s`` from the copy at ``e``, and even in the shift by
     construction.  It splits at 1 and 4, plus the crossing when it lies
     below 4, so each bump sits on panels of its own width, whatever the
-    size of the shift.
+    size of the shift.  Past alpha = 1024 each copy's edge is a cliff about
+    ``1/alpha`` wide, so the near copy's edge ``s = 1`` and the far one's
+    ``s = 1 - e`` are bracketed at ``+-40/alpha`` (a foot of ``e**-40``)
+    inside (0, 4); under the crossing map only those at or above the
+    crossing, as the map's variable is not ``s``.
 
     Crossing map: the fold's term ``f(e - s)`` vanishes like
     ``(e/2 - s)**(1/q)`` at the crossing, an endpoint singularity for
-    q > 1 that made the engine bisect that piece 8 to 18 extra times.  When
-    the crossing ``h = e/2`` is a split (``h < 4``), the piece ``[b, h)``,
-    ``b = 1`` if ``h > 1`` else 0 (the split just below ``h``), is taken in
-    ``x`` with ``h - s = w ((h - x)/w)**n``, ``w = h - b``,
-    ``n = min(ceil(q), 4)``, and Jacobian ``n ((h - x)/w)**(n - 1)``: the
-    term times the Jacobian goes like ``(h - x)**(n/q + n - 1)``, whose
-    exponent is at least 1 (at least 3 once the power is capped), and the
-    fold's distance ``d = 2 (h - s)`` is taken from the map itself, not from
-    the cancelling ``e - 2s``.  The cap keeps the piece's mass on the
-    panels: a power ``r**n`` crowds most of ``[b, h)`` into
-    ``x - b < w/n``, and at ``q = 1e5`` with ``n = ceil(q)`` every
-    Gauss-Kronrod node of the first panel missed it, so the piece read 0
-    and the integral converged without it.  The map is a bijection of
-    ``[b, h)`` onto itself, so the integral and the split points are those
-    of ``s``.  Past the guard ``h < 4`` no split sits at the crossing and
-    nothing is mapped.  At q <= 1 the term vanishes at least linearly,
-    ``n = 1`` makes the map the identity, and it is not applied, so every
-    q <= 1 integrand keeps its bits.  ``s**alpha`` is taken once per point
-    for both terms.
+    q > 1.  When the crossing ``h = e/2`` is a split (``h < 4``), the piece
+    ``[b, h)``, ``b = 1`` if ``h > 1`` else 0, is taken in ``x`` with
+    ``h - s = w ((h - x)/w)**n``, ``w = h - b``, ``n = min(ceil(q), 4)``,
+    and Jacobian ``n ((h - x)/w)**(n - 1)``: the term times the Jacobian
+    goes like ``(h - x)**(n/q + n - 1)``, exponent at least 1, and the
+    fold's distance ``d = 2 (h - s)`` is taken from the map, not from the
+    cancelling ``e - 2s``.  The cap 4 keeps the piece's mass where the
+    first panel's nodes see it (``r**n`` crowds it into ``x - b < w/n``).
+    The map is a bijection of ``[b, h)``, so the integral and the splits
+    are those of ``s``; at q <= 1, ``n = 1`` and it is not applied.
 
     Gap: at a point a distance ``s`` from the nearer copy and ``s + d``
-    from the farther one, ``lo = s**alpha`` and the log-density gap is
-    ``-2q lo expm1(alpha log1p(d/s))``, free of the cancellation in
-    ``u**alpha - v**alpha``.  The term is
-    ``exp(-2 lo + log(-expm1(gap))/q)``.  Where the farther copy is at
-    least twice as far (``d >= s``), or ``lo`` underflows to 0, the gap is
-    the plain difference of the two powers, which then cancels at most
-    ``1/(2**alpha - 1)``.  A power beyond double range leaves the nearer
-    bump alone, ``exp(-2 lo)``, which is 0 where ``lo`` itself overflows.
+    from the farther one, ``lo = s**alpha`` (taken once for both terms) and
+    the log-density gap is ``-2q lo expm1(alpha log1p(d/s))``, free of the
+    cancellation in ``u**alpha - v**alpha``.  The term is
+    ``exp(-2 lo + log(-expm1(gap))/q)``.  Where ``d >= s``, ``lo``
+    underflows to 0 or the ``expm1`` overflows (only past alpha = 1024),
+    the gap is the plain difference of the two powers, which then cancels
+    at most ``1/(2**alpha - 1)``.  A power beyond double range leaves the
+    nearer bump alone, ``exp(-2 lo)``, 0 where ``lo`` itself overflows.
     A non-finite shift raises DomainError before any evaluation.
+
+    Support: both terms are at most ``exp(-2 s**alpha)``, and past the last
+    split ``a`` the folded variable is ``s`` itself, so the integrand is
+    exactly +0.0 there once ``a**alpha >= 373`` (``exp(-746.0) == 0.0``;
+    alpha > 4.27 at ``a = 4``).  The tail piece is then left out, which
+    moves no bit; otherwise the engine gets it in the map's variable.
     """
     q, eps = _require_order(q), _require_shift(eps)
     alpha, e = dist.alpha, abs(eps) / dist.gamma_scale
     half = 0.5 * e
     two_q = 2.0 * q
-    splits = (1.0, 4.0, half) if half < 4.0 else (1.0, 4.0)
+    splits = {1.0, 4.0, half} if half < 4.0 else {1.0, 4.0}
     n = min(math.ceil(q), 4) if half < 4.0 else 1
+    if alpha > 1024.0:
+        splits.update(
+            c + k for c in (1.0, 1.0 - e) for k in (-40.0 / alpha, 40.0 / alpha)
+            if 0.0 < c + k < 4.0 and (n == 1 or c + k >= half)
+        )
     base = 1.0 if half > 1.0 else 0.0
     w = half - base
+    exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
 
-    def power(s: float) -> float:
-        try:
-            return math.pow(s, alpha)
-        except OverflowError:
-            return math.inf
-
+    # One folded term; neither exponent is positive, so exp cannot overflow.
     def bump(s: float, lo: float, d: float) -> float:
-        if lo == math.inf:
-            return 0.0
         try:
             if d < s and lo > 0.0:
-                gap = -two_q * lo * math.expm1(alpha * math.log1p(d / s))
+                try:
+                    gap = -two_q * lo * expm1(alpha * log1p(d / s))
+                except OverflowError:  # only past alpha = 1024
+                    gap = two_q * (lo - (s + d) ** alpha)
             else:
-                gap = two_q * (lo - math.pow(s + d, alpha))
+                gap = two_q * (lo - (s + d) ** alpha)
         except OverflowError:
-            return safe_exp(-2.0 * lo)
+            return exp(-2.0 * lo)
         if gap == 0.0:
             return 0.0
-        return safe_exp(-2.0 * lo + math.log(-math.expm1(gap)) / q)
+        return exp(-2.0 * lo + log(-expm1(gap)) / q)
 
-    def folded(s: float, d: float) -> float:
-        lo = power(s)
-        return bump(s, lo, e) + bump(s, lo, d)
-
+    # Both terms are 0 where ``s**alpha`` leaves double range.
     def integrand(x: float) -> float:
-        if x >= half:
-            return bump(x, power(x), e)
-        if n > 1 and x >= base:
+        if n > 1 and base <= x < half:
             r = (half - x) / w
             t = w * r**n  # half - s, whose double is the fold's d
-            return n * r ** (n - 1) * folded(half - t, 2.0 * t)
-        return folded(x, e - 2.0 * x)
+            s = half - t
+            try:
+                lo = s**alpha
+            except OverflowError:
+                return 0.0
+            return n * r ** (n - 1) * (bump(s, lo, e) + bump(s, lo, 2.0 * t))
+        try:
+            lo = x**alpha
+        except OverflowError:
+            return 0.0
+        if x >= half:
+            return bump(x, lo, e)
+        return bump(x, lo, e) + bump(x, lo, e - 2.0 * x)
+
+    def tail(a: float) -> Callable[[float], float] | None:
+        try:
+            if a**alpha >= 373.0:
+                return None
+        except OverflowError:
+            return None
+
+        def mapped(r: float) -> float:
+            u = 1.0 - r
+            try:
+                x = a + r / u
+            except ZeroDivisionError:
+                raise tail_node_error(r, a) from None
+            return integrand(x) / (u * u)
+
+        return mapped
 
     label = lambda: f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
     log_c = ProbeDistribution(alpha, 1.0).log_norm_const
-    spec = (spec or QuadratureSpec()).with_splits(splits)
-    return _quadrature(Quantity.DISTANCE, integrand, spec, label, log_c)
+    spec = (
+        QuadratureSpec(split_points=sorted(splits)) if spec is None else spec.with_splits(splits)
+    )
+    return _quadrature(Quantity.DISTANCE, integrand, spec, label, log_c, tail=tail)
 
 
 def hellinger_linearized(

@@ -342,7 +342,7 @@ def integrate_real_line(
 def integrate_half_line(
     f: Callable[[float], float],
     spec: QuadratureSpec | None = None,
-    tail: Callable[[float], Callable[[float], float]] | None = None,
+    tail: Callable[[float], Callable[[float], float] | None] | None = None,
 ) -> QuadratureResult:
     """Integrate ``f`` over [0, inf); ``f`` may be singular at 0.
 
@@ -353,7 +353,11 @@ def integrate_half_line(
     last split point (0 when there is none), in the map's variable:
     ``tail(a)(t)`` must equal ``f(a + t / (1 - t)) / (1 - t)**2`` on
     [0, 1) and raise ``tail_node_error(t, a)`` where a node rounds onto
-    t = 1.  ``f`` is then evaluated below ``a`` only.
+    t = 1.  ``f`` is then evaluated below ``a`` only.  ``tail(a)`` may
+    return None instead where ``f`` is exactly 0 on ``[a, inf)``, ``a > 0``:
+    no tail piece is integrated, so where the budget seeds every piece
+    with ``INITIAL_PANELS`` the value and its error estimate keep their
+    bits.
     """
     spec = spec or QuadratureSpec()
     if any(p < 0.0 for p in spec.split_points):
@@ -363,5 +367,6 @@ def integrate_half_line(
     for lo, hi in zip(points, points[1:]):
         pieces.append((f, lo, hi))
     last = tail(points[-1]) if tail else _tail(f, points[-1], 1.0)
-    pieces.append((last, 0.0, 1.0))
+    if last is not None:
+        pieces.append((last, 0.0, 1.0))
     return _adaptive(pieces, spec)

@@ -24,7 +24,7 @@ from genfisher.probe import ProbeDistribution
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "74f22f18cd249fc24b679c69a3caeca947307d3a6aa68bade2f051cce283d199", 101, 39_720),
+    (["verify"], "74f22f18cd249fc24b679c69a3caeca947307d3a6aa68bade2f051cce283d199", 101, 37_320),
     (["sweep", "--quantity", "eps_min"],
      "8235887349b9a95ea0e765d1cc286a805740df3c2ed602ece9d6fb58f061a796", 180, 51_960),
     (["sweep", "--quantity", "posterior_width"],

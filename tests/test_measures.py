@@ -571,16 +571,22 @@ def _reference_distance(dist, eps, q):
     n = min(math.ceil(q), 4)
     b = 1.0 if h > 1.0 else 0.0
 
+    def log_gap(lo, s, d):
+        # the expm1 form while the ratio's power (2**a at most) is in range
+        if d < s:
+            try:
+                return -2.0 * q * lo * math.expm1(a * math.log1p(d / s))
+            except OverflowError:
+                pass
+        return 2.0 * q * (lo - (s + d) ** a)
+
     def term(s, d):
         try:
             lo = s**a
         except OverflowError:
             return 0.0
         try:
-            if d < s:
-                gap = -2.0 * q * lo * math.expm1(a * math.log1p(d / s))
-            else:
-                gap = 2.0 * q * (lo - (s + d) ** a)
+            gap = log_gap(lo, s, d)
         except OverflowError:
             return safe_exp(-2.0 * lo)
         return 0.0 if gap == 0.0 else safe_exp(-2.0 * lo + math.log(-math.expm1(gap)) / q)
@@ -622,6 +628,64 @@ def _reference_kernel(p, alpha):
 _SHIFT = 0.7
 
 
+def _seed_nodes(panels=numerics.INITIAL_PANELS):
+    """Every Gauss-Kronrod node of the engine's seed panels on [0, 1)."""
+    nodes = []
+    for i in range(panels):
+        a, b = i / panels, (i + 1) / panels
+        center, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes.append(center)
+        nodes += [center + sign * half * xi for xi in numerics._GK_XI for sign in (-1, 1)]
+    return nodes
+
+
+class TestDistanceZeroTail:
+    """Past the last split ``a`` both folded terms of the distance are at
+    most ``exp(-2 a**alpha)``, which is exactly 0.0 once ``a**alpha >= 373``
+    (``a = 4`` from alpha ~ 4.27 on): the route then builds no tail piece,
+    and the engine's value and error keep the generic map's bits."""
+
+    NODES = _seed_nodes() + [1.0 - 1e-12]
+
+    @staticmethod
+    def _run(monkeypatch, alpha, q, shift):
+        """What the distance hands the engine, and the engine's result."""
+        runs = []
+
+        def engine(f, spec, tail=None):
+            runs.append((f, spec, tail, numerics.integrate_half_line(f, spec, tail)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(measures, "integrate_half_line", engine)
+        dist = energy_probe(alpha)
+        hellinger_distance(dist, shift * dist.gamma_scale, q)
+        (run,) = runs
+        return run + (_reference_distance(dist, shift * dist.gamma_scale, q),)
+
+    # at the shift 8.5 the crossing 4.25 lies past the last split 4
+    @pytest.mark.parametrize("shift", [0.7, 8.5])
+    @pytest.mark.parametrize("q", [0.25, 2.0])
+    @pytest.mark.parametrize("alpha", [4.3, 5.0, 20.0, 100.0, 2000.0])
+    def test_no_tail_piece_where_the_integrand_is_zero(self, monkeypatch, alpha, q, shift):
+        f, spec, tail, result, reference = self._run(monkeypatch, alpha, q, shift)
+        anchor = spec.split_points[-1]
+        assert tail(anchor) is None
+        plain = numerics._tail(reference, anchor, 1.0)
+        assert {plain(t).hex() for t in self.NODES} == {"0x0.0p+0"}
+        generic = numerics.integrate_half_line(f, spec)
+        assert (result.value.hex(), result.abs_error_estimate.hex(), result.converged) == (
+            generic.value.hex(), generic.abs_error_estimate.hex(), generic.converged)
+        seed_panels = numerics.INITIAL_PANELS * numerics._EVALS_PER_PANEL
+        assert result.evaluations == generic.evaluations - seed_panels
+
+    def test_tail_is_kept_below_the_threshold(self, monkeypatch):
+        # 4**4.2 ~ 337: the tail's first nodes read exp(-674) > 0
+        _, spec, tail, _, reference = self._run(monkeypatch, 4.2, 2.0, 0.7)
+        anchor = spec.split_points[-1]
+        assert tail(anchor) is not None
+        assert any(numerics._tail(reference, anchor, 1.0)(t) > 0.0 for t in self.NODES)
+
+
 class TestIntegrandBits:
     """Each route's integrand equals, bit for bit, its plain composition in
     the folded reduced variable: the distance's with its gap written out,
@@ -629,7 +693,8 @@ class TestIntegrandBits:
     mass scale, first-panel power map and its log form included.  The
     moment routes hand the engine their tail as well, already in the
     half-line map's variable; it equals the generic map of the plain
-    kernel."""
+    kernel.  So does the distance's, or it is None where the plain
+    integrand is exactly 0 past the last split (``TestDistanceZeroTail``)."""
 
     # 0, tiny and moderate arguments, the cusp at the reduced shift 0.7, and
     # far tails; for alpha = 100 the power s**alpha overflows from s ~ 1.2e3 on
@@ -691,14 +756,14 @@ class TestIntegrandBits:
         expected = reference(energy_probe(alpha), q)
         for x in points:
             assert integrand(x).hex() == expected(x).hex(), x
-        if tail is not None:
-            # the tail at the last split, against the generic map of the
-            # plain kernel, on the grid's points below 1 and next to 1
-            anchor = spec.split_points[-1]
-            mapped, plain = tail(anchor), numerics._tail(expected, anchor, 1.0)
-            for t in [x for x in points if x < 1.0] + [1.0 - 1e-12]:
-                assert mapped(t).hex() == plain(t).hex(), t
-        return tail
+        # the tail at the last split, against the generic map of the plain
+        # kernel, on the grid's points below 1 and next to 1; a tail of None
+        # stands for +0.0 there
+        anchor = spec.split_points[-1]
+        mapped, plain = tail(anchor), numerics._tail(expected, anchor, 1.0)
+        for t in [x for x in points if x < 1.0] + [1.0 - 1e-12]:
+            assert (0.0 if mapped is None else mapped(t)).hex() == plain(t).hex(), t
+        return mapped
 
     @pytest.mark.parametrize("alpha", [0.8, 2.0, 100.0])
     @pytest.mark.parametrize("q", [0.25, 0.5, 2.0])
@@ -706,8 +771,9 @@ class TestIntegrandBits:
     def test_integrand_matches_reference(self, monkeypatch, route, alpha, q):
         points = self.ROUTES[route][2](energy_probe(alpha))
         measure, reference, _ = self.ROUTES[route]
-        tail = self._assert_integrand(monkeypatch, measure, reference, alpha, q, points)
-        assert (tail is None) == (route == "distance")
+        mapped = self._assert_integrand(monkeypatch, measure, reference, alpha, q, points)
+        # only the distance drops its tail, and only where 4**alpha >= 373
+        assert (mapped is None) == (route == "distance" and alpha == 100.0)
 
     # the distance's mapped piece [b, h) at q > 1: below the crossing
     # h = 0.35 (b = 0) and h = 1.5 (b = 1), and past both; at h = 4.25 the
@@ -734,7 +800,7 @@ class TestIntegrandBits:
 
     # a tail node that rounds onto t = 1 maps to infinity: the route's tail
     # raises the generic map's IntegrandError, text and all
-    @pytest.mark.parametrize("route", ["fisher", "width", "mean_error"])
+    @pytest.mark.parametrize("route", ["distance", "fisher", "width", "mean_error"])
     def test_tail_node_at_infinity_raises_the_generic_error(self, monkeypatch, route):
         measure, reference, _ = self.ROUTES[route]
         _, _, tail = self._capture(monkeypatch, measure, 2.0, 0.5)

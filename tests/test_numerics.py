@@ -234,6 +234,20 @@ class TestHalfLine:
         assert integrate_half_line(f, spec, tail) == integrate_half_line(f, spec)
         assert anchors == [2.0]
 
+    def test_caller_tail_none_drops_a_zero_tail(self):
+        # f is exactly 0 past its last split: without the tail piece the
+        # value and error bits are the generic map's, and its seed panels
+        # are never evaluated
+        def f(x):
+            return (1.0 - x) ** 2 * math.exp(x) if x < 1.0 else 0.0
+
+        spec = QuadratureSpec(split_points=(0.5, 1.0))
+        got, want = integrate_half_line(f, spec, lambda a: None), integrate_half_line(f, spec)
+        assert (got.value.hex(), got.abs_error_estimate.hex()) == (
+            want.value.hex(), want.abs_error_estimate.hex())
+        seed_panels = numerics.INITIAL_PANELS * numerics._EVALS_PER_PANEL
+        assert got.evaluations == want.evaluations - seed_panels
+
     def test_caller_tail_errors_pass_through(self):
         def tail(a):
             return lambda t: 1.0 / 0.0

@@ -16,17 +16,14 @@ To O(1/n) this is the percentile-bootstrap interval of the same statistic
 (Hall 1992, *The Bootstrap and Edgeworth Expansion*), without its B
 resamples of n values each.
 
-Trials are split into fixed-size partitions, and memory holds one block
-plus one prefetched gamma buffer: while a partition is transformed and
-reduced, one helper thread draws the next partition's Gamma(1 + 1/alpha)
-variates; the transform draws one uniform per trial (see
-``ProbeDistribution.sample``).
-Each partition's moments come from its unshifted draws ``x - shift``, as a
-mean followed by a centred pass, and are merged into the running totals
-with the pairwise update of Chan, Golub & LeVeque (1979) and Pebay (2008).
-Memory therefore does not grow with the trial count, and the deviations
-``|x - shift|`` are exact at any shift: the shift is added only to the
-reported mean.
+Trials are split into fixed-size partitions, each drawn (see
+``ProbeDistribution.sample``) and reduced to the moments of its unshifted
+draws ``x - shift``, a mean followed by a centred pass, by the caller for
+even partitions and one helper thread for odd ones; memory holds two
+partitions' draws and scratch, so it does not grow with the trial count.  The
+moments are merged in partition order with the pairwise update of Chan,
+Golub & LeVeque (1979) and Pebay (2008).  The deviations ``|x - shift|``
+are exact at any shift: the shift is added only to the reported mean.
 
 Reproducibility: partition k draws from
 ``SeedSequence(master_seed).spawn(...)[k]``.  The partitioning depends only
@@ -41,9 +38,8 @@ report.mean_std_error, plan.true_shift)``, with no second draw.
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .measures import _require_order, _require_shift, mean_error_closed
 from .numerics import EXP_MAX, DomainError
@@ -123,65 +119,47 @@ class UnbiasednessReport:
     passed: bool
 
 
-def _partitions(plan: TrialPlan) -> Iterator[np.ndarray]:
-    """Each partition's unshifted draws, in partition order.
-
-    Partition k's gamma variates, then its transform, fill one of two
-    buffers allocated here on the calling thread (so no block lives in a
-    helper's malloc arena); each yielded array is valid until the next one
-    is requested.  While partition k is transformed here and reduced by the
-    caller, one helper thread draws partition k + 1's gamma variates into
-    the other buffer; partition 1's draw also overlaps partition 0's, which
-    is drawn here.  The draw releases the GIL and cannot fail for a valid
-    probe, whose gamma shape ``1 + 1/alpha`` is at least 1.  Each partition
-    keeps its own stream, so every value has the bits of ``sample(rng_k, m)``.
-    Closing the generator waits for the helper.
-    """
-    import threading
-
-    import numpy as np  # only sampling needs numpy; keep it off the import path
-
-    dist = plan.distribution
-    shape = 1.0 + 1.0 / dist.alpha
-    n_parts = (plan.trials + PARTITION_SIZE - 1) // PARTITION_SIZE
-    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(plan.master_seed).spawn(n_parts)]
-    sizes = [min(PARTITION_SIZE, plan.trials - k * PARTITION_SIZE) for k in range(n_parts)]
-    bufs = [np.empty(m) for m in sizes[:2]]
-
-    def draw_ahead(k):
-        thread = threading.Thread(
-            target=rngs[k].standard_gamma, args=(shape,), kwargs={"out": bufs[k % 2][: sizes[k]]}
-        )
-        thread.start()
-        return thread
-
-    helper = draw_ahead(1) if n_parts > 1 else None
-    try:
-        rngs[0].standard_gamma(shape, out=bufs[0])
-        for k in range(n_parts):
-            yield dist._from_gamma(rngs[k], bufs[k % 2][: sizes[k]])
-            if helper is not None:
-                helper.join()
-                helper = draw_ahead(k + 2) if k + 2 < n_parts else None
-    finally:
-        if helper is not None:
-            helper.join()
-
-
-def _moments(v: np.ndarray, third: bool) -> tuple[float, ...]:
+def _moments(v: np.ndarray, d: np.ndarray, third: bool) -> tuple[float, ...]:
     """``(n, mean, M2)`` of ``v``, and ``M3`` if ``third``: the mean, then a
-    centred pass (M_k is the sum of k-th powers of deviations from the mean)."""
+    centred pass (M_k is the sum of k-th powers of deviations from the mean)
+    into ``d``, of ``v``'s size; with ``third`` it overwrites ``v`` too."""
     import numpy as np
 
     m = float(np.mean(v))
-    d = v - m
+    np.subtract(v, m, out=d)
     if not third:
         d *= d
         return v.size, m, float(np.sum(d))
-    d2 = d * d
-    s2 = float(np.sum(d2))
-    d2 *= d  # numpy's pairwise sum, not a BLAS dot, so M3 ignores the thread count
-    return v.size, m, s2, float(np.sum(d2))
+    np.multiply(d, d, out=v)
+    s2 = float(np.sum(v))
+    v *= d  # numpy's pairwise sum, not a BLAS dot, so M3 ignores the thread count
+    return v.size, m, s2, float(np.sum(v))
+
+
+def _partition(
+    plan: TrialPlan, rng: np.random.Generator, x: np.ndarray, scratch: np.ndarray
+) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """``x.size`` trials from ``rng``: ``(n, mean, M2)`` of the draws
+    ``x - shift``, ``(n, mean, M2, M3)`` of ``|x - shift|**(1/q)`` and the
+    largest ``|x - shift|``.  The draws have the bits of ``sample(rng,
+    x.size)``; ``x`` and ``scratch`` (the uniforms, then the deviations) are
+    overwritten.  Raises ``DomainError`` before the powers are taken if, at
+    this largest deviation, the trials' sum of cubes would overflow."""
+    import numpy as np
+
+    dist = plan.distribution
+    rng.standard_gamma(1.0 + 1.0 / dist.alpha, out=x)
+    dist._from_gamma(rng, x, scratch)
+    xm = _moments(x, scratch, third=False)
+    np.abs(x, out=x)  # from here on x holds |x - shift|, then its 1/q-th power
+    top = float(np.max(x))
+    if top > 0.0 and 3.0 * math.log(top) / plan.q + math.log(plan.trials) >= EXP_MAX:
+        raise DomainError(
+            f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows at the largest "
+            f"|x - shift| = {top:.3g}"
+        )
+    x **= 1.0 / plan.q
+    return xm, _moments(x, scratch, third=True), top
 
 
 def _merge(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
@@ -221,33 +199,55 @@ def _mean_interval(moments: tuple[float, ...]) -> tuple[float, float]:
 
 
 def _accumulate(plan: TrialPlan) -> tuple[tuple[float, ...], tuple[float, ...], float]:
-    """One pass over the partitions: the merged ``(n, mean, M2)`` of the
-    draws ``x - shift``, ``(n, mean, M2, M3)`` of ``|x - shift|**(1/q)`` and
-    the largest ``|x - shift|``.
+    """Every ``_partition``, merged in partition order.
 
-    Raises ``DomainError`` before a partition's powers are taken if, at the
-    largest deviation so far, the trials' sum of cubes would overflow.
-    """
-    import numpy as np
+    The caller runs the even partitions and one helper thread the odd ones,
+    each in its own block (numpy's draws and ufuncs release the GIL).  A
+    thread stops at its own failure and starts no partition after one known
+    to have failed, so the earliest failure, as a serial pass raises it, is
+    raised once the helper is joined."""
+    import threading
 
-    log_n = math.log(plan.trials)
-    x_moments = y_moments = None
-    top = 0.0
-    with closing(_partitions(plan)) as partitions:
-        for x in partitions:
-            xm = _moments(x, third=False)
-            np.abs(x, out=x)  # from here on x holds |x - shift|, then its 1/q-th power
-            top = max(top, float(np.max(x)))
-            if top > 0.0 and 3.0 * math.log(top) / plan.q + log_n >= EXP_MAX:
-                raise DomainError(
-                    f"order q = {plan.q} is too small: |x - shift|**(1/q) overflows at the largest "
-                    f"|x - shift| = {top:.3g}"
-                )
-            x **= 1.0 / plan.q
-            ym = _moments(x, third=True)
-            x_moments = xm if x_moments is None else _merge(x_moments, xm)
-            y_moments = ym if y_moments is None else _merge(y_moments, ym)
-    return x_moments, y_moments, top
+    import numpy as np  # only sampling needs numpy; keep it off the import path
+
+    n_parts = (plan.trials + PARTITION_SIZE - 1) // PARTITION_SIZE
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(plan.master_seed).spawn(n_parts)]
+    sizes = [min(PARTITION_SIZE, plan.trials - k * PARTITION_SIZE) for k in range(n_parts)]
+    results: list = [None] * n_parts
+    failed = [n_parts, n_parts]  # where each thread failed, written by that thread only
+
+    def run(t: int) -> None:
+        x, scratch = blocks[t]
+        for k in range(t, n_parts, 2):
+            if failed[1 - t] < k:
+                return
+            try:
+                results[k] = _partition(plan, rngs[k], x[: sizes[k]], scratch[: sizes[k]])
+            except Exception as exc:
+                results[k], failed[t] = exc, k
+                return
+
+    # Made before the blocks: its Event's deque block, made after them, would
+    # sit above them on the heap and keep them from rejoining the free top.
+    helper = threading.Thread(target=run, args=(1,))
+    blocks = [np.empty((2, m)) for m in sizes[:2]]  # a thread's draws and scratch
+    if n_parts > 1:
+        helper.start()
+    try:
+        run(0)
+    except BaseException:  # an interrupt: the helper starts no more partitions
+        failed[0] = -1
+        raise
+    finally:
+        if n_parts > 1:
+            helper.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    x_moments, y_moments, _ = results[0]
+    for xm, ym, _ in results[1:]:
+        x_moments, y_moments = _merge(x_moments, xm), _merge(y_moments, ym)
+    return x_moments, y_moments, max(top for _, _, top in results)
 
 
 def three_sigma_check(
@@ -272,7 +272,7 @@ def run_trials(plan: TrialPlan) -> TrialReport:
     convergence.  Raises ``DomainError`` when, judged from the largest
     deviation, the sum of cubes of |x - shift|**(1/q), which the interval
     needs, would overflow double range (checked as each partition is drawn,
-    see ``_accumulate``), or when those cubes or the squares that the
+    see ``_partition``), or when those cubes or the squares that the
     standard error sums underflow it.
     """
     x_moments, y_moments, top = _accumulate(plan)

@@ -469,7 +469,8 @@ def hellinger_distance(
                 gap = two_q * (lo - (s + d) ** alpha)
         except OverflowError:
             return exp(-2.0 * lo)
-        if gap == 0.0:
+        # nan where -2q lo overflows at d == 0; exp(-2 lo) is 0 there too
+        if not gap < 0.0:
             return 0.0
         return exp(-2.0 * lo + log(-expm1(gap)) / q)
 

@@ -155,16 +155,19 @@ class ProbeDistribution:
         ``y`` cannot underflow.  The gamma draw happens before the uniform
         draw; keep that order for stream-for-stream reproducibility.  The
         transform is ``_from_gamma``, which callers that draw ``y`` themselves
-        (the Monte Carlo prefetch) share.
+        (the Monte Carlo partitions) share.
         """
         if n < 1:
             raise DomainError(f"sample count must be at least 1, got {n}")
         return self._from_gamma(rng, rng.standard_gamma(1.0 + 1.0 / self.alpha, size=n))
 
-    def _from_gamma(self, rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
+    def _from_gamma(
+        self, rng: np.random.Generator, y: np.ndarray, v: np.ndarray | None = None
+    ) -> np.ndarray:
         """The draws for standard gamma variates ``y`` of shape ``1 + 1/alpha``,
         written over ``y``; the uniforms ``u`` come from ``rng``, one per draw,
-        and each draw is ``gamma * (2u - 1) * (y / 2)**(1/alpha)``."""
+        into ``v`` if given (it must have ``y``'s size and is left holding
+        ``gamma * (2u - 1)``), and each draw is ``gamma * (2u - 1) * (y / 2)**(1/alpha)``."""
         # the largest |draw| is at most gamma * (top / 2)**(1/alpha), and the
         # power is taken before gamma joins it: neither may pass exp(EXP_MAX)
         top = float(y.max())
@@ -175,7 +178,7 @@ class ProbeDistribution:
                     f"shape alpha = {self.alpha} is too small to sample at gamma = "
                     f"{self.gamma_scale}: a draw overflows double range"
                 )
-        v = rng.random(y.size)
+        v = rng.random(y.size, out=v)
         v *= 2.0
         v -= 1.0
         v *= self.gamma_scale

@@ -33,7 +33,7 @@ DEFAULT_RUNS = [
      "269be2867ef7b81f802e94cc6d93359f0f100b2066ff22be0c55ec9be0661f35", 180, 47_430),
     (["sweep", "--quantity", "fisher"],
      "cf47d09e2fe8f30cb36305b903f3bc467bc8aa467ff4aa6b505a83743e47f79c", 180, 51_960),
-    # four partitions, so every prefetched gamma buffer is in the bytes
+    # four partitions, two on each thread, so both threads' draws are in the bytes
     (["simulate", "--alpha", "2", "--q", "0.5", "--eps", "0.3", "--trials", "1000000", "--seed", "1"],
      "3162fe57dba2ca3e5183fa1cf43d516fdc3bcf049e04df95526cc31165103a1b", 0, 0),
 ]

@@ -7,6 +7,7 @@ import statistics
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import genfisher
+from genfisher import estimation
 from genfisher.estimation import (
     CI_COVERAGE,
     CI_Z,
@@ -292,8 +294,9 @@ class TestStreaming:
         assert len(m3) == 1, m3
 
     def test_peak_memory_does_not_grow_with_trials(self):
-        # one partition is held at a time, so 4e6 trials peak within 10 MB
-        # of 1e6; whole arrays would take about 39 MB more per 1e6 trials
+        # two partitions' draws and scratch are held at a time, so 4e6 trials
+        # peak within 10 MB of 1e6; whole arrays would take about 39 MB more
+        # per 1e6 trials
         peak_1m, peak_4m = peak_rss_mb(1_000_000), peak_rss_mb(4_000_000)
         assert peak_4m - peak_1m <= 10.0, (peak_1m, peak_4m)
 
@@ -323,6 +326,124 @@ class TestHelperThread:
         before = threading.active_count()
         run_trials(plan(trials=600_000, seed=0))
         assert threading.active_count() == before
+
+
+class Schedule:
+    """Wraps ``estimation._partition`` and numbers its calls: the caller runs
+    partitions 0, 2, ... and the helper thread 1, 3, ..., each in order.
+    ``hold(schedule, k)`` runs just before partition k, ``started`` lists
+    the partitions started, in the order they were entered, and ``done[k]``
+    is set once partition k has returned or raised."""
+
+    def __init__(self, monkeypatch, n_parts, hold):
+        real = estimation._partition
+        caller = threading.get_ident()
+        calls = {True: 0, False: 0}
+        self.started = []
+        self.done = [threading.Event() for _ in range(n_parts)]
+
+        def wrapped(*args):
+            on_caller = threading.get_ident() == caller
+            k = 2 * calls[on_caller] + (not on_caller)
+            calls[on_caller] += 1
+            self.started.append(k)
+            hold(self, k)
+            try:
+                return real(*args)
+            finally:
+                self.done[k].set()
+
+        monkeypatch.setattr(estimation, "_partition", wrapped)
+
+    def wait(self, k):
+        assert self.done[k].wait(timeout=60.0), f"partition {k} never finished"
+
+
+def hexes(report):
+    return {
+        f.name: v.hex() if isinstance(v, float) else v
+        for f in dataclasses.fields(report)
+        for v in [getattr(report, f.name)]
+    }
+
+
+class TestSchedule:
+    # 750 001 trials: four partitions, the caller's 0 and 2 and the helper's
+    # 1 and 3, which holds a single trial
+    @pytest.mark.parametrize("delayed", ["helper", "caller"])
+    def test_report_does_not_depend_on_the_thread_schedule(self, monkeypatch, delayed):
+        p = plan(alpha=1.5, q=0.25, trials=750_001, seed=17)
+        expected = hexes(run_trials(p))
+        parity = 1 if delayed == "helper" else 0
+        schedule = Schedule(monkeypatch, 4, lambda s, k: k % 2 == parity and time.sleep(0.05))
+        assert hexes(run_trials(p)) == expected
+        assert sorted(schedule.started) == [0, 1, 2, 3]
+
+    # Seed 3, 10**6 trials, q = 0.0036: partition 0's largest deviation
+    # (2.27) keeps the sum of cubes in range and those of partitions 1, 2
+    # and 3 (2.37, 2.50, 2.42) do not, so both threads fail.
+    FAILING = dict(q=0.0036, trials=1_000_000, seed=3)
+
+    @pytest.mark.parametrize(
+        "order, started",
+        [
+            # the helper's partition 1 waits until the caller's 2 has failed
+            ("later failure first", [0, 1, 2]),
+            # the caller's partition 0 waits until the helper's 1 has failed,
+            # so the caller never starts partition 2
+            ("earliest failure first", [0, 1]),
+        ],
+    )
+    def test_earliest_failure_wins(self, monkeypatch, order, started):
+        p = plan(**self.FAILING)
+        deviations = np.abs(draws(p))
+        tops = [float(deviations[k : k + PARTITION_SIZE].max()) for k in range(0, p.trials, PARTITION_SIZE)]
+        log_n = math.log(p.trials)
+        fails = [3.0 * math.log(top) / p.q + log_n >= EXP_MAX for top in tops]
+        assert fails == [False, True, True, True] and len({f"{t:.3g}" for t in tops[1:3]}) == 2
+
+        def hold(schedule, k):
+            if order == "later failure first" and k == 1:
+                schedule.wait(2)
+            if order == "earliest failure first" and k == 0:
+                schedule.wait(1)
+
+        schedule = Schedule(monkeypatch, 4, hold)
+        before = threading.active_count()
+        with pytest.raises(DomainError) as info:
+            run_trials(p)
+        assert str(info.value) == (
+            f"order q = {p.q} is too small: |x - shift|**(1/q) overflows at the largest "
+            f"|x - shift| = {tops[1]:.3g}"
+        )
+        assert sorted(schedule.started) == started
+        assert threading.active_count() == before
+
+    def test_one_partition_starts_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        during = []
+        schedule = Schedule(monkeypatch, 1, lambda s, k: during.append(threading.active_count()))
+        assert run_trials(plan(trials=PARTITION_SIZE, seed=2)).trials == PARTITION_SIZE
+        assert schedule.started == [0] and during == [before]
+
+    def test_concurrent_runs_under_fast_switching(self):
+        # four callers, each with its own helper, on a small machine; a 10 us
+        # switch interval interleaves their bookkeeping as finely as it can
+        p = plan(trials=500_001, seed=23)
+        expected = hexes(run_trials(p))
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=lambda: got.append(hexes(run_trials(p)))) for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [expected] * 4
 
 
 class TestInterval:
@@ -393,7 +514,7 @@ class TestInterval:
 
 def test_import_path_stays_light():
     # The interval's z is a constant, so no statistics package is imported,
-    # only sampling imports numpy, and the gamma prefetch uses ``threading``
+    # only sampling imports numpy, and the helper thread uses ``threading``
     # (already loaded), not ``concurrent.futures``, whose import is slow.
     # ``genfisher.estimation`` itself stays on the import path: ``from
     # genfisher import run_trials`` and the benchmark's tracer look it up in

@@ -49,6 +49,16 @@ class TestHellingerDistance:
     def test_zero_shift_is_zero(self):
         assert hellinger_distance(GAUSS, 0.0, 0.5).value == 0.0
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 10.0])
+    def test_zero_shift_is_zero_where_the_power_nears_overflow(self, q):
+        # At alpha = 500 the split 6 puts nodes where s**alpha lies within a
+        # factor 2q of the largest double: -2q s**alpha overflows, and times
+        # the gap's expm1(0) = 0 it once gave nan (IntegrandError at q >= 2).
+        dist = ProbeDistribution.from_shape_scale(500.0, 1.0)
+        for spec in (None, QuadratureSpec(split_points=(6.0,))):
+            got = hellinger_distance(dist, 0.0, q, spec)
+            assert got.value == 0.0 and got.quad_detail.converged
+
     def test_gaussian_hellinger_anchor(self):
         # affinity of two sigma = 1/2 Gaussians shifted by eps is
         # exp(-eps^2 / (8 sigma^2)), so D = 1 - exp(-eps^2 / 2)

@@ -19,13 +19,13 @@ with a value), 2 usage or configuration error, an unwritable ``--out``
 included.  ``main`` alone writes the output file and stdout, so a run that
 fails writes no file.
 
-Each sweep quantity has one closed form and one quadrature route; ``eps_min``
-and ``fisher`` read one Fisher route, ``eps_min`` its value F_q**(-q) and
-``fisher`` its integral F_q, in ``sweep`` and ``verify`` alike.  Each command
-runs each distinct moment integral once: its kernel depends on the shape and
-the power alone (``measures.shared_integrals``), so the width's integrals at
-one shape, or the Fisher route's and the mean error's at alpha = 2, share a
-run, and nothing is kept once the command returns.
+Each sweep quantity has one closed form and one quadrature route, and each
+row reads its own route's value.  Each command runs each distinct moment
+integral once: its kernel depends on the shape and the power alone
+(``measures.shared_integrals``), so the ``eps_min`` and ``fisher`` lines at one
+point, whose routes are F_q**(-q) and F_q of one Fisher integral, share a run,
+as do the width's integrals at one shape, or the Fisher route's and the mean
+error's at alpha = 2; nothing is kept once the command returns.
 Every quadrature route integrates a unit-scale kernel on one folded
 half-line, so by construction the distance is even in the shift and depends
 on the scale only through eps / gamma, and the mean error is independent of
@@ -79,27 +79,27 @@ __all__ = [
     "entrypoint",
 ]
 
-# Closed form and quadrature route of each sweep quantity at (dist, q), and
-# whether the row reads the route's integral (``quad_detail``) rather than
-# its value.  eps_min and fisher share one route object, the Fisher route
-# reported as eps_min = F_q**(-q): its value is taken from ln F_q, so it
-# stays in range where F_q does not, and its integral is F_q.  The lambdas
-# look the functions up in `measures` at call time, so wrappers installed
-# on that module see every call.
-_FISHER_ROUTE = lambda d, q: measures.sensitivity_quadrature(d, q)  # noqa: E731
+# Closed form and quadrature route of each sweep quantity at (dist, q).
+# eps_min's route takes F_q**(-q) from ln F_q, so it stays in range where
+# F_q does not.  The lambdas look the functions up in `measures` at call
+# time, so wrappers installed on that module see every call.
 _ROUTES = {
-    "eps_min": (lambda d, q: measures.sensitivity_closed(d, q), _FISHER_ROUTE, False),
+    "eps_min": (
+        lambda d, q: measures.sensitivity_closed(d, q),
+        lambda d, q: measures.sensitivity_quadrature(d, q),
+    ),
     "posterior_width": (
         lambda d, q: measures.posterior_width_closed(d, q),
         lambda d, q: measures.posterior_width_quadrature(d, q),
-        False,
     ),
     "mean_error": (
         lambda d, q: measures.mean_error_closed(d, q),
         lambda d, q: measures.mean_error_quadrature(d, 0.0, q),
-        False,
     ),
-    "fisher": (lambda d, q: measures.fisher_closed(d, q), _FISHER_ROUTE, True),
+    "fisher": (
+        lambda d, q: measures.fisher_closed(d, q),
+        lambda d, q: measures.fisher_quadrature(d, q),
+    ),
 }
 QUANTITIES = tuple(_ROUTES)
 
@@ -216,29 +216,19 @@ def _status(exc: Exception) -> str:
     return "out_of_domain" if isinstance(exc, DomainError) else "out_of_range"
 
 
-def _integral(route, dist: ProbeDistribution, q: float) -> tuple[float, float, bool]:
-    """(value, integral, converged) of the quadrature ``route`` at (dist,
-    q): a non-converged quadrature keeps its best estimates, ``nan`` after
-    any other numeric failure."""
-    try:
-        measure = route(dist, q)
-        return measure.value, measure.quad_detail.value, True
-    except ConvergenceError as exc:
-        return exc.value, exc.result.value, False
-    except _NUMERIC_ERRORS:
-        return math.nan, math.nan, False
-
-
 def _sweep_row(
     quantity: str, alpha: float, q: float, energy: float, parity_tol: float
 ) -> SweepRow:
     """Closed and quadrature values of ``quantity`` at one (alpha, q) point.
 
     A failure of the probe or the closed value gives the row its
-    ``_status`` and runs no quadrature route; the row reads the route's
-    value or its integral, a non-converged quadrature no_converge.
+    ``_status`` and runs no quadrature route.  The row reads its own
+    route's value; inside ``measures.shared_integrals`` the eps_min and
+    fisher rows at one point read one Fisher run.  A non-converged
+    quadrature reads its best estimate and no_converge, any other numeric
+    failure ``nan`` and no_converge.
     """
-    closed_form, route, reads_integral = _ROUTES[quantity]
+    closed_form, route = _ROUTES[quantity]
     gamma = None
     try:
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
@@ -246,8 +236,12 @@ def _sweep_row(
         closed = closed_form(dist, q).value
     except _STATUS_ERRORS as exc:
         return SweepRow(alpha, q, energy, gamma, None, None, None, _status(exc))
-    value, integral_value, converged = _integral(route, dist, q)
-    quad = integral_value if reads_integral else value
+    try:
+        quad, converged = route(dist, q).value, True
+    except ConvergenceError as exc:
+        quad, converged = exc.value, False
+    except _NUMERIC_ERRORS:
+        quad, converged = math.nan, False
     rel = abs(closed - quad) / abs(closed)
     status = "ok" if converged and rel <= parity_tol else "no_converge"
     return SweepRow(alpha, q, energy, gamma, closed, quad, rel, status)
@@ -490,9 +484,12 @@ def verify_report(
 
 
 def _load_config(path: str) -> dict[str, str]:
+    """The file's ``key = value`` pairs; a file that cannot be read as
+    UTF-8, a line without ``=`` or with a NUL byte (which no flag given in
+    argv can carry) raises ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -501,6 +498,8 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if "\0" in line:
+            raise ConfigError(f"{path}:{lineno}: NUL byte in {line!r}")
         key, _, value = line.partition("=")
         out[key.strip().lower().replace("-", "_")] = value.strip()
     return out

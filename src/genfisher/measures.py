@@ -76,6 +76,7 @@ from .numerics import (
     DomainError,
     QuadratureResult,
     QuadratureSpec,
+    _tail,
     integrate_half_line,
     log_gamma,
     safe_exp,
@@ -217,9 +218,10 @@ def shared_integrals() -> Iterator[None]:
     """Inside the block, each distinct moment integral runs the engine once.
 
     The moment routes' integral depends on the shape and the power only
-    (see ``_moment``), so the width at alpha = 1 and the Fisher route there,
-    or the Fisher route at alpha = 2 and the mean error at the same order,
-    read one run.  The outcomes are dropped when the block exits, however
+    (see ``_moment``), so ``fisher_quadrature`` and ``sensitivity_quadrature``
+    at one point, the width at alpha = 1 and the Fisher route there, or the
+    Fisher route at alpha = 2 and the mean error at the same order, read one
+    run.  The outcomes are dropped when the block exits, however
     it exits, so nothing outlives it; ``cli.run_sweep`` and
     ``cli.verify_report`` each run in one such block."""
     token = _RUNS.set({})
@@ -254,22 +256,23 @@ def _quadrature(
     runs.  ``kernel`` declares the identity of ``integrand`` and ``tail``:
     inside ``shared_integrals`` the engine's raw result, or the exception
     it raised, is kept under ``(kernel, spec)`` and handed to every later
-    caller with that key, which then applies its own map and label.
+    caller with that key, which then applies its own map and label.  An
+    integral with no ``kernel``, or outside the block, takes the same path
+    through a dict of its own, dropped on return.
     """
     runs = None if kernel is None else _RUNS.get()
     if runs is None:
-        result = integrate_half_line(integrand, spec, tail)
-    else:
-        key = (kernel, spec)
-        if key not in runs:
-            try:
-                runs[key] = integrate_half_line(integrand, spec, tail)
-            except Exception as exc:
-                runs[key] = exc
-                raise
-        result = runs[key]
-        if isinstance(result, Exception):
-            raise result.with_traceback(None)
+        runs = {}
+    key = (kernel, spec)
+    if key not in runs:
+        try:
+            runs[key] = integrate_half_line(integrand, spec, tail)
+        except Exception as exc:
+            runs[key] = exc
+            raise
+    result = runs[key]
+    if isinstance(result, Exception):
+        raise result.with_traceback(None)
     log_value, log_error = (
         log_scale + math.log(v) if v > 0.0 else -math.inf
         for v in (result.value, result.abs_error_estimate)
@@ -440,7 +443,8 @@ def hellinger_distance(
     split ``a`` the folded variable is ``s`` itself, so the integrand is
     exactly +0.0 there once ``a**alpha >= 373`` (``exp(-746.0) == 0.0``;
     alpha > 4.27 at ``a = 4``).  The tail piece is then left out, which
-    moves no bit; otherwise the engine gets it in the map's variable.
+    moves no bit; otherwise it is the engine's generic tail map of the
+    integrand.
     """
     q, eps = _require_order(q), _require_shift(eps)
     alpha, e = dist.alpha, abs(eps) / dist.gamma_scale
@@ -499,16 +503,7 @@ def hellinger_distance(
                 return None
         except OverflowError:
             return None
-
-        def mapped(r: float) -> float:
-            u = 1.0 - r
-            try:
-                x = a + r / u
-            except ZeroDivisionError:
-                raise tail_node_error(r, a) from None
-            return integrand(x) / (u * u)
-
-        return mapped
+        return _tail(integrand, a, 1.0)
 
     label = lambda: f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
     log_c = ProbeDistribution(alpha, 1.0).log_norm_const

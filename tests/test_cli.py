@@ -62,10 +62,14 @@ class TestVerifyCommand:
         assert rc == 1
         assert "overall: FAIL" in read(out)
 
-    def test_malformed_config_is_usage_error(self, tmp_path):
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys):
+        # a line without '=', a file that is not UTF-8, a NUL byte in a value
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("this line has no equals sign\n", encoding="utf-8")
-        assert main(["verify", "--config", str(cfg)]) == 2
+        for text in (b"this line has no equals sign\n", b"\xff\xfe q = 1\n", b"out = a\x00b\n"):
+            cfg.write_bytes(text)
+            assert main(["verify", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(cfg) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_bad_tolerance_is_usage_error(self, tmp_path, tol):
@@ -159,6 +163,24 @@ class TestVerifyCommand:
         assert reads.count(point) == 2 and runs.count(point) == 1
         parity = [l for l in report.splitlines() if l.startswith("parity ")]
         assert len(parity) == 4 and all(l.endswith(" PASS") for l in parity)
+
+    def test_fisher_value_is_the_sensitivity_route_integral(self):
+        # What the shared run relies on: the fisher line's value, converged
+        # or not, is the integral the eps_min line's route holds, bit for bit.
+        for alpha in cli._VERIFY_ALPHAS:
+            for q in cli._VERIFY_QS:
+                dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
+                fisher = measures.fisher_quadrature(dist, q)
+                eps_min = measures.sensitivity_quadrature(dist, q)
+                assert fisher.value.hex() == eps_min.quad_detail.value.hex()
+        spec = QuadratureSpec(rel_tol=1e-15, max_evaluations=30)
+        for alpha, q in ((0.8, 0.25), (2.0, 0.5), (20.0, 4.0)):
+            dist = ProbeDistribution.from_shape_energy(alpha, 1.0)
+            with pytest.raises(ConvergenceError) as fisher:
+                measures.fisher_quadrature(dist, q, spec)
+            with pytest.raises(ConvergenceError) as eps_min:
+                measures.sensitivity_quadrature(dist, q, spec)
+            assert fisher.value.value.hex() == eps_min.value.result.value.hex()
 
     def test_eps_min_runs_the_fisher_quadrature_of_an_out_of_range_fisher_line(
         self, fisher_routes

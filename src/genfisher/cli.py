@@ -63,7 +63,7 @@ from pathlib import Path
 
 from . import measures
 from .estimation import TrialPlan, run_trials, three_sigma_check
-from .numerics import ConvergenceError, DomainError, log_gamma
+from .numerics import ConvergenceError, DomainError, is_count, log_gamma
 from .probe import ProbeDistribution
 
 __all__ = [
@@ -150,8 +150,8 @@ class AlphaGrid:
             raise ConfigError(f"alpha grid minimum must be positive, got {self.min}")
         if not (self.min < self.max < math.inf):
             raise ConfigError("alpha grid maximum must be finite and exceed the minimum")
-        if self.count < 2:
-            raise ConfigError(f"alpha grid needs at least 2 points, got {self.count}")
+        if not is_count(self.count, 2):
+            raise ConfigError(f"alpha grid needs at least 2 points (an integer), got {self.count}")
         if self.spacing not in _SPACINGS:
             raise ConfigError(f"alpha grid spacing must be one of {_SPACINGS}, got {self.spacing!r}")
 
@@ -281,8 +281,10 @@ def surface_to_csv(
 ) -> str:
     """Density surface rows (ln alpha, x, pdf), alpha-major; a shape at or
     below 1/2 raises the probe's DomainError (energy normalization)."""
-    if x_count < 2 or not (-math.inf < x_min < x_max < math.inf):
-        raise ConfigError("surface x range needs finite x_min < x_max and at least 2 points")
+    if not is_count(x_count, 2) or not (-math.inf < x_min < x_max < math.inf):
+        raise ConfigError(
+            "surface x range needs finite x_min < x_max and at least 2 points (an integer)"
+        )
     lines = ["ln_alpha,x,pdf"]
     for alpha in alpha_grid.points():
         dist = ProbeDistribution.from_shape_energy(alpha, energy)
@@ -484,11 +486,12 @@ def verify_report(
 
 
 def _load_config(path: str) -> dict[str, str]:
-    """The file's ``key = value`` pairs; a file that cannot be read as
-    UTF-8, a line without ``=`` or with a NUL byte (which no flag given in
-    argv can carry) raises ConfigError."""
+    """The file's ``key = value`` pairs; a leading byte-order mark is
+    dropped.  A file that cannot be read as UTF-8, a line without ``=`` or
+    with a NUL byte (which no flag given in argv can carry) raises
+    ConfigError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .measures import _require_order, _require_shift, mean_error_closed
-from .numerics import EXP_MAX, DomainError
+from .numerics import EXP_MAX, DomainError, is_count
 from .probe import ProbeDistribution
 
 if TYPE_CHECKING:
@@ -88,13 +88,16 @@ class TrialPlan:
 
     def __post_init__(self):
         _require_order(self.q)
-        if self.trials < 1:
-            raise DomainError(f"trials must be at least 1, got {self.trials}")
-        if self.master_seed < 0:
-            raise DomainError(f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.bootstrap_resamples < 100:
+        if not is_count(self.trials, 1):
+            raise DomainError(f"trials must be at least 1 and an integer, got {self.trials}")
+        if not is_count(self.master_seed, 0):
             raise DomainError(
-                f"bootstrap_resamples must be at least 100, got {self.bootstrap_resamples}"
+                f"master_seed must be nonnegative and an integer, got {self.master_seed}"
+            )
+        if not is_count(self.bootstrap_resamples, 100):
+            raise DomainError(
+                "bootstrap_resamples must be at least 100 and an integer, "
+                f"got {self.bootstrap_resamples}"
             )
         _require_shift(self.true_shift)
 

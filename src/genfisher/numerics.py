@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 __all__ = [
@@ -47,8 +48,6 @@ __all__ = [
     "log_gamma",
     "integrate_real_line",
     "integrate_half_line",
-    "safe_exp",
-    "tail_node_error",
 ]
 
 
@@ -122,8 +121,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf):
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        if self.max_evaluations < 1:
-            raise DomainError("max_evaluations must be at least 1")
+        if not is_count(self.max_evaluations, 1):
+            raise DomainError(
+                f"max_evaluations must be at least 1 and an integer, got {self.max_evaluations}"
+            )
         pts = tuple(float(p) for p in self.split_points)
         if any(not math.isfinite(p) for p in pts):
             raise DomainError("split points must be finite")
@@ -148,6 +149,11 @@ def log_gamma(x: float) -> float:
     if not (x > 0.0):
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
+
+
+def is_count(n, least: int) -> bool:
+    """Whether ``n`` is an integer (numpy's included, a bool not) of at least ``least``."""
+    return isinstance(n, Integral) and not isinstance(n, bool) and n >= least
 
 
 def safe_exp(x: float) -> float:

@@ -33,6 +33,7 @@ from .numerics import (
     LN2,
     DomainError,
     QuadratureSpec,
+    is_count,
     log_gamma,
     safe_exp,
 )
@@ -157,8 +158,8 @@ class ProbeDistribution:
         transform is ``_from_gamma``, which callers that draw ``y`` themselves
         (the Monte Carlo partitions) share.
         """
-        if n < 1:
-            raise DomainError(f"sample count must be at least 1, got {n}")
+        if not is_count(n, 1):
+            raise DomainError(f"sample count must be at least 1 and an integer, got {n}")
         return self._from_gamma(rng, rng.standard_gamma(1.0 + 1.0 / self.alpha, size=n))
 
     def _from_gamma(

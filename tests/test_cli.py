@@ -19,6 +19,7 @@ from genfisher.cli import (
     SweepConfig,
     main,
     run_sweep,
+    surface_to_csv,
     sweep_to_csv,
     verify_report,
 )
@@ -405,6 +406,12 @@ class TestRunSweepLibrary:
             AlphaGrid(1.0, 2.0, 1)
         with pytest.raises(ConfigError):
             AlphaGrid(1.0, 2.0, 5, "cubic")
+        with pytest.raises(ConfigError):
+            AlphaGrid(1.0, 2.0, 2.5)
+        with pytest.raises(ConfigError):
+            AlphaGrid(1.0, 2.0, True)
+        with pytest.raises(ConfigError):
+            surface_to_csv(1.0, AlphaGrid(1.0, 2.0, 2), -1.0, 1.0, 2.5)
 
     def test_rejects_bad_config(self):
         grid = AlphaGrid(1.0, 2.0, 3)
@@ -559,14 +566,16 @@ class TestConfigFile:
         ids=lambda argv: argv[0],
     )
     def test_file_gives_the_same_output_as_flags(self, tmp_path, capsys, argv):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(_as_config(argv[1:]), encoding="utf-8")
-        a, b = tmp_path / "flags.out", tmp_path / "file.out"
+        a = tmp_path / "flags.out"
         rc = main(argv + ["--out", str(a)])
         by_flags = capsys.readouterr().err
-        assert main([argv[0], "--config", str(cfg), "--out", str(b)]) == rc == 0
-        assert capsys.readouterr().err == by_flags
-        assert a.read_bytes() == b.read_bytes()
+        # "utf-8-sig" starts the file with a byte-order mark, as Windows Notepad does
+        for encoding in ("utf-8", "utf-8-sig"):
+            cfg, b = tmp_path / f"{encoding}.cfg", tmp_path / f"{encoding}.out"
+            cfg.write_text(_as_config(argv[1:]), encoding=encoding)
+            assert main([argv[0], "--config", str(cfg), "--out", str(b)]) == rc == 0
+            assert capsys.readouterr().err == by_flags
+            assert a.read_bytes() == b.read_bytes()
 
     def test_bootstrap_key_is_deprecated_and_validated(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"

@@ -106,12 +106,14 @@ def coverage(alpha, q, shift, seeds=1000):
 
 class TestValidation:
     def test_rejects_zero_trials(self):
-        with pytest.raises(DomainError):
-            plan(trials=0)
+        for trials in (0, 2.5, math.nan, math.inf, True):
+            with pytest.raises(DomainError):
+                plan(trials=trials)
 
     def test_rejects_small_bootstrap(self):
-        with pytest.raises(DomainError):
-            plan(boots=50)
+        for boots in (50, math.nan, 200.0):
+            with pytest.raises(DomainError):
+                plan(boots=boots)
 
     def test_rejects_nonpositive_order(self):
         with pytest.raises(DomainError):
@@ -119,8 +121,9 @@ class TestValidation:
 
     def test_rejects_negative_seed(self):
         # SeedSequence takes nonnegative entropy only
-        with pytest.raises(DomainError, match="master_seed"):
-            plan(seed=-1)
+        for seed in (-1, 1.5):
+            with pytest.raises(DomainError, match="master_seed"):
+                plan(seed=seed)
         assert plan(seed=0).master_seed == 0
 
 

@@ -266,6 +266,11 @@ class TestQuadratureSpec:
             {"max_evaluations": 0},
             {"split_points": (float("inf"),)},
             {"split_points": (float("nan"),)},
+            {"max_evaluations": 30.5},
+            {"max_evaluations": 2.5e6},
+            {"max_evaluations": float("nan")},
+            {"max_evaluations": float("inf")},
+            {"max_evaluations": True},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):

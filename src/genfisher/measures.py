@@ -310,9 +310,13 @@ def _moment(
     ``I = sigma**(p+1) e**-b int_0^inf t**p exp(-b (t**alpha - 1)) dt``.
     The kernel in ``t`` peaks at ``t = 1`` (for ``p / alpha < 1`` that is
     its e-fold edge) at a value of order 1, whatever the order or the
-    scale; it is split there only, and ``(p + 1) ln sigma - b`` joins
+    scale; it is split there, and ``(p + 1) ln sigma - b`` joins
     ``log_scale``.  The integral in ``t`` thus depends on ``(alpha, p)``
     and the spec alone, which ``_quadrature`` is given as its identity.
+    At tiny orders the peak is a spike ``1/(alpha sqrt(b))`` wide below 1
+    and ``1/sqrt(b)`` in ``u`` beyond, which seed nodes can miss; where
+    ``w = 8/sqrt(b) < min(1/16, alpha/2)`` it is bracketed by splits at
+    ``1 - w/alpha`` and ``1 + w`` as well, eight widths out.
 
     The engine gets the kernel as two integrands, each chosen once per
     integral, so an evaluation is one Python call.  The head, on
@@ -320,12 +324,11 @@ def _moment(
     ``m = n / (p + 1)``: the first panel integrates the integer power times
     smooth exponential ``m tau**(n-1) exp(-b (tau**(alpha m) - 1))``,
     bounded even where ``t**p`` is singular; where ``e**b`` overflows it is
-    taken in log form, ``m exp((n-1) ln tau - b (tau**(alpha m) - 1))``,
-    and otherwise the power is dropped at ``n = 1`` and is ``tau`` itself
-    at ``n = 2``, both exact.  Beyond 1 the kernel substitutes
-    ``u = t**alpha`` (``u = 1`` at the split) and integrates the gamma
-    integrand ``(1/alpha) u**e exp(-b (u - 1))``, ``e = (p + 1)/alpha - 1``
-    (DLMF 5.2.1), in log form: no power of the variable sits in the
+    taken in log form, ``m exp((n-1) ln tau - b expm1(alpha m ln tau))``,
+    whose ``expm1`` keeps the digits of the exponent next to the spike.
+    Beyond 1 the kernel substitutes ``u = t**alpha`` (``u = 1`` at the
+    split) and integrates the gamma integrand ``(1/alpha) u**e exp(-b (u - 1))``,
+    ``e = (p + 1)/alpha - 1`` (DLMF 5.2.1), in log form: no power of the variable sits in the
     exponent, so nothing overflows before the exponential decays, and at
     small ``alpha`` the tail decays like ``e**-u``, where in ``t`` the same
     mass reaches out to ``t ~ 1e16`` (``alpha = 0.1``).  The tail, from the
@@ -333,7 +336,8 @@ def _moment(
     ``u = a + r/(1 - r)`` with Jacobian ``1/(1 - r)**2`` and ``safe_exp``'s
     overflow to inf inline: the bits of the generic map composed with the
     gamma integrand.  The head takes the gamma integrand itself at
-    ``t >= 1``, which a caller's split beyond 1 puts in the head's pieces.
+    ``t >= 1``, which a split beyond 1, the spike's or a caller's, puts in
+    its pieces.
     """
     b = max(p / alpha, 1.0)
     log_sigma = (math.log(b) - math.log(c)) / alpha
@@ -341,7 +345,7 @@ def _moment(
     m = n / (p + 1.0)
     k, am, nb = n - 1, alpha * m, -b
     e = (p + 1.0) / alpha - 1.0
-    exp, log = math.exp, math.log
+    exp, expm1, log = math.exp, math.expm1, math.log
 
     def gamma_form(u: float) -> float:
         return safe_exp(e * log(u) + nb * (u - 1.0)) / alpha
@@ -349,17 +353,7 @@ def _moment(
     if b > EXP_MAX:
         def head(t: float) -> float:
             if t < 1.0:
-                return m * exp(k * log(t) + nb * (t**am - 1.0))
-            return gamma_form(t)
-    elif k == 0:
-        def head(t: float) -> float:
-            if t < 1.0:
-                return m * exp(nb * (t**am - 1.0))
-            return gamma_form(t)
-    elif k == 1:
-        def head(t: float) -> float:
-            if t < 1.0:
-                return m * t * exp(nb * (t**am - 1.0))
+                return m * exp(k * log(t) + nb * expm1(am * log(t)))
             return gamma_form(t)
     else:
         def head(t: float) -> float:
@@ -383,7 +377,11 @@ def _moment(
         return mapped
 
     log_scale += (p + 1.0) * log_sigma - b
-    spec = _MOMENT_SPEC if spec is None else spec.with_splits((1.0,))
+    w = 8.0 / math.sqrt(b)
+    if w < 0.0625 and w < alpha / 2.0:
+        spec = (spec or QuadratureSpec()).with_splits((1.0 - w / alpha, 1.0, 1.0 + w))
+    else:
+        spec = _MOMENT_SPEC if spec is None else spec.with_splits((1.0,))
     return _quadrature(quantity, head, spec, label, log_scale, root, scale, tail, (alpha, p))
 
 

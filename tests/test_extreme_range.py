@@ -7,21 +7,23 @@ kernel and adds the probe's scale in log space, so the routes keep their
 digits at E = 1e-300 and 1e300.  The moment routes integrate their kernel
 in units of its own mass scale and add that scale in log space too, so at
 q = 1e-3, where the kernel integral itself leaves double range, and at
-q = 1e-300 they read their closed forms.  The file holds five xfails.  The
+q = 1e-300 they read their closed forms.  The file holds two xfails.  The
 mapped width: a mapped route certifies its integral, not the quantity, so
 just above q = 1 the width reads a converged wrong value.  The linearized
 0*inf: ``hellinger_linearized`` multiplies its factor in front of F_q by
 F_q itself, so where the factor underflows to 0 and F_q overflows to inf it
-reads nan.  The tiny-order spike (three xfails): at q = 1e-12 the Fisher
-and mean-error kernels are spikes narrower than the node spacing of the
-first panels, so both integrals read a converged 0; at q = 1e-10 the same
-checks pass.  An unexpected pass fails the suite (``xfail_strict``).
+reads nan.  An unexpected pass fails the suite (``xfail_strict``).  At
+tiny orders the Fisher and mean-error kernels are spikes narrower than the
+seed panels' node spacing; the routes bracket them, so down to q = 1e-14
+they read their closed forms and their integrals hold their whole mass.
 """
 
 import math
 
+import mpmath
 import pytest
 
+from genfisher import measures
 from genfisher.cli import main
 from genfisher.estimation import TrialPlan, run_trials
 from genfisher.measures import (
@@ -167,17 +169,11 @@ def test_linearized_distance_with_factor_and_fisher_beyond_double_range():
 
 # At tiny orders the Fisher kernel (p = (alpha - 1)/q) and the mean-error
 # kernel (p = 1/q), t**p exp(-b (t**alpha - 1)) with b = p / alpha, are spikes
-# of width about 1/(alpha sqrt(b)) at t = 1.  At q = 1e-10 (width near 1e-5)
-# F**-q and M**q read their closed forms to 6.9e-11, though each integral
-# converges to half its value: the q-th root turns that into q ln 2.  At
-# q = 1e-12 the first panels' nodes miss the spike, so each integral reads a
-# converged 0: F**-q is inf and M**q is 0.  The width (p = 0) has no spike
-# and reads its closed form.
-SPIKE = pytest.mark.xfail(raises=AssertionError, reason="kernel spike between nodes")
-
-
+# of width about 1/(alpha sqrt(b)) at t = 1.  Seed nodes that miss one side
+# of it read half the integral, which the q-th root hides as a relative error
+# of q ln 2; nodes that miss both read 0.  The routes bracket the spike.
 @pytest.mark.parametrize(
-    "q, expected", [(1e-10, 8.243606e-6), pytest.param(1e-12, 8.243606e-7, marks=SPIKE)]
+    "q, expected", [(1e-10, 8.243606e-6), (1e-12, 8.243606e-7), (1e-14, 8.243606e-8)]
 )
 def test_sensitivity_at_tiny_order_reads_the_closed_form(q, expected):
     dist = ProbeDistribution.from_shape_energy(2.0, 1.0)
@@ -187,7 +183,7 @@ def test_sensitivity_at_tiny_order_reads_the_closed_form(q, expected):
 
 
 @pytest.mark.parametrize(
-    "q, expected", [(1e-10, 30326.53), pytest.param(1e-12, 303265.33, marks=SPIKE)]
+    "q, expected", [(1e-10, 30326.53), (1e-12, 303265.33), (1e-14, 3032653.3)]
 )
 def test_mean_error_at_tiny_order_reads_the_closed_form(q, expected):
     dist = ProbeDistribution.from_shape_energy(2.0, 1.0)
@@ -197,7 +193,36 @@ def test_mean_error_at_tiny_order_reads_the_closed_form(q, expected):
     assert value == pytest.approx(closed, rel=1e-6, abs=0.0)
 
 
-@pytest.mark.parametrize("q", ["1e-10", pytest.param("1e-12", marks=SPIKE)])
+# The engine's own integral in t, before any root, against
+# I = e**b Gamma(s) / (alpha b**s), s = (p + 1)/alpha, at 40 digits: half the
+# mass reads ln(I_quad / I) = -ln 2, whatever q.  At alpha = 2 the Fisher and
+# mean-error kernels are one, p = 1/q.
+@pytest.mark.parametrize("q", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+@pytest.mark.parametrize(
+    "route",
+    [sensitivity_quadrature, lambda d, q: mean_error_quadrature(d, 0.0, q)],
+    ids=["eps_min", "mean_error"],
+)
+def test_tiny_order_integral_holds_its_whole_mass(monkeypatch, route, q):
+    runs = []
+    engine = measures.integrate_half_line
+
+    def spy(f, spec, tail=None):
+        runs.append(engine(f, spec, tail))
+        return runs[-1]
+
+    monkeypatch.setattr(measures, "integrate_half_line", spy)
+    route(ProbeDistribution.from_shape_energy(2.0, 1.0), q)
+    (result,) = runs
+    p = 1.0 / q
+    b = p / 2.0
+    with mpmath.workdps(40):
+        s = (mpmath.mpf(p) + 1) / 2
+        log_exact = b + mpmath.loggamma(s) - mpmath.log(2) - s * mpmath.log(b)
+        assert abs(float(mpmath.log(result.value) - log_exact)) < 1e-9
+
+
+@pytest.mark.parametrize("q", ["1e-10", "1e-12", "1e-14"])
 def test_verify_at_tiny_order_passes(tmp_path, capsys, q):
     out = tmp_path / "report.txt"
     rc = main(["verify", "--alphas", "2", "--qs", q, "--out", str(out)])

@@ -617,8 +617,8 @@ def _reference_kernel(p, alpha):
     # scale sigma = (b / c)**(1/alpha) with b = max(p / alpha, 1), so free of
     # c: t**p exp(-b (t**alpha - 1)).  On t < 1 the substitution t = tau**m,
     # n = ceil(p + 1), m = n / (p + 1), gives
-    # m tau**(n-1) exp(-b (tau**(alpha m) - 1)), in log form where e**b
-    # overflows; on t >= 1 the substitution u = t**alpha gives the gamma
+    # m tau**(n-1) exp(-b (tau**(alpha m) - 1)), in log form with expm1
+    # where e**b overflows; on t >= 1 the substitution u = t**alpha gives the gamma
     # integrand (1/alpha) u**((p+1)/alpha - 1) exp(-b (u - 1)), in log form
     b = max(p / alpha, 1.0)
     n = math.ceil(p + 1.0)
@@ -627,7 +627,7 @@ def _reference_kernel(p, alpha):
 
     def f(t):
         if t < 1.0 and b > EXP_MAX:
-            return m * math.exp((n - 1) * math.log(t) - b * (t ** (alpha * m) - 1.0))
+            return m * math.exp((n - 1) * math.log(t) - b * math.expm1(alpha * m * math.log(t)))
         if t < 1.0:
             return m * t ** (n - 1) * math.exp(-b * (t ** (alpha * m) - 1.0))
         return safe_exp(e * math.log(t) - b * (t - 1.0)) / alpha

@@ -412,8 +412,8 @@ class TestPanelKernel:
 
 
 def reference_adaptive(pieces, spec):
-    """Reference oracle: ``numerics._adaptive`` as it was before seed panels
-    that already converge returned without a heap, kept to pin its
+    """Reference oracle: ``numerics._adaptive`` with each seed panel pushed
+    onto the heap one at a time instead of heapified, kept to pin its
     results."""
     budget = spec.max_evaluations
     n_init = max(1, min(numerics.INITIAL_PANELS, budget // (15 * len(pieces))))
@@ -458,8 +458,9 @@ def _result_bits(r):
 
 
 class TestAdaptive:
-    """The early exit for seed panels that already converge returns the heap
-    loop's result, and a budget below one panel per piece is refused."""
+    """Heapified seed panels give the result of pushing them one at a time,
+    whether they converge at once, refine or run out of budget, and a budget
+    below one panel per piece is refused."""
 
     CUSP = (lambda x: abs(x - 0.37) ** 0.3, 0.0, 1.0)
     SMOOTH = (lambda x: math.exp(-x), 0.0, 1.0)

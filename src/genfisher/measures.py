@@ -25,14 +25,15 @@ alternative).  Every quadrature integrates a unit-scale kernel on one
 half-line of the reduced variable and adds the probe's prefactors in log
 space, so the scale enters no integrand.  The Fisher, width and mean-error
 routes integrate one moment kernel ``s**p exp(-c s**alpha)`` of the folded
-``s = |x - eps|/gamma`` in units of its own mass scale, where it peaks at
-``t = 1`` whatever the order, split there only and with an endpoint power
-map on its first panel; the mass scale joins the prefactors in log space
-(see ``_moment``).  The mean error is therefore independent of the shift by
-construction.  The distance route folds the unit-scale probe's integrand
-about the crossing ``e/2``, ``e = |eps|/gamma``, onto one half-line
-measured from the copy at ``e``, and takes the gap between the two log
-densities without cancellation.  At q > 1 the folded term vanishes like
+``s = |x - eps|/gamma`` in units of its own mass scale ``t`` and in
+``u = t**alpha``, where it peaks at ``u = 1`` whatever the order or the
+shape, split there and with an endpoint power map on its first panel; the
+mass scale joins the prefactors in log space (see ``_moment``).  The mean
+error is therefore independent of the shift by construction.  The
+distance route folds the unit-scale probe's integrand about the crossing
+``e/2``, ``e = |eps|/gamma``, onto one half-line measured from the copy at
+``e``, and takes the gap between the two log densities without
+cancellation.  At q > 1 the folded term vanishes like
 ``(e - 2s)**(1/q)`` at the crossing, an endpoint singularity, so the piece
 below a crossing that is a split point is integrated under a power map that
 flattens it; at q <= 1 the map is the identity and is not applied (see
@@ -286,10 +287,6 @@ def _quadrature(
     return MeasureValue(quantity, value, Method.QUADRATURE, result)
 
 
-# The moment routes' split at the kernel's peak, merged into the default spec.
-_MOMENT_SPEC = QuadratureSpec(split_points=(1.0,))
-
-
 def _moment(
     quantity: Quantity,
     alpha: float,
@@ -307,59 +304,68 @@ def _moment(
 
     Mass scale: with ``b = max(p / alpha, 1)`` and
     ``sigma = (b / c)**(1/alpha)``, ``s = sigma t`` gives
-    ``I = sigma**(p+1) e**-b int_0^inf t**p exp(-b (t**alpha - 1)) dt``.
-    The kernel in ``t`` peaks at ``t = 1`` (for ``p / alpha < 1`` that is
-    its e-fold edge) at a value of order 1, whatever the order or the
-    scale; it is split there, and ``(p + 1) ln sigma - b`` joins
-    ``log_scale``.  The integral in ``t`` thus depends on ``(alpha, p)``
-    and the spec alone, which ``_quadrature`` is given as its identity.
-    At tiny orders the peak is a spike ``1/(alpha sqrt(b))`` wide below 1
-    and ``1/sqrt(b)`` in ``u`` beyond, which seed nodes can miss; where
-    ``w = 8/sqrt(b) < min(1/16, alpha/2)`` it is bracketed by splits at
-    ``1 - w/alpha`` and ``1 + w`` as well, eight widths out.
+    ``I = sigma**(p+1) e**-b int_0^inf t**p exp(-b (t**alpha - 1)) dt``,
+    and ``(p + 1) ln sigma - b`` joins ``log_scale``.  The whole integral
+    is taken in ``u = t**alpha``, where the kernel is the gamma integrand
+    ``(1/alpha) u**(lam - 1) exp(-b (u - 1))``, ``lam = (p + 1)/alpha``
+    (DLMF 5.2.1).  It peaks at ``u = 1`` (for ``p / alpha < 1`` that is its
+    e-fold edge) at a value of order 1, whatever the order, the shape or
+    the scale, and it is split there; the integral thus depends on
+    ``(alpha, p)`` and the spec alone, which ``_quadrature`` is given as its
+    identity.  In ``t`` the same kernel has a cliff about ``1/alpha`` wide
+    at ``t = 1``, which four seed panels cannot see at large shapes; in
+    ``u`` it does not exist.
 
     The engine gets the kernel as two integrands, each chosen once per
-    integral, so an evaluation is one Python call.  The head, on
-    ``t < 1``, substitutes ``t = tau**m``, ``n = ceil(p + 1)``,
-    ``m = n / (p + 1)``: the first panel integrates the integer power times
-    smooth exponential ``m tau**(n-1) exp(-b (tau**(alpha m) - 1))``,
-    bounded even where ``t**p`` is singular; where ``e**b`` overflows it is
-    taken in log form, ``m exp((n-1) ln tau - b expm1(alpha m ln tau))``,
-    whose ``expm1`` keeps the digits of the exponent next to the spike.
-    Beyond 1 the kernel substitutes ``u = t**alpha`` (``u = 1`` at the
-    split) and integrates the gamma integrand ``(1/alpha) u**e exp(-b (u - 1))``,
-    ``e = (p + 1)/alpha - 1`` (DLMF 5.2.1), in log form: no power of the variable sits in the
-    exponent, so nothing overflows before the exponential decays, and at
-    small ``alpha`` the tail decays like ``e**-u``, where in ``t`` the same
-    mass reaches out to ``t ~ 1e16`` (``alpha = 0.1``).  The tail, from the
-    last split ``a`` on, is written out in the half-line map's variable,
-    ``u = a + r/(1 - r)`` with Jacobian ``1/(1 - r)**2`` and ``safe_exp``'s
-    overflow to inf inline: the bits of the generic map composed with the
-    gamma integrand.  The head takes the gamma integrand itself at
-    ``t >= 1``, which a split beyond 1, the spike's or a caller's, puts in
-    its pieces.
+    integral, so an evaluation is one Python call.  The head, on ``u < 1``,
+    substitutes ``u = tau**m``, ``n = ceil(lam)``, ``m = n / lam``, and
+    integrates the integer power times smooth exponential
+    ``(m/alpha) tau**(n-1) exp(-b (tau**m - 1))``, bounded even where
+    ``u**(lam - 1)`` is singular; where ``e**b`` overflows it is taken in
+    log form, ``(m/alpha) exp((n-1) ln tau - b expm1(m ln tau))``, whose
+    ``expm1`` keeps the digits of the exponent next to the spike.  Beyond 1
+    the head is the gamma integrand itself, in log form: no power of the
+    variable sits in the exponent, so nothing overflows before the
+    exponential decays, and at small ``alpha`` it decays like ``e**-u``,
+    where in ``t`` the same mass reaches out to ``t ~ 1e16``
+    (``alpha = 0.1``).  The tail, from the last split ``a`` on, is written
+    out in the half-line map's variable, ``u = a + r/(1 - r)`` with Jacobian
+    ``1/(1 - r)**2`` and ``safe_exp``'s overflow to inf inline: the bits of
+    the generic map composed with the gamma integrand.  A split beyond 1,
+    the spike's or a caller's, puts part of the gamma side in the head's
+    pieces.
+
+    Narrow features sit on splits, so seed nodes never have to find them:
+    at tiny orders the peak is a spike ``1/sqrt(b)`` wide on both sides of
+    ``u = 1`` (``m`` is then near 1), bracketed by splits at ``1 +- w``,
+    ``w = 8/sqrt(b)``, eight widths out, where ``w < 1/16``; where ``lam``
+    is small (the width and the mean error at ``alpha >> p``), ``m = n/lam``
+    is large and ``tau**m`` puts a cliff ``1/m`` wide below ``tau = 1``,
+    bracketed by a split at ``1 - 40/m`` (a foot of ``e**-40``) where
+    ``m > 1024``.
     """
     b = max(p / alpha, 1.0)
     log_sigma = (math.log(b) - math.log(c)) / alpha
-    n = math.ceil(p + 1.0)
-    m = n / (p + 1.0)
-    k, am, nb = n - 1, alpha * m, -b
-    e = (p + 1.0) / alpha - 1.0
+    lam = (p + 1.0) / alpha
+    n = math.ceil(lam)
+    m = n / lam
+    k, ma, nb = n - 1, m / alpha, -b
+    e = lam - 1.0
     exp, expm1, log = math.exp, math.expm1, math.log
 
     def gamma_form(u: float) -> float:
         return safe_exp(e * log(u) + nb * (u - 1.0)) / alpha
 
     if b > EXP_MAX:
-        def head(t: float) -> float:
-            if t < 1.0:
-                return m * exp(k * log(t) + nb * expm1(am * log(t)))
-            return gamma_form(t)
+        def head(u: float) -> float:
+            if u < 1.0:
+                return ma * exp(k * log(u) + nb * expm1(m * log(u)))
+            return gamma_form(u)
     else:
-        def head(t: float) -> float:
-            if t < 1.0:
-                return m * t**k * exp(nb * (t**am - 1.0))
-            return gamma_form(t)
+        def head(u: float) -> float:
+            if u < 1.0:
+                return ma * u**k * exp(nb * (u**m - 1.0))
+            return gamma_form(u)
 
     def tail(a: float) -> Callable[[float], float]:
         def mapped(r: float) -> float:
@@ -378,10 +384,10 @@ def _moment(
 
     log_scale += (p + 1.0) * log_sigma - b
     w = 8.0 / math.sqrt(b)
-    if w < 0.0625 and w < alpha / 2.0:
-        spec = (spec or QuadratureSpec()).with_splits((1.0 - w / alpha, 1.0, 1.0 + w))
-    else:
-        spec = _MOMENT_SPEC if spec is None else spec.with_splits((1.0,))
+    splits = {1.0, 1.0 - w, 1.0 + w} if w < 0.0625 else {1.0}
+    if m > 1024.0:
+        splits.add(1.0 - 40.0 / m)
+    spec = (spec or QuadratureSpec()).with_splits(splits)
     return _quadrature(quantity, head, spec, label, log_scale, root, scale, tail, (alpha, p))
 
 
@@ -407,11 +413,19 @@ def hellinger_distance(
     distance ``s`` from the copy at ``e``, and even in the shift by
     construction.  It splits at 1 and 4, plus the crossing when it lies
     below 4, so each bump sits on panels of its own width, whatever the
-    size of the shift.  Past alpha = 1024 each copy's edge is a cliff about
-    ``1/alpha`` wide, so the near copy's edge ``s = 1`` and the far one's
-    ``s = 1 - e`` are bracketed at ``+-40/alpha`` (a foot of ``e**-40``)
-    inside (0, 4); under the crossing map only those at or above the
-    crossing, as the map's variable is not ``s``.
+    size of the shift.
+
+    Cliffs: each copy's edge is a cliff about ``1/alpha`` wide, and past
+    alpha = 256 the engine's four seed panels per piece cannot be trusted
+    to see one, so each edge is a split: it is bracketed at ``+-k``,
+    ``k = 40 max(q, 1)/alpha``, inside (0, 4).  That leaves a foot of
+    ``e**-40``: inside a copy the term falls like ``s**(alpha/q)``, q times
+    wider than the cliff above order one.  The edges are the near copy's at
+    ``s = 1`` and, while e < 2, the far copy's at ``s = |1 - e|``:
+    ``f(e + s)`` meets it at ``1 - e`` for e < 1, and ``f(e - s)`` at
+    ``e - 1`` for 1 < e < 2.  A bracket point inside the crossing map's
+    piece is taken into the map's variable, ``x = h - w ((h - s)/w)**(1/n)``
+    (below).
 
     Crossing map: the fold's term ``f(e - s)`` vanishes like
     ``(e/2 - s)**(1/q)`` at the crossing, an endpoint singularity for
@@ -423,8 +437,8 @@ def hellinger_distance(
     fold's distance ``d = 2 (h - s)`` is taken from the map, not from the
     cancelling ``e - 2s``.  The cap 4 keeps the piece's mass where the
     first panel's nodes see it (``r**n`` crowds it into ``x - b < w/n``).
-    The map is a bijection of ``[b, h)``, so the integral and the splits
-    are those of ``s``; at q <= 1, ``n = 1`` and it is not applied.
+    The map is a bijection of ``[b, h)`` that fixes both ends, so the
+    integral is that of ``s``; at q <= 1, ``n = 1`` and it is not applied.
 
     Gap: at a point a distance ``s`` from the nearer copy and ``s + d``
     from the farther one, ``lo = s**alpha`` (taken once for both terms) and
@@ -450,13 +464,16 @@ def hellinger_distance(
     two_q = 2.0 * q
     splits = {1.0, 4.0, half} if half < 4.0 else {1.0, 4.0}
     n = min(math.ceil(q), 4) if half < 4.0 else 1
-    if alpha > 1024.0:
-        splits.update(
-            c + k for c in (1.0, 1.0 - e) for k in (-40.0 / alpha, 40.0 / alpha)
-            if 0.0 < c + k < 4.0 and (n == 1 or c + k >= half)
-        )
     base = 1.0 if half > 1.0 else 0.0
     w = half - base
+    if alpha > 256.0:
+        k = 40.0 * max(q, 1.0) / alpha
+        for c in (1.0, abs(1.0 - e)) if e < 2.0 else (1.0,):
+            for s in (c - k, c + k):
+                if n > 1 and base <= s < half:
+                    s = half - w * ((half - s) / w) ** (1.0 / n)
+                if 0.0 < s < 4.0:
+                    splits.add(s)
     exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
 
     # One folded term; neither exponent is positive, so exp cannot overflow.

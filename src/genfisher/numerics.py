@@ -100,9 +100,11 @@ LN2 = math.log(2.0)
 EXP_MAX = 709.0
 
 #: Uniform panels each piece is seeded with before adaptive refinement.
-#: Eight is load-bearing: four on finite pieces missed narrow peaks (Fisher
-#: at alpha = 3000, q = 0.05 read 53 % low; README, Numerical methods).
-INITIAL_PANELS = 8
+#: Four are enough because no route leaves a narrow feature for the seed
+#: nodes to find: every cliff and spike is a split point (``measures``).
+#: Three are not: the distance at alpha = 0.3, q = 0.1, eps/gamma = 1e-4
+#: converges 3.1e-4 low.
+INITIAL_PANELS = 4
 
 #: Panels narrower than this are frozen instead of bisected further.
 MIN_PANEL_WIDTH = 1e-300

@@ -7,8 +7,8 @@ closed form that raises (``DomainError`` outside its domain,
 A route that raises, or converges to another value, fails the gate; the
 failing points are listed by (alpha, q, gamma).  The width is left out
 where ``|1 - q| < 0.05``: its power ``1/(1-q)`` multiplies the integral's
-relative error (ROADMAP item 9).  At shapes from 300 to 1e4 (gamma = 1)
-the same check misses an exact, listed set of cells (ROADMAP item 14).
+relative error (ROADMAP item 9).  At shapes from 300 to 1e8 (gamma = 1)
+the same check misses no cell.
 
 Distance: on a log-spaced grid over shape and reduced shift ``r = eps/gamma``
 (at gamma = 1; the route reads the scale only through r), the distance
@@ -23,8 +23,12 @@ Large shapes: past alpha ~ 1023, ``alpha ln 2`` leaves exp's range, and
 each copy's edge is a cliff about ``1/alpha`` wide.  The q = 1 distance at
 alpha in {2000, 1e4, 1e6} agrees with ``P`` to 0.15 and to 1e-8, the
 second only since both cliffs are bracketed (before, a residual of about
-``-0.049/(alpha r)`` was left at the cliff ``s ~ 1``); so does it at
-alpha = 1000, below the bracket, for r in {1, 1.9, 10}.
+``-0.049/(alpha r)`` was left at the cliff ``s ~ 1``); so does it from
+alpha = 300 on, where the brackets start, and at alpha = 1000 from
+overlapping copies to disjoint ones, to 1e-12.  At q > 1 the disjoint
+copies' distance is 1 to 1e-12, which needs the near copy's bracket under
+the crossing map, and at small shifts the distance sees each cliff's foot,
+which is q times wider than the cliff.
 
 Neither grid is ever narrowed to pass.
 """
@@ -46,7 +50,7 @@ from genfisher.measures import (
     sensitivity_closed,
     sensitivity_quadrature,
 )
-from genfisher.numerics import ConvergenceError, DomainError
+from genfisher.numerics import ConvergenceError, DomainError, QuadratureSpec
 from genfisher.probe import ProbeDistribution
 
 
@@ -109,29 +113,19 @@ def test_route_agrees_with_its_closed_form(route):
     )
 
 
-LARGE_MOMENT_ALPHAS = (300.0, 1e3, 3e3, 1e4)
-# ROADMAP item 14, the moment cliff, as (route, alpha, i) with q = ORDERS[i]
-# = 10**(i/3 - 3) at gamma = 1: eps_min reads the half-mass value (relative
-# error +q ln 2) at alpha >= 1e3 and q <= 0.1, and the Fisher route is off
-# by -0.52 ... -0.54 at alpha in {3e3, 1e4} and q in [0.02, 0.1]
-KNOWN_LARGE_SHAPE_MISSES = {
-    ("fisher", 3e3, 4),
-    *(("fisher", 1e4, i) for i in (4, 5, 6)),
-    *(("eps_min", 1e3, i) for i in range(3)),
-    *(("eps_min", 3e3, i) for i in range(5)),
-    *(("eps_min", 1e4, i) for i in range(7)),
-}
+LARGE_MOMENT_ALPHAS = (300.0, 1e3, 3e3, 1e4, 1e5, 1e6, 1e7, 1e8)
 
 
-def test_moment_routes_at_large_shapes_miss_the_known_cells_only():
-    """A fix of item 14 and a new miss both fail: the set is exact."""
-    checked, missed = 0, set()
+def test_moment_routes_agree_at_large_shapes():
+    """The box-like regime: each moment kernel's cliff, about 1/alpha wide
+    in ``t``, is taken in ``u = t**alpha``, where it does not exist."""
+    checked, missed = 0, {}
     for route in ROUTES:
         n, misses = _route_misses(route, LARGE_MOMENT_ALPHAS, (1.0,))
         checked += n
-        missed |= {(route, alpha, i) for alpha, _, i in misses}
-    assert checked == 279
-    assert missed == KNOWN_LARGE_SHAPE_MISSES
+        missed |= {(route, alpha, ORDERS[i]): m for (alpha, _, i), m in misses.items()}
+    assert checked == 545
+    assert missed == {}
 
 
 def _q1_distance(alpha, r):
@@ -181,11 +175,18 @@ LARGE_ALPHAS = (2000.0, 1e4, 1e6)
 # at alpha = 2000 and r = 0.3 the nearer copy's power is subnormal where the
 # farther one's edge sits, and its ratio's power overflows
 LARGE_SHIFTS = (1e-4, 1e-2, 0.1, 0.3, 1.0)
-# alpha = 1000 lies just below the bracketed cliffs (alpha ln 2 < 709), from
-# overlapping copies to disjoint ones
-LARGE_POINTS = [(alpha, r) for alpha in LARGE_ALPHAS for r in LARGE_SHIFTS] + [
-    (1000.0, r) for r in (1.0, 1.9, 10.0)
-]
+# alpha = 1000 lies just below the cliffs where alpha ln 2 leaves exp's
+# range, from overlapping copies to disjoint ones.  From alpha = 300 on the
+# cliffs are bracketed; at alpha = 700 four seed panels without the brackets
+# read 3.7e-5 ... 2.3e-4 off, and without the far copy's bracket at s = r - 1
+# (1 < r < 2) alpha = 383, r = 1.9 reads 1.9e-9 off, which only the bound
+# 1e-12 sees
+LARGE_POINTS = (
+    [(alpha, r) for alpha in LARGE_ALPHAS for r in LARGE_SHIFTS]
+    + [(1000.0, r) for r in (1.0, 1.9, 10.0)]
+    + [(alpha, r) for alpha in (300.0, 500.0, 700.0) for r in (0.01, 0.3, 1.0, 1.5, 1.9, 10.0)]
+    + [(383.0, 1.9)]
+)
 
 
 @functools.cache
@@ -201,7 +202,40 @@ def _large_shape_errors():
     return errors
 
 
-@pytest.mark.parametrize("bound", [0.15, REL])
+@pytest.mark.parametrize("bound", [0.15, REL, 1e-12])
 def test_distance_at_large_shapes(bound):
     failures = {point: e for point, e in _large_shape_errors().items() if not abs(e) <= bound}
     assert failures == {}
+
+
+# Disjoint copies at q > 1: for 2 < r < 8 the crossing r/2 lies in (1, 4),
+# and the near copy's edge s = 1 starts the crossing map's piece, whose
+# boundary layer holds mass E1(2)/alpha.  Its bracket at 1 + 40q/alpha is
+# taken into the map's variable; dropped, the distance read 2.45e-5 low at
+# alpha = 2000 and 1.27e-6 above 1 at alpha = 1e6.
+@pytest.mark.parametrize("q", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("alpha", LARGE_ALPHAS)
+def test_disjoint_copies_above_order_one_are_one_apart(alpha, q):
+    dist = ProbeDistribution.from_shape_scale(alpha, 1.0)
+    errors = {r: hellinger_distance(dist, r, q).value - 1.0 for r in (2.5, 3.0, 5.0)}
+    assert {r: e for r, e in errors.items() if not abs(e) <= 1e-12} == {}
+
+
+# Above order one each cliff's inner foot is the q-th root of the density
+# ratio, ``s**(alpha/q)``: q times wider than the cliff, so the route's
+# brackets sit ``40 q/alpha`` out.  At +-40/alpha the foot beyond them read
+# 4.6e-3 low at alpha = 4.2e5, q = 10, r = 1e-4, against mpmath.  The
+# reference is the same integrand under caller splits every ``2q/alpha``
+# across both cliffs, from 60 foot widths inside to 10 outside (each above
+# the crossing, so in ``s`` itself), and a 1e-11 tolerance.
+@pytest.mark.parametrize("q", [2.0, 4.0, 10.0])
+@pytest.mark.parametrize("alpha", [6.5e4, 4e5])
+def test_distance_above_order_one_sees_the_cliffs_feet(alpha, q):
+    dist = ProbeDistribution.from_shape_scale(alpha, 1.0)
+    errors = {}
+    for r in (1e-4, 0.01, 0.1):
+        dense = [c + 2.0 * k * q / alpha for c in (1.0, 1.0 - r) for k in range(-30, 6)]
+        spec = QuadratureSpec(rel_tol=1e-11, split_points=dense)
+        expected = hellinger_distance(dist, r, q, spec).value
+        errors[r] = hellinger_distance(dist, r, q).value / expected - 1.0
+    assert {r: e for r, e in errors.items() if not abs(e) <= REL} == {}

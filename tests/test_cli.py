@@ -1,5 +1,6 @@
 """Command-line interface: schemas, exit codes, determinism, config handling."""
 
+import functools
 import json
 import math
 import os
@@ -338,10 +339,11 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("quantity", ["eps_min", "posterior_width", "mean_error", "fisher"])
     def test_no_converge_row_records_best_estimate(self, monkeypatch, quantity):
-        # a starved default spec makes every quadrature stop short; the row
-        # still carries the correctly folded and powered best estimate
-        starved = QuadratureSpec(rel_tol=1e-15, max_evaluations=100, split_points=(1.0,))
-        monkeypatch.setattr(measures, "_MOMENT_SPEC", starved)
+        # a starved default spec, from which each moment route builds its
+        # own, makes every quadrature stop short; the row still carries the
+        # correctly folded and powered best estimate
+        starved = functools.partial(QuadratureSpec, rel_tol=1e-15, max_evaluations=100)
+        monkeypatch.setattr(measures, "QuadratureSpec", starved)
         config = SweepConfig(quantity, (0.25, 2.0), 1.0, AlphaGrid(1.0, 2.0, 2), "unused.csv")
         rows = run_sweep(config)
         assert [r.status for r in rows] == ["no_converge"] * 4
@@ -874,9 +876,10 @@ def test_eps_min_at_huge_energy_is_taken_from_the_log(tmp_path, capsys):
 
 
 def test_failed_power_is_a_fail_line(tmp_path):
-    # the closed eps_min is in range, the power of its Fisher integral is not
+    # the closed eps_min is in range, the power of its Fisher integral is
+    # not: ln F_q times -q leaves double range, here below (ROADMAP item 16)
     out = tmp_path / "report.txt"
     assert main(["verify", "--alphas", "0.8", "--qs", "1e300", "--out", str(out)]) == 1
     (line,) = [line for line in read(out).splitlines() if line.startswith("parity eps_min")]
     assert line.startswith("parity eps_min alpha=0.8 q=1e+300: closed=")
-    assert line.endswith(" quadrature=inf rel_dev=inf FAIL")
+    assert line.endswith(" quadrature=0.00000000000e+00 rel_dev=1.000e+00 FAIL")

@@ -24,15 +24,15 @@ from genfisher.probe import ProbeDistribution
 
 # (argv, output sha256, adaptive quadrature calls, integrand evaluations)
 DEFAULT_RUNS = [
-    (["verify"], "74f22f18cd249fc24b679c69a3caeca947307d3a6aa68bade2f051cce283d199", 101, 37_320),
+    (["verify"], "6e80b5a2b1fcf2e5eef0dc528c38a9c64d8c5a92aa608861a374790cf7f41ef8", 101, 21_750),
     (["sweep", "--quantity", "eps_min"],
-     "8235887349b9a95ea0e765d1cc286a805740df3c2ed602ece9d6fb58f061a796", 180, 51_960),
+     "93b9f19ddede39e872e156ddde07ccf1e588d09f18eca91c51686c9c5fa29d97", 180, 38_100),
     (["sweep", "--quantity", "posterior_width"],
-     "53c73c4a8b77c894e6a5ea19f3f9f237f507a72b7ad20423f4adbab24861989d", 60, 17_100),
+     "de2b73e3da1b68710d4da9930804a56e86237fbdba545f3306fe8ff9120bcf0c", 60, 11_880),
     (["sweep", "--quantity", "mean_error"],
-     "269be2867ef7b81f802e94cc6d93359f0f100b2066ff22be0c55ec9be0661f35", 180, 47_430),
+     "a94480f1055420587b552211bfffaea401f1600940159228aaf7f78d9b4b1227", 180, 34_380),
     (["sweep", "--quantity", "fisher"],
-     "cf47d09e2fe8f30cb36305b903f3bc467bc8aa467ff4aa6b505a83743e47f79c", 180, 51_960),
+     "3db30281f4e2a4bce5e8949c780792e6554d272c094aeea56ea29197acbbccd3", 180, 38_100),
     # four partitions, two on each thread, so both threads' draws are in the bytes
     (["simulate", "--alpha", "2", "--q", "0.5", "--eps", "0.3", "--trials", "1000000", "--seed", "1"],
      "3162fe57dba2ca3e5183fa1cf43d516fdc3bcf049e04df95526cc31165103a1b", 0, 0),
@@ -53,8 +53,8 @@ def test_default_run_is_pinned(tmp_path, capsys, evaluations, argv, sha256, call
 
 
 # Each q > 1 leg of the default triangle scan integrates its crossing's piece
-# under the power map: 360-480 evaluations, where the unmapped endpoint
-# singularity (d/2)**(1/q) took 720-1020.
+# under the power map: 180-240 evaluations, where the unmapped endpoint
+# singularity (d/2)**(1/q) took 720-1020 (with 8 seed panels).
 @pytest.mark.parametrize("q", [q for q in cli._TRIANGLE_QS if q > 1.0])
 @pytest.mark.parametrize("alpha", cli._TRIANGLE_ALPHAS)
 def test_triangle_legs_above_order_one_stay_cheap(alpha, q):
@@ -98,13 +98,13 @@ def test_runs_without_numpy(tmp_path, argv, sha256):
 # codes are those of tests/test_cli.py::OUT_OF_RANGE.
 OUT_OF_RANGE_RUNS = [
     (["verify", "--alphas", "2", "--qs", "1e-3"], 0,
-     "76bc21cd1f86ce1c85b2ac9807cf888bfd8287dad78af9730f8e80f9769c6c79"),
+     "d20d38dcbc2ec2038c10f8a4b79a223908f33830fa69ccf56593c83bd7b548b3"),
     (["verify", "--energy", "1e-300"], 0,
-     "3c4cb84d378f6327beab90454d1e1a4da6174a9beb818a07410ce7d53752b1e6"),
+     "48af6d4b3c622cb6cfd3a5746c74b1ae15bc54d62b43a9ef6deb9744673f2e5a"),
     (["sweep", "--quantity", "fisher", "--q", "1e-3"], 1,
      "8963133fbba418f4de980acd3ee54546d482d0af60b7a075c5ad46cb226c307e"),
     (["sweep", "--quantity", "fisher", "--energy", "1e300"], 0,
-     "bc256f753103b02cb1ff9e6a119a1766c060d99d82fe03a28123c4532836b207"),
+     "2db505731b7fc2d17048e6e2d79ecd3cd07e877c081ac24fd663045883d216fe"),
 ]
 
 

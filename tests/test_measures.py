@@ -193,7 +193,7 @@ class TestPowerRange:
 
 
 # A 100-evaluation spec: every Fisher route stops at 90 evaluations, within
-# 2e-9 of the converged integral, and raises ConvergenceError.
+# 2e-8 of the converged integral, and raises ConvergenceError.
 STARVED = QuadratureSpec(rel_tol=1e-15, max_evaluations=100)
 
 
@@ -208,15 +208,15 @@ class TestFisherMaps:
         with pytest.raises(ConvergenceError) as info:
             hellinger_linearized(GAUSS, 1e-3, 0.5, STARVED)
         factor = math.exp(math.log(0.5) / 0.5 - math.log(2.0)) * 1e-3 ** (1.0 / 0.5)
-        assert info.value.result.value.hex() == "0x1.000000505c11bp+2"
+        assert info.value.result.value.hex() == "0x1.00000050606d8p+2"
         assert info.value.value == factor * info.value.result.value
 
     # name -> (route, bits at the default spec, bits of the starved estimate)
     PINS = {
         "eps_min": (
             lambda spec: sensitivity_quadrature(GAUSS, 0.5, spec),
-            "0x1.0000000000009p-1",
-            "0x1.ffffffafa3ee7p-2",
+            "0x1.ffffffffffd6cp-2",
+            "0x1.ffffffaf9f92ap-2",
         ),
         "eps_min_quarter": (
             lambda spec: sensitivity_quadrature(energy_probe(0.8), 0.25, spec),
@@ -225,18 +225,18 @@ class TestFisherMaps:
         ),
         "linearized": (
             lambda spec: hellinger_linearized(GAUSS, 1e-3, 0.5, spec),
-            "0x1.0c6f7a0b5ed7bp-21",
-            "0x1.0c6f7a5fa239ap-21",
+            "0x1.0c6f7a0b5f042p-21",
+            "0x1.0c6f7a5fa6cbap-21",
         ),
         "width": (
             lambda spec: posterior_width_quadrature(energy_probe(2.0), 0.25, spec),
-            "0x1.943e619f9c478p+1",
+            "0x1.943e619f9c477p+1",
             "0x1.943e61a15f320p+1",
         ),
         "mean_error": (
             lambda spec: mean_error_quadrature(energy_probe(2.0), 0.3, 2.0, spec),
-            "0x1.5a19d1e3cb0f4p-2",
-            "0x1.5a19d1eeefbfdp-2",
+            "0x1.5a19d1e3cb699p-2",
+            "0x1.5a19d21aff47ap-2",
         ),
     }
 
@@ -615,22 +615,22 @@ def _reference_distance(dist, eps, q):
 def _reference_kernel(p, alpha):
     # the moment kernel s**p exp(-c s**alpha) in t = s / sigma, at its mass
     # scale sigma = (b / c)**(1/alpha) with b = max(p / alpha, 1), so free of
-    # c: t**p exp(-b (t**alpha - 1)).  On t < 1 the substitution t = tau**m,
-    # n = ceil(p + 1), m = n / (p + 1), gives
-    # m tau**(n-1) exp(-b (tau**(alpha m) - 1)), in log form with expm1
-    # where e**b overflows; on t >= 1 the substitution u = t**alpha gives the gamma
-    # integrand (1/alpha) u**((p+1)/alpha - 1) exp(-b (u - 1)), in log form
+    # c: t**p exp(-b (t**alpha - 1)).  In u = t**alpha it is the gamma
+    # integrand (1/alpha) u**(lam - 1) exp(-b (u - 1)), lam = (p + 1)/alpha,
+    # taken in log form on u >= 1.  On u < 1 the substitution u = tau**m,
+    # n = ceil(lam), m = n / lam, gives (m/alpha) tau**(n-1) exp(-b (tau**m - 1)),
+    # in log form with expm1 where e**b overflows
     b = max(p / alpha, 1.0)
-    n = math.ceil(p + 1.0)
-    m = n / (p + 1.0)
-    e = (p + 1.0) / alpha - 1.0
+    lam = (p + 1.0) / alpha
+    n = math.ceil(lam)
+    m = n / lam
 
-    def f(t):
-        if t < 1.0 and b > EXP_MAX:
-            return m * math.exp((n - 1) * math.log(t) - b * math.expm1(alpha * m * math.log(t)))
-        if t < 1.0:
-            return m * t ** (n - 1) * math.exp(-b * (t ** (alpha * m) - 1.0))
-        return safe_exp(e * math.log(t) - b * (t - 1.0)) / alpha
+    def f(u):
+        if u < 1.0 and b > EXP_MAX:
+            return m / alpha * math.exp((n - 1) * math.log(u) - b * math.expm1(m * math.log(u)))
+        if u < 1.0:
+            return m / alpha * u ** (n - 1) * math.exp(-b * (u**m - 1.0))
+        return safe_exp((lam - 1.0) * math.log(u) - b * (u - 1.0)) / alpha
 
     return f
 

@@ -19,7 +19,6 @@ config = SweepConfig(
     q_list=(0.25, 0.5, 2.0),
     energy=1.0,
     alpha_grid=AlphaGrid(0.751, 100.0, 60, "log"),
-    output_path="unused.csv",
 )
 rows = run_sweep(config)
 columns = {q: [r for r in rows if r.q == q] for q in config.q_list}

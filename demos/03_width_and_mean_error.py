@@ -19,7 +19,7 @@ GRID = AlphaGrid(0.76, 100.0, 60, "log")
 for quantity, label in (("posterior_width", "posterior width"), ("mean_error", "mean error")):
     config = SweepConfig(
         quantity=quantity, q_list=(0.25, 0.5, 2.0), energy=1.0,
-        alpha_grid=GRID, output_path="unused.csv",
+        alpha_grid=GRID,
     )
     rows = run_sweep(config)
     print(f"{label}: all {len(rows)} rows converged against the closed form:"

@@ -56,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
@@ -176,7 +177,6 @@ class SweepConfig:
     q_list: tuple[float, ...]
     energy: float
     alpha_grid: AlphaGrid
-    output_path: str
 
     def __post_init__(self):
         if self.quantity not in QUANTITIES:
@@ -566,12 +566,11 @@ def _cmd_sweep(args) -> tuple[str, str, int]:
         q_list=args.q,
         energy=args.energy,
         alpha_grid=AlphaGrid(alpha_min, args.alpha_max, args.alpha_count, args.alpha_spacing),
-        output_path=args.out,
     )
     rows = run_sweep(config, args.tol)
     n = Counter(r.status for r in rows)
     summary = (
-        f"wrote {config.output_path}: {len(rows)} rows, {n['no_converge']} no_converge, "
+        f"wrote {args.out}: {len(rows)} rows, {n['no_converge']} no_converge, "
         f"{n['out_of_domain']} out_of_domain, {n['out_of_range']} out_of_range\n"
     )
     return sweep_to_csv(rows), summary, 1 if n["no_converge"] or not n["ok"] else 0
@@ -615,6 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_command(name: str, run, out: str, about: str):
         p = sub.add_parser(name, help=about, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p._negative_number_matcher = re.compile(r"-\.?\d")  # argparse's misses -1e-3
         p.set_defaults(run=run)
         p.add_argument("--config", help="flat key = value file; flags override it")
         p.add_argument("--out", default=out, help="output file path")

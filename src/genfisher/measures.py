@@ -40,16 +40,17 @@ flattens it; at q <= 1 the map is the identity and is not applied (see
 ``hellinger_distance``).
 
 Each quadrature route declares the map from its integral to the quantity
-as two numbers, a root and a scale: for the scaled integral ``I`` the
-value is ``scale * exp(ln I / root)``.
+as a root: for its integral ``I``, every prefactor taken in log space, the
+value is ``exp(ln I / root)``.  A route that reports a multiple of the
+Fisher integral adds the log of that factor to the prefactors.
 
-    route                        root       scale
-    distance, Fisher             1          1
-    sensitivity_quadrature       -1/q       1
-    posterior_width_quadrature   1 - q      1
-    mean_error_quadrature        1/q        1
-    hellinger_linearized         1          (q**(1/q) / 2) |eps|**(1/q)
-    mean_energy_quadrature       1          1/4
+    route                        root       log factor
+    distance, Fisher             1          0
+    sensitivity_quadrature       -1/q       0
+    posterior_width_quadrature   1 - q      0
+    mean_error_quadrature        1/q        0
+    hellinger_linearized         1          (ln q + ln |eps|) / q - ln 2
+    mean_energy_quadrature       1          -2 ln 2
 
 A closed value that leaves double range, by overflow or by underflow to 0,
 raises OverflowError; a quadrature route's root of its integral ends in
@@ -57,8 +58,9 @@ raises OverflowError; a quadrature route's root of its integral ends in
 
 Weak-signal behaviour: to first order in the shift,
 ``D_q ~ (q**(1/q) / 2) * |eps|**(1/q) * F_q``.  ``hellinger_linearized``
-computes the factor in front of F_q before it integrates, so a non-finite
-shift or a factor beyond double range raises before any quadrature runs.
+adds the log of the factor in front of F_q to the Fisher route's log
+prefactor, so where the factor or F_q alone leaves double range the product
+still reads its value, and beyond double range it reads 0 or inf.
 """
 
 from __future__ import annotations
@@ -124,9 +126,8 @@ class MeasureValue:
 
     ``quad_detail`` carries the underlying quadrature for quadrature-backed
     values: the unit-scale kernel's integral times the route's prefactors,
-    ``I``.  The route's declared root and scale give
-    ``value = scale * exp(ln I / root)``: for the distance and Fisher
-    quadratures (root and scale 1) that is ``I`` itself.
+    ``I``.  The route's declared root gives ``value = exp(ln I / root)``:
+    for every route with root 1 that is ``I`` itself.
     """
 
     quantity: Quantity
@@ -216,15 +217,17 @@ _RUNS: ContextVar[dict | None] = ContextVar("genfisher_runs", default=None)
 
 @contextmanager
 def shared_integrals() -> Iterator[None]:
-    """Inside the block, each distinct moment integral runs the engine once.
+    """Inside the block, each distinct named integral runs the engine once.
 
     The moment routes' integral depends on the shape and the power only
     (see ``_moment``), so ``fisher_quadrature`` and ``sensitivity_quadrature``
     at one point, the width at alpha = 1 and the Fisher route there, or the
     Fisher route at alpha = 2 and the mean error at the same order, read one
-    run.  The outcomes are dropped when the block exits, however
-    it exits, so nothing outlives it; ``cli.run_sweep`` and
-    ``cli.verify_report`` each run in one such block."""
+    run; the distance's depends on the shift only through ``|eps| / gamma``
+    (see ``hellinger_distance``), so ``+-eps`` read one run.  The outcomes
+    are dropped when the block exits, however it exits, so nothing outlives
+    it; ``cli.run_sweep`` and ``cli.verify_report`` each run in one such
+    block."""
     token = _RUNS.set({})
     try:
         yield
@@ -234,34 +237,35 @@ def shared_integrals() -> Iterator[None]:
 
 def _quadrature(
     quantity: Quantity,
+    kernel: tuple,
     integrand: Callable[[float], float],
-    spec: QuadratureSpec,
+    tail: Callable[[float], Callable[[float], float] | None],
+    splits: set[float],
+    spec: QuadratureSpec | None,
     label: Callable[[], str],
     log_scale: float,
     root: float = 1.0,
-    scale: float = 1.0,
-    tail: Callable[[float], Callable[[float], float] | None] | None = None,
-    kernel: tuple | None = None,
 ) -> MeasureValue:
-    """Integrate the unit-scale kernel ``integrand`` over [0, inf) under
-    ``spec``, the route's split points already merged in, its last piece
-    built by ``tail`` when given (see ``integrate_half_line``); for its
+    """Integrate the unit-scale kernel ``integrand`` over [0, inf), its last
+    piece built by ``tail`` (see ``integrate_half_line``), under ``spec``
+    (the default when None) with the route's ``splits`` merged in; for its
     integral ``I`` and ``L = log_scale + log I`` the value is
-    ``scale * exp(L / root)`` and ``quad_detail`` holds ``exp(L)``, its
-    error estimate scaled the same way.  Raises ``ConvergenceError`` with
-    that result and the same map of the best estimate when the quadrature
-    did not converge; ``label()`` names the integral there.
+    ``exp(L / root)`` and ``quad_detail`` holds ``exp(L)``, its error
+    estimate scaled the same way.  Raises ``ConvergenceError`` with that
+    result and the same map of the best estimate when the quadrature did
+    not converge; ``label()`` names the integral there.
 
     Engine contract: ``integrate_half_line`` is looked up in this module
     when it runs, so wrappers installed on it see every integral that
-    runs.  ``kernel`` declares the identity of ``integrand`` and ``tail``:
-    inside ``shared_integrals`` the engine's raw result, or the exception
-    it raised, is kept under ``(kernel, spec)`` and handed to every later
-    caller with that key, which then applies its own map and label.  An
-    integral with no ``kernel``, or outside the block, takes the same path
-    through a dict of its own, dropped on return.
+    runs.  ``kernel`` names the integral, the identity of ``integrand`` and
+    ``tail``: inside ``shared_integrals`` the engine's raw result, or the
+    exception it raised, is kept under ``(kernel, merged spec)`` and handed
+    to every later caller with that key, which then applies its own map and
+    label.  Outside the block the integral takes the same path through a
+    dict of its own, dropped on return.
     """
-    runs = None if kernel is None else _RUNS.get()
+    spec = QuadratureSpec(split_points=sorted(splits)) if spec is None else spec.with_splits(splits)
+    runs = _RUNS.get()
     if runs is None:
         runs = {}
     key = (kernel, spec)
@@ -278,7 +282,7 @@ def _quadrature(
         log_scale + math.log(v) if v > 0.0 else -math.inf
         for v in (result.value, result.abs_error_estimate)
     )
-    value = scale * safe_exp(log_value / root)
+    value = safe_exp(log_value / root)
     result = QuadratureResult(
         safe_exp(log_value), safe_exp(log_error), result.converged, result.evaluations
     )
@@ -296,9 +300,8 @@ def _moment(
     spec: QuadratureSpec | None,
     label: Callable[[], str],
     root: float = 1.0,
-    scale: float = 1.0,
 ) -> MeasureValue:
-    """``scale * exp((log_scale + log I) / root)`` for the moment kernel
+    """``exp((log_scale + log I) / root)`` for the moment kernel
     ``I = int_0^inf s**p exp(-c s**alpha)`` in the folded reduced variable
     ``s = |x - eps| / gamma``; ``_quadrature`` applies the map.
 
@@ -387,8 +390,7 @@ def _moment(
     splits = {1.0, 1.0 - w, 1.0 + w} if w < 0.0625 else {1.0}
     if m > 1024.0:
         splits.add(1.0 - 40.0 / m)
-    spec = (spec or QuadratureSpec()).with_splits(splits)
-    return _quadrature(quantity, head, spec, label, log_scale, root, scale, tail, (alpha, p))
+    return _quadrature(quantity, (alpha, p), head, tail, splits, spec, label, log_scale, root)
 
 
 # The distance integrand keeps its constants in closure locals and writes the
@@ -405,7 +407,7 @@ def hellinger_distance(
     Scale: in ``x / gamma`` this is the distance of the unit-scale probe
     shifted by ``e = |eps| / gamma``, so it depends on the scale only through
     ``eps / gamma``, by construction; the unit probe's constant ``C`` is
-    added in log space.
+    added in log space, and the integral is named ``(alpha, q, e)``.
 
     Fold: ``f(s) = |P^q(s - e) - P^q(s)|**(1/q)`` is symmetric about the
     crossing ``e/2``, so ``D_q = int_0^inf g(s) ds`` with
@@ -522,10 +524,8 @@ def hellinger_distance(
 
     label = lambda: f"distance quadrature (alpha={alpha}, q={q}, eps={eps})"
     log_c = ProbeDistribution(alpha, 1.0).log_norm_const
-    spec = (
-        QuadratureSpec(split_points=sorted(splits)) if spec is None else spec.with_splits(splits)
-    )
-    return _quadrature(Quantity.DISTANCE, integrand, spec, label, log_c, tail=tail)
+    kernel = ("distance", alpha, q, e)
+    return _quadrature(Quantity.DISTANCE, kernel, integrand, tail, splits, spec, label, log_c)
 
 
 def hellinger_linearized(
@@ -536,13 +536,13 @@ def hellinger_linearized(
 ) -> MeasureValue:
     """First-order weak-signal approximation (q**(1/q) / 2) |eps|**(1/q) F_q.
 
-    The Fisher route with that factor as its scale, so it inherits that
-    domain (``alpha > 1 - q``); ``quad_detail`` holds the Fisher integral.  A
-    non-finite shift raises DomainError, and a factor in front of F_q beyond
-    double range OverflowError, before the quadrature runs."""
-    q = _require_order(q)
-    factor = math.exp(math.log(q) / q - LN2) * abs(_require_shift(eps)) ** (1.0 / q)
-    return _fisher_route(dist, q, spec, Quantity.DISTANCE, scale=factor)
+    The Fisher route with the log of that factor (-inf at zero shift) among
+    its prefactors, so it inherits that domain (``alpha > 1 - q``) and reads
+    0 or inf beyond double range; ``quad_detail`` holds the value.  A
+    non-finite shift raises DomainError before the quadrature runs."""
+    q, eps = _require_order(q), _require_shift(eps)
+    log_factor = (math.log(q) + math.log(abs(eps))) / q - LN2 if eps else -math.inf
+    return _fisher_route(dist, q, spec, Quantity.DISTANCE, log_factor=log_factor)
 
 
 def _fisher_route(
@@ -551,10 +551,10 @@ def _fisher_route(
     spec: QuadratureSpec | None,
     quantity: Quantity,
     root: float = 1.0,
-    scale: float = 1.0,
+    log_factor: float = 0.0,
 ) -> MeasureValue:
     """Quadrature of P * |score|**(1/q), reported as
-    ``scale * exp(ln F_q / root)``.
+    ``exp((log_factor + ln F_q) / root)``.
 
     With ``x = gamma s`` and the even integrand folded onto [0, inf),
     ``F_q = 2 C gamma (2 alpha / gamma)**(1/q) int s**((alpha-1)/q) exp(-2 s**alpha)``:
@@ -565,9 +565,9 @@ def _fisher_route(
     a, g = dist.alpha, dist.gamma_scale
     _require_fisher_domain(a, q)
     log_g = math.log(g)
-    log_scale = dist.log_norm_const + LN2 + log_g + (LN2 + math.log(a) - log_g) / q
+    log_scale = dist.log_norm_const + LN2 + log_g + (LN2 + math.log(a) - log_g) / q + log_factor
     label = lambda: f"Fisher quadrature (alpha={a}, q={q})"
-    return _moment(quantity, a, (a - 1.0) / q, 2.0, log_scale, spec, label, root, scale)
+    return _moment(quantity, a, (a - 1.0) / q, 2.0, log_scale, spec, label, root)
 
 
 def fisher_quadrature(

@@ -130,7 +130,7 @@ class ProbeDistribution:
 
     def mean_energy_quadrature(self, spec: QuadratureSpec | None = None) -> float:
         """Mean energy by quadrature: one quarter of the classical Fisher
-        information, the q = 1/2 Fisher route with scale ``1/4``.
+        information, the q = 1/2 Fisher route with log factor ``-2 ln 2``.
 
         The energy diverges for ``alpha <= 1/2``, where that route raises
         ``DomainError``.  A non-converged quadrature raises
@@ -139,7 +139,7 @@ class ProbeDistribution:
         """
         from .measures import Quantity, _fisher_route  # measures imports this module
 
-        return _fisher_route(self, 0.5, spec, Quantity.FISHER, scale=0.25).value
+        return _fisher_route(self, 0.5, spec, Quantity.FISHER, log_factor=-2.0 * LN2).value
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` independent values; DomainError if one would pass

@@ -90,7 +90,6 @@ def test_criterion_3_sensitivity_sweep_shape():
             q_list=(0.25, 0.5, 2.0),
             energy=1.0,
             alpha_grid=AlphaGrid(0.751, 100.0, 60, "log"),
-            output_path="unused.csv",
         )
         rows = run_sweep(config)
         assert len(rows) == 180
@@ -124,7 +123,6 @@ def test_criterion_4_width_and_error_sweeps():
                 q_list=(0.25, 0.5, 2.0),
                 energy=1.0,
                 alpha_grid=grid,
-                output_path="unused.csv",
             )
             rows = run_sweep(config)
             assert len(rows) == 180

@@ -331,7 +331,7 @@ class TestSweepCommand:
         # the width's power is 0 at every order: one run per shape, and
         # again in the next sweep
         qs = (0.25, 0.5, 2.0)
-        config = SweepConfig("posterior_width", qs, 1.0, cli.default_alpha_grid(qs), "unused.csv")
+        config = SweepConfig("posterior_width", qs, 1.0, cli.default_alpha_grid(qs))
         first = run_sweep(config)
         assert len(evaluations) == 60
         assert run_sweep(config) == first and len(evaluations) == 120
@@ -339,12 +339,12 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("quantity", ["eps_min", "posterior_width", "mean_error", "fisher"])
     def test_no_converge_row_records_best_estimate(self, monkeypatch, quantity):
-        # a starved default spec, from which each moment route builds its
+        # a starved default spec, from which the runner builds each route's
         # own, makes every quadrature stop short; the row still carries the
         # correctly folded and powered best estimate
         starved = functools.partial(QuadratureSpec, rel_tol=1e-15, max_evaluations=100)
         monkeypatch.setattr(measures, "QuadratureSpec", starved)
-        config = SweepConfig(quantity, (0.25, 2.0), 1.0, AlphaGrid(1.0, 2.0, 2), "unused.csv")
+        config = SweepConfig(quantity, (0.25, 2.0), 1.0, AlphaGrid(1.0, 2.0, 2))
         rows = run_sweep(config)
         assert [r.status for r in rows] == ["no_converge"] * 4
         assert all(r.relative_deviation < 1e-2 for r in rows)
@@ -375,7 +375,6 @@ class TestRunSweepLibrary:
             q_list=(0.5, 2.0),
             energy=1.0,
             alpha_grid=AlphaGrid(1.0, 2.0, 2, "linear"),
-            output_path="unused.csv",
         )
         rows = run_sweep(config)
         assert [(r.alpha, r.q) for r in rows] == [
@@ -418,16 +417,16 @@ class TestRunSweepLibrary:
     def test_rejects_bad_config(self):
         grid = AlphaGrid(1.0, 2.0, 3)
         with pytest.raises(ConfigError):
-            SweepConfig("eps_min", (), 1.0, grid, "x.csv")
+            SweepConfig("eps_min", (), 1.0, grid)
         with pytest.raises(ConfigError):
-            SweepConfig("eps_min", (0.5,), -1.0, grid, "x.csv")
+            SweepConfig("eps_min", (0.5,), -1.0, grid)
         with pytest.raises(ConfigError):
-            SweepConfig("wrong", (0.5,), 1.0, grid, "x.csv")
+            SweepConfig("wrong", (0.5,), 1.0, grid)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_rejects_bad_parity_tolerance(self, tol):
         # as verify_report does, before any row is computed
-        config = SweepConfig("eps_min", (0.5,), 1.0, AlphaGrid(1.0, 2.0, 2), "x.csv")
+        config = SweepConfig("eps_min", (0.5,), 1.0, AlphaGrid(1.0, 2.0, 2))
         with pytest.raises(ConfigError):
             run_sweep(config, tol)
         with pytest.raises(ConfigError):
@@ -714,6 +713,23 @@ def test_surface_x_range_must_be_finite(tmp_path, via, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (QUICK["simulate"] + ["--eps", "-1e-3"], QUICK["simulate"] + ["--eps=-1e-3"]),
+        (QUICK["surface"] + ["--x-min", "-3e0", "--x-max", "3e0"], QUICK["surface"]),
+    ],
+    ids=["simulate", "surface"],
+)
+def test_negative_value_in_exponent_notation_is_a_value(tmp_path, spaced, joined):
+    # argparse's own negative-number pattern has no exponent: "-1e-3" would
+    # read as an option and leave the flag without its value
+    a, b = tmp_path / "spaced", tmp_path / "joined"
+    assert main(spaced + ["--out", str(a)]) == 0
+    assert main(joined + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_overflowing_simulate_order_is_usage_error(tmp_path, capsys):
     out = tmp_path / "report.json"
     with warnings.catch_warnings():
@@ -807,7 +823,7 @@ def test_out_of_range_rows_run_no_quadrature(monkeypatch):
 
     # the fisher route is sensitivity_quadrature -> _fisher_route
     monkeypatch.setattr(measures, "_fisher_route", forbidden)
-    config = SweepConfig("fisher", (1e-3,), 1.0, AlphaGrid(1.5, 3.0, 2), "unused.csv")
+    config = SweepConfig("fisher", (1e-3,), 1.0, AlphaGrid(1.5, 3.0, 2))
     rows = run_sweep(config)
     assert [r.status for r in rows] == ["out_of_range", "out_of_range"]
     assert all(r.gamma_scale is not None and r.closed_value is None for r in rows)

@@ -7,12 +7,13 @@ kernel and adds the probe's scale in log space, so the routes keep their
 digits at E = 1e-300 and 1e300.  The moment routes integrate their kernel
 in units of its own mass scale and add that scale in log space too, so at
 q = 1e-3, where the kernel integral itself leaves double range, and at
-q = 1e-300 they read their closed forms.  The file holds two xfails.  The
-mapped width: a mapped route certifies its integral, not the quantity, so
-just above q = 1 the width reads a converged wrong value.  The linearized
-0*inf: ``hellinger_linearized`` multiplies its factor in front of F_q by
-F_q itself, so where the factor underflows to 0 and F_q overflows to inf it
-reads nan.  An unexpected pass fails the suite (``xfail_strict``).  At
+q = 1e-300 they read their closed forms, and ``hellinger_linearized`` adds
+the log of its factor in front of F_q to the Fisher route's prefactors, so
+it reads its value where the factor underflows to 0 and F_q overflows to
+inf.  The file holds one xfail, the mapped width: a mapped route certifies
+its integral, not the quantity, so just above q = 1 the width reads a
+converged wrong value.  An unexpected pass fails the suite
+(``xfail_strict``).  At
 tiny orders the Fisher and mean-error kernels are spikes narrower than the
 seed panels' node spacing; the routes bracket them, so down to q = 1e-14
 they read their closed forms and their integrals hold their whole mass.
@@ -158,8 +159,7 @@ def test_posterior_width_just_above_order_one():
 # The linearized distance is (q**(1/q) / 2) |eps|**(1/q) F_q.  At gamma = 1e-200
 # and eps = 1e-300 it is (1/8) 1e-600 4e400 = 5e-201, where the distance route
 # reads 5.0000000000001645e-201, and at zero shift it is 0.  The factor
-# underflows to 0 and F_q overflows to inf, so the product reads nan.
-@pytest.mark.xfail(raises=AssertionError, reason="factor 0 times F_q inf reads nan")
+# underflows to 0 and F_q overflows to inf; their logs are finite.
 def test_linearized_distance_with_factor_and_fisher_beyond_double_range():
     tiny = ProbeDistribution.from_shape_scale(2.0, 1e-200)
     assert hellinger_linearized(tiny, 1e-300, 0.5).value == pytest.approx(5e-201, rel=1e-9)

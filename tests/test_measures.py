@@ -125,11 +125,13 @@ class TestLinearization:
         )
         assert 0.99 <= ratio <= 1.01
 
-    def test_factor_beyond_double_range_raises_before_integrating(self, evaluations):
-        # |eps|**(1/q) = 1e400 overflows; the Fisher quadrature never runs
-        with pytest.raises(OverflowError):
-            hellinger_linearized(GAUSS, 1e200, 0.5)
-        assert evaluations == []
+    def test_factor_beyond_double_range_reads_inf(self, evaluations):
+        # |eps|**(1/q) = 1e400 leaves double range; its log joins the Fisher
+        # route's prefactors, and the root of the integral saturates to inf
+        # as on every quadrature route
+        got = hellinger_linearized(GAUSS, 1e200, 0.5)
+        assert got.value == got.quad_detail.value == math.inf
+        assert got.quad_detail.converged and evaluations == [210]
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_shift_is_out_of_domain(self, evaluations, eps):
@@ -198,18 +200,22 @@ STARVED = QuadratureSpec(rel_tol=1e-15, max_evaluations=100)
 
 
 class TestFisherMaps:
-    """Each route's declared root and scale map its integral to the value
-    and to the best estimate a ConvergenceError carries, with unchanged
-    bits: the Fisher maps and the width and mean-error roots."""
+    """Each route's declared root and log factor map its integral to the
+    value and to the best estimate a ConvergenceError carries: the Fisher
+    maps and the width and mean-error roots."""
 
     def test_non_converged_linearization_is_a_distance(self):
         # (q^(1/q)/2) |eps|^(1/q) F_q = (1/8)(1e-6)(4), not F_q = 4 itself:
-        # the starved estimate of F_q times the factor, bit for bit
+        # the starved estimate of F_q times the factor, which the factor's
+        # log moves by a few ulps at most; at root 1 the result holds it too
         with pytest.raises(ConvergenceError) as info:
             hellinger_linearized(GAUSS, 1e-3, 0.5, STARVED)
+        with pytest.raises(ConvergenceError) as fisher:
+            fisher_quadrature(GAUSS, 0.5, STARVED)
         factor = math.exp(math.log(0.5) / 0.5 - math.log(2.0)) * 1e-3 ** (1.0 / 0.5)
-        assert info.value.result.value.hex() == "0x1.00000050606d8p+2"
-        assert info.value.value == factor * info.value.result.value
+        assert fisher.value.value.hex() == "0x1.00000050606d8p+2"
+        assert info.value.result.value == info.value.value
+        assert info.value.value == pytest.approx(factor * fisher.value.value, rel=1e-14, abs=0.0)
 
     # name -> (route, bits at the default spec, bits of the starved estimate)
     PINS = {
@@ -225,8 +231,8 @@ class TestFisherMaps:
         ),
         "linearized": (
             lambda spec: hellinger_linearized(GAUSS, 1e-3, 0.5, spec),
-            "0x1.0c6f7a0b5f042p-21",
-            "0x1.0c6f7a5fa6cbap-21",
+            "0x1.0c6f7a0b5f03fp-21",
+            "0x1.0c6f7a5fa6cb4p-21",
         ),
         "width": (
             lambda spec: posterior_width_quadrature(energy_probe(2.0), 0.25, spec),
@@ -504,8 +510,8 @@ class TestTriangleProbe:
 
 
 class TestSharedIntegrals:
-    """Inside ``shared_integrals`` a moment integral runs the engine once
-    per (shape, power, spec); every reader maps the one raw result itself."""
+    """Inside ``shared_integrals`` a named integral runs the engine once
+    per (kernel, spec); every reader maps the one raw result itself."""
 
     @staticmethod
     def widths(d, spec=None):
@@ -540,6 +546,19 @@ class TestSharedIntegrals:
         assert len(evaluations) == runs
         alone = [fisher_quadrature(d, 0.5), mean_error_quadrature(d, 0.0, 0.5)]
         assert [self.bits(m) for m in shared] == [self.bits(m) for m in alone]
+
+    def test_distance_runs_once_per_shift_over_scale(self, evaluations):
+        # the distance is named by (alpha, q, |eps| / gamma): the mirrored
+        # shift and a probe twice as wide at twice the shift read one run
+        wide = ProbeDistribution.from_shape_scale(GAUSS.alpha, 2.0 * GAUSS.gamma_scale)
+        with measures.shared_integrals():
+            got = [
+                hellinger_distance(GAUSS, 0.3, 2.0),
+                hellinger_distance(GAUSS, -0.3, 2.0),
+                hellinger_distance(wide, 0.6, 2.0),
+            ]
+        assert len(evaluations) == 1
+        assert [self.bits(m) for m in got] == [self.bits(got[0])] * 3
 
     def test_an_engine_failure_runs_once_and_reaches_every_reader(self, monkeypatch):
         # below one 15-point panel per piece the engine raises DomainError
